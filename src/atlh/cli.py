@@ -15,18 +15,8 @@ import os
 import sys
 
 from .cegm import ModelError, load_model, save_model
-from .formula import (
-    CoalFG,
-    CoalG,
-    CoalU,
-    CoalX,
-    FormulaError,
-    formula_length,
-    parse_formula,
-    pretty_print,
-    subformulas_by_length,
-)
-from .mcheck import CheckError, CheckOptions, check, find_witness, label
+from .formula import FormulaError, formula_length, parse_formula, pretty_print
+from .mcheck import CheckError, CheckOptions, label_masks
 from .scenarios import (
     ScenarioError,
     gen_referendum_double,
@@ -64,11 +54,7 @@ def _fail(message: str) -> int:
 
 
 def _options(args) -> CheckOptions:
-    return CheckOptions(
-        strategy_mode=args.strategy_mode,
-        success_scope=args.scope,
-        threads=args.threads,
-    )
+    return CheckOptions(strategy_mode=args.strategy_mode, success_scope=args.scope)
 
 
 def _formula_text(args) -> str:
@@ -92,13 +78,9 @@ def cmd_check(args) -> int:
     model = load_model(_read(args.model))
     f = parse_formula(_formula_text(args))
     state = args.state if args.state is not None else model.initial
-    opts = _options(args)
-    verdict = check(model, state, f, opts)
+    masks, witness = label_masks(model, f, _options(args), state, exact=args.dump_labels)
+    verdict = bool(masks[f] >> model.state_index[state] & 1)
     text = pretty_print(f)
-
-    witness = None
-    if verdict and isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
-        witness = find_witness(model, state, f, opts)
 
     if args.output == "json-lines":
         out = [
@@ -122,9 +104,8 @@ def cmd_check(args) -> int:
                 )
             )
         if args.dump_labels:
-            labels = label(model, f, opts)
-            for sub in subformulas_by_length(f):
-                states = [q for q in model.states if q in labels[sub]]
+            for sub, mask in masks.items():
+                states = list(model.states_of(mask))
                 out.append(
                     json.dumps(
                         {"event": "label", "formula": pretty_print(sub), "states": states},
@@ -138,9 +119,8 @@ def cmd_check(args) -> int:
         if witness is not None:
             out.append(f"witness: {witness}")
         if args.dump_labels:
-            labels = label(model, f, opts)
-            for sub in subformulas_by_length(f):
-                states = " ".join(q for q in model.states if q in labels[sub])
+            for sub, mask in masks.items():
+                states = " ".join(model.states_of(mask))
                 out.append(f"label {pretty_print(sub)}: {states}")
     print("\n".join(out))
     return 0 if verdict else 1
@@ -239,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strategy-mode", choices=("ir", "Ir"), default="ir")
     common.add_argument("--scope", choices=("objective", "subjective"), default="objective")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--cap-nodes", type=int, default=10**6)
     common.add_argument(
@@ -291,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        return _fail("--threads must be positive")
     if args.cap_nodes < 1:
         return _fail("--cap-nodes must be positive")
     try:

@@ -4,12 +4,14 @@ Subformulas are evaluated shortest-first, so every operator sees its
 arguments as already-computed state sets (bitmasks over the model's state
 order). Strategic operators enumerate memoryless strategies for the
 coalition, evaluate the universal path condition on the graph restricted
-by each strategy, and take the union of the validated states.
+by each strategy, and take the union of the validated states. All of
+`label`, `check` and `find_witness` go through that one search; a query
+about a single state lets the search at the formula's root stop as soon
+as that state is validated.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -42,7 +44,7 @@ class CheckError(ValueError):
 
 @dataclass(frozen=True)
 class CheckOptions:
-    """Strategy mode (`ir` uniform / `Ir` unrestricted), success scope, threads.
+    """Strategy mode (`ir` uniform / `Ir` unrestricted) and success scope.
 
     Objective scope requires the path condition from the queried state only;
     subjective scope requires it from every state some coalition member
@@ -51,15 +53,12 @@ class CheckOptions:
 
     strategy_mode: str = "ir"
     success_scope: str = "objective"
-    threads: int = 1
 
     def __post_init__(self):
         if self.strategy_mode not in ("ir", "Ir"):
             raise CheckError(f"unknown strategy mode {self.strategy_mode!r}")
         if self.success_scope not in ("objective", "subjective"):
             raise CheckError(f"unknown success scope {self.success_scope!r}")
-        if self.threads < 1:
-            raise CheckError("threads must be positive")
 
 
 class Strategy:
@@ -102,7 +101,9 @@ def compare_log(count: int, cmp: str, threshold: Threshold) -> bool:
     """Decide log2(count) <cmp> threshold exactly, without floating point.
 
     A `log(k)` threshold reduces to comparing count against k. A rational
-    threshold p/q reduces to comparing count**q against 2**p over integers.
+    threshold p/q reduces to comparing count**q against 2**p over integers;
+    bit lengths settle it first whenever p/q lies outside [bl - 1, bl), where
+    bl is the bit length of count, so a huge threshold costs no exponentiation.
     """
     if count < 1:
         raise CheckError(f"class count must be positive, got {count}")
@@ -110,6 +111,14 @@ def compare_log(count: int, cmp: str, threshold: Threshold) -> bool:
         return _cmp(cmp, count, threshold.count)
     p = threshold.value.numerator
     q = threshold.value.denominator
+    if count == 1:
+        return _cmp(cmp, 0, p)
+    # q*(bl - 1) <= q*log2(count) < q*bl
+    bl = count.bit_length()
+    if p < q * (bl - 1):
+        return _cmp(cmp, 1, 0)
+    if p >= q * bl:
+        return _cmp(cmp, 0, 1)
     return _cmp(cmp, count**q, 2**p)
 
 
@@ -259,7 +268,7 @@ def _condition(succ, n: int, full: int, kind: str, args) -> int:
     raise CheckError(f"unknown temporal kind {kind!r}")
 
 
-def _validated(engine: _CoalitionEngine, w: int, scope: str, full: int) -> int:
+def _validated(engine: _CoalitionEngine, w: int, scope: str) -> int:
     """States whose whole start set lies inside the winning set `w`."""
     if scope == "objective":
         return w
@@ -270,37 +279,26 @@ def _validated(engine: _CoalitionEngine, w: int, scope: str, full: int) -> int:
     return v
 
 
-def _strategic_mask(engine: _CoalitionEngine, kind: str, args, opts: CheckOptions) -> int:
-    model = engine.model
-    n = len(model.states)
-    full = model.full_mask
+def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at):
+    """Union of the states each strategy validates, and the first strategy
+    (a choice tuple) whose validated states include state index `at`.
 
-    def run(choice_batch) -> int:
-        acc = 0
-        for choices in choice_batch:
-            w = _condition(engine.succ(choices), n, full, kind, args)
-            acc |= _validated(engine, w, opts.success_scope, full)
-            if acc == full:
-                break
-        return acc
-
-    if opts.threads == 1:
-        result = 0
-        for choices in engine.choice_tuples():
-            w = _condition(engine.succ(choices), n, full, kind, args)
-            result |= _validated(engine, w, opts.success_scope, full)
-            if result == full:
-                return result
-        return result
-
-    all_choices = list(engine.choice_tuples())
-    chunk = max(1, -(-len(all_choices) // opts.threads))
-    batches = [all_choices[i : i + chunk] for i in range(0, len(all_choices), chunk)]
-    result = 0
-    with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-        for part in pool.map(run, batches):
-            result |= part
-    return result
+    The walk stops as soon as the union covers `want`, so the union is exact
+    on `want` only.
+    """
+    n = len(engine.model.states)
+    full = engine.model.full_mask
+    at_bit = 0 if at is None else 1 << at
+    union = 0
+    first = None
+    for choices in engine.choice_tuples():
+        v = _validated(engine, _condition(engine.succ(choices), n, full, kind, args), scope)
+        if v & at_bit and first is None:
+            first = choices
+        union |= v
+        if union & want == want:
+            break
+    return union, first
 
 
 def enumerate_strategies(model: Cegm, coalition, opts: CheckOptions | None = None):
@@ -310,27 +308,6 @@ def enumerate_strategies(model: Cegm, coalition, opts: CheckOptions | None = Non
     engine = _CoalitionEngine(model, coalition, opts.strategy_mode)
     for choices in engine.choice_tuples():
         yield engine.strategy_from(choices)
-
-
-def strategic_holds(model: Cegm, state, coalition, kind, arg_labels, opts=None) -> bool:
-    """Can the coalition enforce the condition from `state` (its start set)?"""
-    opts = opts or CheckOptions()
-    _require_agents(model, coalition)
-    if state not in model.state_index:
-        raise CheckError(f"unknown state {state}")
-    args = [model.mask(labels) for labels in arg_labels]
-    engine = _CoalitionEngine(model, coalition, opts.strategy_mode)
-    n = len(model.states)
-    full = model.full_mask
-    if opts.success_scope == "objective":
-        start = 1 << model.state_index[state]
-    else:
-        start = engine.start_masks()[model.state_index[state]]
-    for choices in engine.choice_tuples():
-        w = _condition(engine.succ(choices), n, full, kind, args)
-        if start & ~w == 0:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +320,8 @@ def _require_agents(model: Cegm, agents) -> None:
             raise CheckError(f"unknown agent {a}")
 
 
-def _validate(model: Cegm, f: Formula) -> None:
-    for g in subformulas_by_length(f):
+def _validate(model: Cegm, subformulas) -> None:
+    for g in subformulas:
         match g:
             case Atom(name):
                 if name not in model.valuation:
@@ -376,12 +353,29 @@ def _hartley_mask(model: Cegm, g: Hartley, lab: dict) -> int:
     return out
 
 
-def _label_masks(model: Cegm, f: Formula, opts: CheckOptions) -> dict:
-    _validate(model, f)
+def label_masks(model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=True):
+    """Bitmask of every subformula of `f` (keyed shortest-first), and the
+    witness at `state`: the first strategy, in enumeration order, that
+    validates a strategic root there (None if the root is not strategic or
+    is false there).
+
+    With `exact=False` the root's search stops once it validates `state`,
+    so the root's mask is exact at `state` only. Every other mask is exact.
+    """
+    at = None
+    if state is not None:
+        if state not in model.state_index:
+            raise CheckError(f"unknown state {state}")
+        at = model.state_index[state]
+    order = subformulas_by_length(f)
+    _validate(model, order)
     full = model.full_mask
+    want = full if exact or at is None else 1 << at
     engines: dict = {}
     lab: dict = {}
-    for g in subformulas_by_length(f):
+    witness = None
+    for g in order:
+        search = None
         match g:
             case Atom(name):
                 mask = model.mask(model.valuation[name])
@@ -404,73 +398,49 @@ def _label_masks(model: Cegm, f: Formula, opts: CheckOptions) -> dict:
             case Hartley():
                 mask = _hartley_mask(model, g, lab)
             case CoalX(coal, sub):
-                mask = _strategic(engines, model, coal, "X", [lab[sub]], opts)
+                search = coal, "X", [lab[sub]]
             case CoalG(coal, sub):
-                mask = _strategic(engines, model, coal, "G", [lab[sub]], opts)
+                search = coal, "G", [lab[sub]]
             case CoalU(coal, hold, goal):
-                mask = _strategic(engines, model, coal, "U", [lab[hold], lab[goal]], opts)
+                search = coal, "U", [lab[hold], lab[goal]]
             case CoalFG(coal, goal, inv):
-                mask = _strategic(engines, model, coal, "FG", [lab[goal], lab[inv]], opts)
+                search = coal, "FG", [lab[goal], lab[inv]]
             case _:
                 raise CheckError(f"cannot label {g!r}")
+        if search is not None:
+            coal, kind, args = search
+            engine = engines.get(coal)
+            if engine is None:
+                engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
+            root = g is f
+            mask, choices = _search(
+                engine, kind, args, opts.success_scope, want if root else full, at if root else None
+            )
+            if choices is not None:
+                witness = engine.strategy_from(choices)
         lab[g] = mask
-    return lab
-
-
-def _strategic(engines, model, coalition, kind, args, opts) -> int:
-    key = (coalition, opts.strategy_mode)
-    engine = engines.get(key)
-    if engine is None:
-        engine = engines[key] = _CoalitionEngine(model, coalition, opts.strategy_mode)
-    return _strategic_mask(engine, kind, args, opts)
+    return lab, witness
 
 
 def label(model: Cegm, f: Formula, opts: CheckOptions | None = None) -> dict:
     """State sets for every subformula of `f`, keyed by subformula."""
-    opts = opts or CheckOptions()
-    masks = _label_masks(model, f, opts)
+    masks, _ = label_masks(model, f, opts or CheckOptions())
     return {g: frozenset(model.states_of(m)) for g, m in masks.items()}
 
 
 def check(model: Cegm, state: str, f: Formula, opts: CheckOptions | None = None) -> bool:
     """Does `f` hold at `state`?"""
-    opts = opts or CheckOptions()
-    if state not in model.state_index:
-        raise CheckError(f"unknown state {state}")
-    masks = _label_masks(model, f, opts)
+    masks, _ = label_masks(model, f, opts or CheckOptions(), state, exact=False)
     return bool(masks[f] >> model.state_index[state] & 1)
 
 
 def find_witness(model: Cegm, state: str, f: Formula, opts: CheckOptions | None = None):
-    """First strategy validating a top-level strategic formula at `state`.
+    """First strategy, in `enumerate_strategies` order, validating a
+    top-level strategic formula at `state`.
 
     Returns None when `f` is not strategic at top level or no strategy works.
     """
-    opts = opts or CheckOptions()
-    match f:
-        case CoalX(coal, sub):
-            kind, parts = "X", [sub]
-        case CoalG(coal, sub):
-            kind, parts = "G", [sub]
-        case CoalU(coal, hold, goal):
-            kind, parts = "U", [hold, goal]
-        case CoalFG(coal, goal, inv):
-            kind, parts = "FG", [goal, inv]
-        case _:
-            return None
-    if state not in model.state_index:
-        raise CheckError(f"unknown state {state}")
-    lab = _label_masks(model, And(parts[0], parts[1]) if len(parts) == 2 else parts[0], opts)
-    args = [lab[p] for p in parts]
-    engine = _CoalitionEngine(model, coal, opts.strategy_mode)
-    n = len(model.states)
-    full = model.full_mask
-    if opts.success_scope == "objective":
-        start = 1 << model.state_index[state]
-    else:
-        start = engine.start_masks()[model.state_index[state]]
-    for choices in engine.choice_tuples():
-        w = _condition(engine.succ(choices), n, full, kind, args)
-        if start & ~w == 0:
-            return engine.strategy_from(choices)
-    return None
+    if not isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
+        return None
+    _, witness = label_masks(model, f, opts or CheckOptions(), state, exact=False)
+    return witness

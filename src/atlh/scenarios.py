@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from .cegm import Cegm
 from .formula import Formula, parse_formula, pretty_print
-from .mcheck import CheckOptions, check, label, strategic_holds
+from .mcheck import check
 
 
 class ScenarioError(ValueError):
@@ -323,24 +323,39 @@ def infoset_table_csv(rows) -> str:
 _MAX_DOUBT = "H[c] = log(4) {V_A, V_B}"
 
 
+def _epistemic_coercion_goals(literal_antecedent: bool) -> list[str]:
+    guard = "!V1_eq_V2" if literal_antecedent else "V1_eq_V2"
+    return [
+        f"<v, c> F (V1_eq_{vote} & ({guard} | K[c] V1_eq_{vote}))" for vote in VOTES
+    ]
+
+
+def _hartley_coercion_goals() -> list[str]:
+    return [f"<v, c> F (V1_eq_{vote} & (V1_eq_V2 | {_MAX_DOUBT}))" for vote in VOTES]
+
+
+def _none_of(goals: list[str]) -> Formula:
+    return parse_formula(" & ".join(f"!{goal}" for goal in goals))
+
+
+def _any_enforceable(model: Cegm, goals: list[str]) -> bool:
+    """Can the voter-coercer pair force some goal from the initial state?
+    Checks one goal at a time, so the first enforceable goal ends the
+    search."""
+    return any(check(model, model.initial, parse_formula(goal)) for goal in goals)
+
+
 def epistemic_coercion_property(literal_antecedent: bool = False) -> Formula:
     """No voter-coercer strategy makes the coercer learn the vote, for any
     vote value; differing votes are required before knowledge counts (set
     `literal_antecedent` to require matching votes instead)."""
-    guard = "!V1_eq_V2" if literal_antecedent else "V1_eq_V2"
-    parts = [
-        f"!<v, c> F (V1_eq_{vote} & ({guard} | K[c] V1_eq_{vote}))" for vote in VOTES
-    ]
-    return parse_formula(" & ".join(parts))
+    return _none_of(_epistemic_coercion_goals(literal_antecedent))
 
 
 def hartley_coercion_property() -> Formula:
     """Strategic reading: the voter-coercer pair can steer every play into an
     outcome with their chosen vote and maximal coercer uncertainty."""
-    parts = [
-        f"!<v, c> F (V1_eq_{vote} & (V1_eq_V2 | {_MAX_DOUBT}))" for vote in VOTES
-    ]
-    return parse_formula(" & ".join(parts))
+    return _none_of(_hartley_coercion_goals())
 
 
 def hartley_invariant_property() -> Formula:
@@ -355,19 +370,13 @@ def hartley_invariant_property() -> Formula:
 def coercion_epistemic(model: Cegm, literal_antecedent: bool = False) -> bool:
     """Does the model resist coercion in the knowledge sense?
 
-    Evaluates, at the initial state, one conjunct per vote value: there is no
-    voter-coercer strategy forcing an outcome with that vote where the
-    coercer knows the vote (outcomes where both voters voted alike are
-    excused, since the public board alone reveals such votes).
+    Evaluates `epistemic_coercion_property` at the initial state, one
+    conjunct per vote value: there is no voter-coercer strategy forcing an
+    outcome with that vote where the coercer knows the vote (outcomes where
+    both voters voted alike are excused, since the public board alone
+    reveals such votes).
     """
-    guard = "!V1_eq_V2" if literal_antecedent else "V1_eq_V2"
-    full = frozenset(model.states)
-    for vote in VOTES:
-        goal = parse_formula(f"V1_eq_{vote} & ({guard} | K[c] V1_eq_{vote})")
-        goal_set = label(model, goal)[goal]
-        if strategic_holds(model, model.initial, ("v", "c"), "U", [full, goal_set]):
-            return False
-    return True
+    return not _any_enforceable(model, _epistemic_coercion_goals(literal_antecedent))
 
 
 def coercion_hartley(model: Cegm, strategic: bool = False) -> bool:
@@ -376,17 +385,12 @@ def coercion_hartley(model: Cegm, strategic: bool = False) -> bool:
     By default this checks the invariant reading: along every play, whenever
     voter 1 has cast a vote that differs from voter 2's, the coercer must be
     at maximal uncertainty about (V_A, V_B). The strategic reading
-    (`strategic=True`) instead asks whether the voter-coercer pair has no
-    joint strategy that forces plays into maximal-uncertainty outcomes; that
-    is a much weaker demand, satisfied here because the other voter alone
-    can always push the play into a revealing board.
+    (`strategic=True`, `hartley_coercion_property`) instead asks whether the
+    voter-coercer pair has no joint strategy that forces plays into
+    maximal-uncertainty outcomes; that is a much weaker demand, satisfied
+    here because the other voter alone can always push the play into a
+    revealing board.
     """
     if not strategic:
         return check(model, model.initial, hartley_invariant_property())
-    full = frozenset(model.states)
-    for vote in VOTES:
-        goal = parse_formula(f"V1_eq_{vote} & (V1_eq_V2 | {_MAX_DOUBT})")
-        goal_set = label(model, goal)[goal]
-        if strategic_holds(model, model.initial, ("v", "c"), "U", [full, goal_set]):
-            return False
-    return True
+    return not _any_enforceable(model, _hartley_coercion_goals())

@@ -99,21 +99,27 @@ def _some_walk_fails_until(succ, start, hold, goal, horizon):
 
 def holds_strategically(model, state, coalition, kind, args, mode="ir", scope="objective"):
     """Oracle for one strategic operator: walk-based, all strategies tried."""
-    all_states = frozenset(model.states)
-    horizon = len(model.states) + 1
+    return any(
+        strategy_wins(model, state, strategy, kind, args, scope)
+        for strategy in oracle_strategies(model, coalition, mode)
+    )
+
+
+def strategy_wins(model, state, strategy, kind, args, scope="objective"):
+    """Does `strategy` (coalition agent -> state -> action) meet the condition
+    on every path from each of `state`'s start states?"""
     if scope == "objective":
         starts = [state]
     else:
         starts = sorted(
-            set().union(*(model.epistemic_class(a, state) for a in coalition))
-            if coalition
+            set().union(*(model.epistemic_class(a, state) for a in strategy))
+            if strategy
             else set()
         )
-    for strategy in oracle_strategies(model, coalition, mode):
-        succ = _restricted_successors(model, strategy)
-        if all(_start_ok(succ, q, kind, args, horizon, all_states) for q in starts):
-            return True
-    return False
+    succ = _restricted_successors(model, strategy)
+    horizon = len(model.states) + 1
+    all_states = frozenset(model.states)
+    return all(_start_ok(succ, q, kind, args, horizon, all_states) for q in starts)
 
 
 def _start_ok(succ, start, kind, args, horizon, all_states):

@@ -132,6 +132,17 @@ def test_check_dump_labels(fig1_path, capsys):
     assert "label Voted | V_A: s1 s2" in out
 
 
+def test_check_dump_labels_keeps_witness(fig1_path, capsys):
+    formula = "<v> F (Voted & V_A & G !(K[c] V_A | K[c] !V_A))"
+    assert main(["check", "--model", fig1_path, "--formula", formula]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["check", "--model", fig1_path, "--formula", formula, "--dump-labels"]) == 0
+    dumped = capsys.readouterr().out.splitlines()
+    assert plain[3] == "witness: v: s0=voteA s1=eps s2=eps"
+    assert dumped[:4] == plain
+    assert dumped[-1] == f"label {formula}: s0 s1"
+
+
 def test_check_json_lines(fig1_path, capsys):
     code = main(
         [
@@ -295,5 +306,4 @@ def test_color_toggle(fig1_path, capsys, monkeypatch):
 
 
 def test_flag_validation(capsys):
-    assert main(["check", "--model", "x", "--formula", "true", "--threads", "0"]) == 2
     assert main(["translate", "--dir", "k2h", "--formula", "p", "--cap-nodes", "0"]) == 2

@@ -1,12 +1,22 @@
 """Model checker tests: labeling, knowledge, uncertainty, strategic operators."""
 
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from atlh.cegm import load_model
-from atlh.formula import Hartley, LogOfCount, Real, parse_formula
+from atlh.formula import (
+    CoalFG,
+    CoalG,
+    CoalU,
+    CoalX,
+    Hartley,
+    LogOfCount,
+    Real,
+    parse_formula,
+)
 from atlh.mcheck import (
     CheckError,
     CheckOptions,
@@ -16,11 +26,10 @@ from atlh.mcheck import (
     find_witness,
     hartley_classes,
     label,
-    strategic_holds,
 )
 from atlh.sampling import random_cegm, random_formula
 
-from bruteforce import oracle_label
+from bruteforce import oracle_label, strategy_wins
 
 FIG1 = """\
 agents: v c
@@ -171,6 +180,33 @@ def test_compare_log_exact():
         compare_log(0, "=", Real(0))
 
 
+def test_compare_log_matches_integer_comparison():
+    exact = {
+        "<": lambda a, b: a < b,
+        "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b,
+        ">=": lambda a, b: a >= b,
+        "=": lambda a, b: a == b,
+    }
+    for count in range(1, 70):
+        for q in range(1, 7):
+            for p in range(0, 8 * q + 1):
+                for cmp, holds in exact.items():
+                    want = holds(count**q, 2**p)
+                    assert compare_log(count, cmp, Real(Fraction(p, q))) == want, (count, cmp, p, q)
+
+
+def test_huge_thresholds_decide_at_once(fig1):
+    start = time.perf_counter()
+    below = parse_formula("H[c] < 100000000000 {V_A}")
+    above = parse_formula("H[c] > 100000000000 {V_A}")
+    for q in fig1.states:
+        assert check(fig1, q, below)
+        assert not check(fig1, q, above)
+    assert compare_log(2**40, ">=", Real(Fraction(10**12 + 1, 10**12)))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_enumerate_strategies_counts(fig1, m2):
     assert len(list(enumerate_strategies(fig1, ("v",)))) == 3
     assert len(list(enumerate_strategies(fig1, ("c",)))) == 1
@@ -190,13 +226,12 @@ def test_enumerate_strategies_uniform_and_not():
     assert any(s.action("a", "s0") != s.action("a", "s1") for s in free)
 
 
-def test_strategic_holds_basics(fig1):
-    full = set(fig1.states)
-    assert strategic_holds(fig1, "s0", ("v",), "G", [full])
-    assert strategic_holds(fig1, "s0", ("v",), "X", [{"s1"}])
-    assert not strategic_holds(fig1, "s0", ("c",), "X", [{"s1", "s2"}])
-    assert strategic_holds(fig1, "s1", (), "X", [{"s1"}])
-    assert not strategic_holds(fig1, "s0", (), "X", [{"s1", "s2"}])
+def test_strategic_basics(fig1):
+    assert check(fig1, "s0", parse_formula("<v> G true"))
+    assert check(fig1, "s0", parse_formula("<v> X V_A"))
+    assert not check(fig1, "s0", parse_formula("<c> X Voted"))
+    assert check(fig1, "s1", parse_formula("<> X V_A"))
+    assert not check(fig1, "s0", parse_formula("<> X Voted"))
 
 
 def test_uniformity_changes_verdict():
@@ -260,11 +295,6 @@ def test_unknown_atom_and_agent(fig1):
         check(fig1, "zz", parse_formula("Voted"))
 
 
-def test_threads_match_sequential(fig1):
-    f = parse_formula(REFERENDUM_PROP)
-    assert label(fig1, f) == label(fig1, f, CheckOptions(threads=3))
-
-
 def test_reach_then_maintain_matches_oracle(fig1, m1, m2):
     f = parse_formula("<v> F (Voted & V_A & G !(K[c] V_A | K[c] !V_A))")
     for model in (fig1, m1, m2):
@@ -285,3 +315,85 @@ def test_oracle_smoke():
         got = label(model, f, opts)[f]
         want = oracle_label(model, f, opts.strategy_mode, opts.success_scope)
         assert got == want, f"disagreement on seed {i}: {f}"
+
+
+COMBOS = [
+    CheckOptions(strategy_mode=mode, success_scope=scope)
+    for mode in ("ir", "Ir")
+    for scope in ("objective", "subjective")
+]
+
+
+def _path_condition(f):
+    match f:
+        case CoalX(_, sub):
+            return "X", [sub]
+        case CoalG(_, sub):
+            return "G", [sub]
+        case CoalU(_, hold, goal):
+            return "U", [hold, goal]
+        case CoalFG(_, goal, inv):
+            return "FG", [goal, inv]
+
+
+def _oracle_first_winner(model, state, f, opts):
+    """First strategy in enumeration order that the oracle's walk judges
+    winning from `state`, or None."""
+    kind, subs = _path_condition(f)
+    args = [oracle_label(model, s, opts.strategy_mode, opts.success_scope) for s in subs]
+    for strategy in enumerate_strategies(model, f.coalition, opts):
+        if strategy_wins(model, state, strategy.actions, kind, args, opts.success_scope):
+            return strategy
+    return None
+
+
+def _assert_matches_oracle(model, f, opts):
+    holds = oracle_label(model, f, opts.strategy_mode, opts.success_scope)
+    for q in model.states:
+        assert check(model, q, f, opts) == (q in holds), (f, q, opts)
+        if isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
+            want = _oracle_first_winner(model, q, f, opts)
+            got = find_witness(model, q, f, opts)
+            assert (got is None) == (want is None), (f, q, opts)
+            if got is not None:
+                assert got.actions == want.actions, (f, q, opts)
+
+
+def test_witness_is_first_winner_on_random_models():
+    rng = Random(2303)
+    kinds = (CoalX, CoalG, CoalU, CoalFG)
+    for i in range(24):
+        model = random_cegm(rng, max_states=4, max_agents=2, max_actions=2)
+        coal = tuple(rng.sample(model.agents, rng.randint(0, min(2, len(model.agents)))))
+        kind = kinds[i % len(kinds)]
+        subs = [
+            random_formula(rng, model.props, model.agents, depth=2, strategic_budget=1)
+            for _ in range(1 if kind in (CoalX, CoalG) else 2)
+        ]
+        f = kind(coal, *subs)
+        for opts in COMBOS:
+            _assert_matches_oracle(model, f, opts)
+
+
+@pytest.mark.parametrize(
+    "name, formula",
+    [
+        ("fig1", "<v> F (Voted & V_A & G !(K[c] V_A | K[c] !V_A))"),
+        ("fig1", "<v> X V_A"),
+        ("fig1", "<c> X V_A"),
+        ("fig1", "<v, c> (!Voted U V_A)"),
+        ("fig1", "<v> F Voted & K[c] <v> F Voted"),
+        ("micro", "<a> G p"),
+        ("micro", "<a> X p"),
+        ("micro", "<a> F (!p & G !p)"),
+        # the root's early stop must not reach the copy under K[a]: in Ir
+        # mode the first strategy validates s0 only, but K[a] needs s1 too
+        ("micro", "<a> X p & K[a] <a> X p"),
+        ("micro", "<a> X K[a] <a> X p"),
+    ],
+)
+def test_witness_and_verdict_match_oracle(name, formula):
+    model = load_model({"fig1": FIG1, "micro": MICRO}[name])
+    f = parse_formula(formula)
+    for opts in COMBOS:
+        _assert_matches_oracle(model, f, opts)

@@ -1,5 +1,7 @@
 """Tests for the referendum and ThreeBallot case-study generators."""
 
+from random import Random
+
 import pytest
 
 from atlh.cegm import Cegm, load_model, save_model
@@ -257,6 +259,42 @@ def test_single_vote_value_conjuncts_are_vacuous():
     vac = parse_formula("!<v, c> F (V1_eq_AB & (V1_eq_V2 | K[c] V1_eq_AB))")
     assert check(toy, "q0", vac)
     assert check(toy, "q0", parse_formula("<> G !(V1_eq_AB & !V1_eq_V2 & !H[c] = log(4) {V_A, V_B})"))
+
+
+def _random_vote_model(rng: Random) -> Cegm:
+    """A small random voter-coercer game over the ThreeBallot propositions."""
+    states = [f"q{i}" for i in range(rng.randint(2, 5))]
+    trans = {
+        (q, (x, y)): rng.choice(states) for q in states for x in ("l", "r") for y in ("l", "r")
+    }
+    obs = [("c", q, r) for q, r in zip(states, states[1:]) if rng.random() < 0.5]
+    props = _single_vote_toy().valuation
+    valuation = {p: [q for q in states if rng.random() < 0.5] for p in props}
+    return Cegm(
+        ["v", "c"],
+        states,
+        "q0",
+        {"v": ["l", "r"], "c": ["l", "r"]},
+        None,
+        trans,
+        obs,
+        list(valuation),
+        valuation,
+    )
+
+
+def test_coercion_helpers_check_the_property_formulas():
+    models = [_single_vote_toy()] + [_random_vote_model(Random(seed)) for seed in range(12)]
+    verdicts = set()
+    for m in models:
+        for literal in (False, True):
+            got = coercion_epistemic(m, literal)
+            assert got == check(m, m.initial, epistemic_coercion_property(literal))
+            verdicts.add(got)
+        got = coercion_hartley(m, strategic=True)
+        assert got == check(m, m.initial, hartley_coercion_property())
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_coercion_property_formulas_print():
