@@ -78,7 +78,9 @@ def cmd_check(args) -> int:
     model = load_model(_read(args.model))
     f = parse_formula(_formula_text(args))
     state = args.state if args.state is not None else model.initial
-    masks, witness = label_masks(model, f, _options(args), state, exact=args.dump_labels)
+    masks, witness = label_masks(
+        model, f, _options(args), state, exact=args.dump_labels, witness=True
+    )
     verdict = bool(masks[f] >> model.state_index[state] & 1)
     text = pretty_print(f)
 

@@ -13,6 +13,11 @@ from fractions import Fraction
 
 CMPS = ("<", "<=", ">", ">=", "=")
 
+# Deepest formula the parser accepts. The tree walkers recurse once or twice
+# per level and the parser up to four times per parenthesis, so this stays
+# far below Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
 
 class FormulaError(ValueError):
     """Raised for malformed formula text or ill-formed AST nodes."""
@@ -433,6 +438,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parse_unary calls in progress: the parser's own recursion
+        self.depths: dict = {}  # id(node) -> (tree depth, node kept alive)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -445,6 +452,17 @@ class _Parser:
     def error(self, message: str, tok: _Token | None = None) -> FormulaError:
         tok = tok or self.peek()
         return FormulaError(message, tok.line, tok.col)
+
+    def too_deep(self, tok: _Token) -> FormulaError:
+        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", tok)
+
+    def node(self, tok: _Token, f: Formula, *kids: Formula) -> Formula:
+        """Record the tree depth of `f` built from `kids` at token `tok`."""
+        depth = 1 + max(self.depths.get(id(k), (1,))[0] for k in kids)
+        if depth > MAX_DEPTH:
+            raise self.too_deep(tok)
+        self.depths[id(f)] = (depth, f)
+        return f
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
@@ -462,22 +480,33 @@ class _Parser:
     def parse_disj(self) -> Formula:
         f = self.parse_conj()
         while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.parse_conj())
+            tok = self.next()
+            right = self.parse_conj()
+            f = self.node(tok, Or(f, right), f, right)
         return f
 
     def parse_conj(self) -> Formula:
         f = self.parse_unary()
         while self.peek().text == "&":
-            self.next()
-            f = And(f, self.parse_unary())
+            tok = self.next()
+            right = self.parse_unary()
+            f = self.node(tok, And(f, right), f, right)
         return f
 
     def parse_unary(self) -> Formula:
-        if self.peek().text == "!":
-            self.next()
-            return Not(self.parse_unary())
-        return self.parse_atom()
+        nots = []
+        while self.peek().text == "!":
+            nots.append(self.next())
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise self.too_deep(self.peek())
+        try:
+            f = self.parse_atom()
+        finally:
+            self.open -= 1
+        for tok in reversed(nots):
+            f = self.node(tok, Not(f), f)
+        return f
 
     def _starts_unary(self) -> bool:
         tok = self.peek()
@@ -503,7 +532,8 @@ class _Parser:
             self.next()
             agent = self.expect_ident("agent name").text
             self.expect("]")
-            return Knows(agent, self.parse_unary())
+            sub = self.parse_unary()
+            return self.node(tok, Knows(agent, sub), sub)
         if name == "E" and self.peek().text == "[":
             self.next()
             agents = [self.expect_ident("agent name").text]
@@ -511,11 +541,13 @@ class _Parser:
                 self.next()
                 agents.append(self.expect_ident("agent name").text)
             self.expect("]")
-            return MutualKnows(tuple(agents), self.parse_unary())
+            sub = self.parse_unary()
+            return self.node(tok, MutualKnows(tuple(agents), sub), sub)
         if name == "H" and self.peek().text == "[":
             return self.parse_hartley(tok)
         if name == "G" and self._starts_unary():
-            return _PathG(self.parse_unary(), tok.line, tok.col)
+            sub = self.parse_unary()
+            return self.node(tok, _PathG(sub, tok.line, tok.col), sub)
         return Atom(name)
 
     def parse_coalition_tail(self) -> tuple[str, ...]:
@@ -532,18 +564,20 @@ class _Parser:
     def parse_temporal(self, coalition: tuple[str, ...]) -> Formula:
         tok = self.next()
         if tok.text == "X":
-            return CoalX(coalition, self.parse_unary())
+            sub = self.parse_unary()
+            return self.node(tok, CoalX(coalition, sub), sub)
         if tok.text == "G":
-            return CoalG(coalition, self.parse_unary())
+            sub = self.parse_unary()
+            return self.node(tok, CoalG(coalition, sub), sub)
         if tok.text == "F":
             body = self.parse_unary()
-            return self.finish_finally(coalition, body, tok)
+            return self.node(tok, self.finish_finally(coalition, body, tok), body)
         if tok.text == "(":
             hold = self.parse_disj()
             self.expect("U")
             goal = self.parse_disj()
             self.expect(")")
-            return CoalU(coalition, hold, goal)
+            return self.node(tok, CoalU(coalition, hold, goal), hold, goal)
         raise self.error(f"expected X, G, F or '(', found {tok.text or 'end of input'!r}", tok)
 
     def finish_finally(self, coalition, body, tok: _Token) -> Formula:
@@ -579,9 +613,10 @@ class _Parser:
             beta.append(self.parse_disj())
         self.expect("}")
         try:
-            return Hartley(agent, cmp_tok.text, threshold, tuple(beta))
+            f = Hartley(agent, cmp_tok.text, threshold, tuple(beta))
         except FormulaError as exc:
             raise self.error(str(exc), tok) from None
+        return self.node(tok, f, *beta)
 
     def parse_threshold(self) -> Threshold:
         tok = self.next()

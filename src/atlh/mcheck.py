@@ -2,17 +2,35 @@
 
 Subformulas are evaluated shortest-first, so every operator sees its
 arguments as already-computed state sets (bitmasks over the model's state
-order). Strategic operators enumerate memoryless strategies for the
-coalition, evaluate the universal path condition on the graph restricted
-by each strategy, and take the union of the validated states. All of
-`label`, `check` and `find_witness` go through that one search; a query
-about a single state lets the search at the formula's root stop as soon
-as that state is validated.
+order). A strategic operator's state set is the union, over the
+coalition's memoryless strategies, of the states each strategy validates;
+one search, `_search`, computes it for `label`, `check`, `find_witness`
+and `atlh check`. It decides the union in one of two ways:
+
+- Fixpoints, for X, G and U whenever every coalition choice point covers
+  one state or offers one action: all of `Ir`, and `ir` on models where
+  uniformity constrains nothing (every bundled scenario). Strategies are
+  then free per state, so the union is the winning region of the
+  controllable-predecessor fixpoint (X one step, G greatest, U least).
+- Enumeration, for the reach-then-maintain pattern `F (x & G y)` and for
+  `ir` queries with a choice point spanning several states and actions.
+  There X, G and U first compute the per-state (`Ir`) region, which
+  contains the uniform one, and enumerate only for queried states inside
+  it. A query about a single state stops the enumeration at the
+  formula's root as soon as that state is validated.
+
+A witness is always the first strategy, in `enumerate_strategies` order,
+that validates the queried state. The fixpoint path builds it one choice
+point at a time, and only when a witness is asked for (`find_witness`,
+`atlh check`), never for `check` or `label`.
 """
 
 from __future__ import annotations
 
+import decimal
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .cegm import Cegm
@@ -98,28 +116,50 @@ def _cmp(value_cmp: str, left, right) -> bool:
 
 
 def compare_log(count: int, cmp: str, threshold: Threshold) -> bool:
-    """Decide log2(count) <cmp> threshold exactly, without floating point.
+    """Decide log2(count) <cmp> threshold exactly.
 
     A `log(k)` threshold reduces to comparing count against k. A rational
-    threshold p/q reduces to comparing count**q against 2**p over integers;
-    bit lengths settle it first whenever p/q lies outside [bl - 1, bl), where
-    bl is the bit length of count, so a huge threshold costs no exponentiation.
+    threshold is settled by bit lengths when it lies outside [bl - 1, bl),
+    where bl is the bit length of count, and a power-of-two count has the
+    exact logarithm bl - 1. Any other count has an irrational logarithm, so
+    it differs from the threshold and `_log2_above` separates the two by
+    rounding-error bounds, never by exponentiating.
     """
     if count < 1:
         raise CheckError(f"class count must be positive, got {count}")
     if isinstance(threshold, LogOfCount):
         return _cmp(cmp, count, threshold.count)
-    p = threshold.value.numerator
-    q = threshold.value.denominator
-    if count == 1:
-        return _cmp(cmp, 0, p)
-    # q*(bl - 1) <= q*log2(count) < q*bl
+    value = threshold.value
     bl = count.bit_length()
-    if p < q * (bl - 1):
+    if count == 1 << (bl - 1):
+        return _cmp(cmp, bl - 1, value)
+    if value < bl - 1:
         return _cmp(cmp, 1, 0)
-    if p >= q * bl:
+    if value >= bl:
         return _cmp(cmp, 0, 1)
-    return _cmp(cmp, count**q, 2**p)
+    return _cmp(cmp, 1, 0) if _log2_above(count, value) else _cmp(cmp, 0, 1)
+
+
+def _log2_above(count: int, value: Fraction) -> bool:
+    """Is log2(count) > value, given that the two differ and value < bl?
+
+    A float estimate decides when the gap exceeds its error many times over;
+    otherwise `decimal` recomputes both sides, doubling the precision until
+    the gap exceeds the rounding error bound (about 3 units in the last
+    place of numbers below bl, so `bl * 10**(2 - prec)` has a wide margin).
+    """
+    bl = count.bit_length()
+    gap = math.log2(count) - float(value)
+    if abs(gap) > 1e-9 * bl:
+        return gap > 0
+    prec = 40
+    while True:
+        ctx = decimal.Context(prec=prec)
+        log2 = ctx.divide(ctx.ln(count), ctx.ln(2))
+        gap = ctx.subtract(log2, ctx.divide(value.numerator, value.denominator))
+        if abs(gap) > bl * decimal.Decimal(10) ** (2 - prec):
+            return gap > 0
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +215,10 @@ class _CoalitionEngine:
         self.state_cps = [
             tuple(cp_of[a, q] for a in self.coalition) for q in model.states
         ]
+        # strategies are free per state: no uniformity constraint binds
+        self.per_state = all(
+            len(states) == 1 or len(options) == 1 for _, states, options in self.choice_points
+        )
         proj = [i for i, a in enumerate(model.agents) if a in members]
         self.buckets = []
         for q in model.states:
@@ -191,9 +235,10 @@ class _CoalitionEngine:
         """All strategies, in choice-point-order by action-declaration order."""
         return product(*(options for (_, _, options) in self.choice_points))
 
-    def succ(self, choices) -> list[int]:
+    def succ(self, choices) -> list[list[int]]:
+        """Per state, the one successor mask the strategy `choices` allows."""
         return [
-            bucket[tuple(choices[j] for j in cps)]
+            [bucket[tuple(choices[j] for j in cps)]]
             for bucket, cps in zip(self.buckets, self.state_cps)
         ]
 
@@ -222,50 +267,14 @@ class _CoalitionEngine:
         return Strategy(self.coalition, ordered)
 
 
-def _pre_all(succ, n: int, target: int) -> int:
-    out = 0
-    for i in range(n):
-        if succ[i] & ~target == 0:
-            out |= 1 << i
-    return out
-
-
-def _ag(succ, n: int, target: int) -> int:
-    z = target
-    while True:
-        nz = 0
-        for i in range(n):
-            if z >> i & 1 and succ[i] & ~z == 0:
-                nz |= 1 << i
-        if nz == z:
-            return z
-        z = nz
-
-
-def _au(succ, n: int, hold: int, goal: int) -> int:
-    z = goal
-    while True:
-        nz = z
-        for i in range(n):
-            if not z >> i & 1 and hold >> i & 1 and succ[i] & ~z == 0:
-                nz |= 1 << i
-        if nz == z:
-            return z
-        z = nz
-
-
-def _condition(succ, n: int, full: int, kind: str, args) -> int:
-    """States from which every path under the strategy meets the condition."""
-    if kind == "X":
-        return _pre_all(succ, n, args[0])
-    if kind == "G":
-        return _ag(succ, n, args[0])
-    if kind == "U":
-        return _au(succ, n, args[0], args[1])
+def _condition(succs, kind: str, args) -> int:
+    """States from which every path under one strategy (one move per state
+    in `succs`) meets the condition."""
     if kind == "FG":
-        safe = args[0] & _ag(succ, n, args[1])
-        return _au(succ, n, full, safe)
-    raise CheckError(f"unknown temporal kind {kind!r}")
+        goal, inv = args
+        safe = goal & _region(succs, "G", [inv])
+        return _region(succs, "U", [(1 << len(succs)) - 1, safe])
+    return _region(succs, kind, args)
 
 
 def _validated(engine: _CoalitionEngine, w: int, scope: str) -> int:
@@ -279,20 +288,102 @@ def _validated(engine: _CoalitionEngine, w: int, scope: str) -> int:
     return v
 
 
+def _cpre(succs, z: int, cand: int) -> int:
+    """States in `cand` where some coalition move keeps every successor in `z`."""
+    out = 0
+    bad = ~z
+    for i, moves in enumerate(succs):
+        if cand >> i & 1:
+            for m in moves:
+                if not m & bad:
+                    out |= 1 << i
+                    break
+    return out
+
+
+def _region(succs, kind: str, args) -> int:
+    """Winning region of the game in which state i lets the coalition pick
+    any successor mask in `succs[i]`: X is one controllable-predecessor step,
+    G its greatest and U its least fixpoint."""
+    if kind == "X":
+        return _cpre(succs, args[0], (1 << len(succs)) - 1)
+    if kind == "G":
+        z = args[0]
+        while True:
+            nz = _cpre(succs, z, z)
+            if nz == z:
+                return z
+            z = nz
+    hold, goal = args
+    z = goal
+    while True:
+        nz = z | _cpre(succs, z, hold & ~z)
+        if nz == z:
+            return z
+        z = nz
+
+
+def _first_winner(engine: _CoalitionEngine, kind: str, args, scope: str, at_bit: int):
+    """First choice tuple in `choice_tuples` order validating `at_bit`, built
+    one choice point at a time on a per-state engine, given that some tuple
+    validates it.
+
+    Each choice point keeps its first action for which the fixpoint, with the
+    choices made so far fixed, still validates `at_bit`; that is the
+    lexicographically first winner, since per-state choices are independent.
+    The last action needs no test: one of the actions must keep a winner.
+    """
+    moves = [list(bucket.items()) for bucket in engine.buckets]
+    succs = [[m for _, m in items] for items in moves]
+    slot = {a: j for j, a in enumerate(engine.coalition)}
+    choices = []
+    for agent, states, options in engine.choice_points:
+        picked = options[0]
+        if len(options) > 1:
+            q = engine.model.state_index[states[0]]  # the only state
+            j = slot[agent]
+            kept = moves[q]
+            for k, picked in enumerate(options, 1):
+                moves[q] = [km for km in kept if km[0][j] == picked]
+                succs[q] = [m for _, m in moves[q]]
+                if k == len(options):
+                    break
+                if _validated(engine, _region(succs, kind, args), scope) & at_bit:
+                    break
+        choices.append(picked)
+    return tuple(choices)
+
+
 def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at):
     """Union of the states each strategy validates, and the first strategy
-    (a choice tuple) whose validated states include state index `at`.
+    (a choice tuple, in `choice_tuples` order) whose validated states include
+    state index `at`; `at=None` asks for no strategy.
 
-    The walk stops as soon as the union covers `want`, so the union is exact
-    on `want` only.
+    The union is exact on `want` only. When every choice point covers one
+    state or offers one action, strategies are free per state, and X, G and
+    U are decided by fixpoints over the coalition's moves: one strategy then
+    wins on the whole region, so the region is the union. Otherwise (`ir`
+    with a real uniformity constraint, or the FG pattern) strategies are
+    enumerated, stopping once the union covers `want`; for X, G and U only
+    the states the per-state region validates are searched, since uniform
+    strategies are among the per-state ones.
     """
-    n = len(engine.model.states)
-    full = engine.model.full_mask
     at_bit = 0 if at is None else 1 << at
+    if kind != "FG":
+        succs = [list(set(bucket.values())) for bucket in engine.buckets]
+        bound = _validated(engine, _region(succs, kind, args), scope)
+        if engine.per_state:
+            first = None
+            if bound & at_bit:
+                first = _first_winner(engine, kind, args, scope, at_bit)
+            return bound, first
+        want &= bound
+        if not want:
+            return 0, None
     union = 0
     first = None
     for choices in engine.choice_tuples():
-        v = _validated(engine, _condition(engine.succ(choices), n, full, kind, args), scope)
+        v = _validated(engine, _condition(engine.succ(choices), kind, args), scope)
         if v & at_bit and first is None:
             first = choices
         union |= v
@@ -353,11 +444,13 @@ def _hartley_mask(model: Cegm, g: Hartley, lab: dict) -> int:
     return out
 
 
-def label_masks(model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=True):
-    """Bitmask of every subformula of `f` (keyed shortest-first), and the
-    witness at `state`: the first strategy, in enumeration order, that
-    validates a strategic root there (None if the root is not strategic or
-    is false there).
+def label_masks(
+    model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=True, witness=False
+):
+    """Bitmask of every subformula of `f` (keyed shortest-first), and, with
+    `witness`, the witness at `state`: the first strategy, in enumeration
+    order, that validates a strategic root there (None if the root is not
+    strategic or is false there, and always None without `witness`).
 
     With `exact=False` the root's search stops once it validates `state`,
     so the root's mask is exact at `state` only. Every other mask is exact.
@@ -371,9 +464,10 @@ def label_masks(model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=T
     _validate(model, order)
     full = model.full_mask
     want = full if exact or at is None else 1 << at
+    witness_at = at if witness else None
     engines: dict = {}
     lab: dict = {}
-    witness = None
+    found = None
     for g in order:
         search = None
         match g:
@@ -414,12 +508,13 @@ def label_masks(model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=T
                 engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
             root = g is f
             mask, choices = _search(
-                engine, kind, args, opts.success_scope, want if root else full, at if root else None
+                engine, kind, args, opts.success_scope, want if root else full,
+                witness_at if root else None,
             )
             if choices is not None:
-                witness = engine.strategy_from(choices)
+                found = engine.strategy_from(choices)
         lab[g] = mask
-    return lab, witness
+    return lab, found
 
 
 def label(model: Cegm, f: Formula, opts: CheckOptions | None = None) -> dict:
@@ -442,5 +537,5 @@ def find_witness(model: Cegm, state: str, f: Formula, opts: CheckOptions | None 
     """
     if not isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
         return None
-    _, witness = label_masks(model, f, opts or CheckOptions(), state, exact=False)
+    _, witness = label_masks(model, f, opts or CheckOptions(), state, exact=False, witness=True)
     return witness

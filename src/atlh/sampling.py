@@ -14,6 +14,7 @@ from .cegm import Cegm
 from .formula import (
     And,
     Atom,
+    CoalFG,
     CoalG,
     CoalU,
     CoalX,
@@ -91,12 +92,16 @@ def random_formula(
     knows: bool = True,
     beta_max: int = 2,
     log_thresholds_only: bool = False,
+    coal_fg: bool = False,
 ) -> Formula:
     """A random formula over the given atoms and agents.
 
     `strategic_budget` bounds the number of coalition operators along any
     branch; `log_thresholds_only` keeps every uncertainty threshold in
-    `log(k)` form (what the knowledge translation accepts directly).
+    `log(k)` form (what the knowledge translation accepts directly);
+    `coal_fg` adds the reach-then-maintain pattern `<A> F (x & G y)` to the
+    coalition operators (off by default, so existing seeded streams keep
+    drawing the same formulas).
     """
     atoms = list(atoms)
     agents = list(agents)
@@ -126,6 +131,8 @@ def random_formula(
             choices.append("hartley")
         if budget > 0:
             choices += ["coalx", "coalg", "coalu"]
+            if coal_fg:
+                choices.append("coalfg")
         pick = rng.choice(choices)
         if pick == "leaf":
             return leaf()
@@ -155,6 +162,8 @@ def random_formula(
             return CoalX(coalition(), build(d - 1, budget - 1))
         if pick == "coalg":
             return CoalG(coalition(), build(d - 1, budget - 1))
+        if pick == "coalfg":
+            return CoalFG(coalition(), build(d - 1, budget - 1), build(d - 1, budget - 1))
         return CoalU(coalition(), build(d - 1, budget - 1), build(d - 1, budget - 1))
 
     return build(depth, strategic_budget)

@@ -1,12 +1,23 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import atlh
 from atlh.cegm import load_model
 from atlh.cli import main
-from atlh.scenarios import gen_referendum_single, infoset_table_csv, threeballot_infosets
+from atlh.scenarios import (
+    gen_referendum_single,
+    gen_threeballot,
+    infoset_table_csv,
+    threeballot_infosets,
+)
 from atlh.cegm import save_model
 
 MICRO = """
@@ -204,6 +215,44 @@ def test_check_strategy_flags(micro_path):
         )
         == 0
     )
+
+
+def test_threeballot_witness_output_is_pinned(tmp_path, capsys):
+    # the first winning strategy in enumeration order, as strategy
+    # enumeration printed it; the fixpoint search must reproduce every byte
+    path = tmp_path / "threeballot.cegm"
+    path.write_text(save_model(gen_threeballot()), encoding="utf-8")
+    assert main(["check", "--model", str(path), "--formula", "<v, c> F V1_eq_ab"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "formula: <c, v> F V1_eq_ab\nstate: q0\nresult: true\n"
+        "witness: v: q0=ab_BB_FB_BF bs_ab_BB_FB_BF=BB r_ab_BB_FB_BF_BB=eps "
+    )
+    assert len(out) == 12104
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "73f74d6a79bf6f7fe0fe66adfbba4dc5fd1c8c3be7be647ac5232123a37a4bb7"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["!" * 5000 + "Voted", "<v> X " * 400 + "Voted", " & ".join(["Voted"] * 3000)],
+    ids=["5000-nots", "400-coalition-next", "3000-conjuncts"],
+)
+def test_deeply_nested_formula_is_a_clean_error(fig1_path, tmp_path, text):
+    formula = tmp_path / "deep.atlh"
+    formula.write_text(text, encoding="utf-8")
+    src = str(Path(atlh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "atlh.cli", "check", "--model", fig1_path,
+         "--formula-file", str(formula)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: 1:")
+    assert "nested deeper than" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
 
 
 def test_translate_k2h(capsys):

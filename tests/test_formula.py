@@ -13,6 +13,7 @@ from atlh.formula import (
     CoalU,
     CoalX,
     FalseF,
+    MAX_DEPTH,
     FormulaError,
     Hartley,
     Knows,
@@ -113,6 +114,34 @@ def test_hartley_bad_comparison_reports_position():
         parse_formula("H[a] ! 1 {p}")
     assert exc.value.line == 1
     assert exc.value.col == 6
+
+
+def test_nesting_up_to_the_bound_parses():
+    f = parse_formula("!" * (MAX_DEPTH - 1) + "p")
+    assert formula_length(f) == MAX_DEPTH
+    assert parse_formula(pretty_print(f)) == f
+    g = parse_formula("<a> X " * (MAX_DEPTH - 1) + "p")
+    assert parse_formula(pretty_print(g)) == g
+    h = parse_formula(" | ".join(["p"] * MAX_DEPTH))
+    assert parse_formula(pretty_print(h)) == h
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("!" * 5000 + "p", 5000 - MAX_DEPTH + 1),
+        ("<a> X " * 400 + "p", 6 * MAX_DEPTH + 1),
+        ("(" * 3000 + "p" + ")" * 3000, MAX_DEPTH + 1),
+        (" & ".join(["p"] * 3000), 4 * MAX_DEPTH - 1),
+        # p and 60 negations make 61 levels; the 40th K from the inside is the 101st
+        ("K[a] " * 60 + "!" * 60 + "p", 5 * 20 + 1),
+        ("H[a] = 1 {" * 120 + "p" + "}" * 120, 10 * MAX_DEPTH + 1),
+    ],
+)
+def test_nesting_past_the_bound_is_a_positioned_error(text, col):
+    with pytest.raises(FormulaError, match="nested deeper than") as exc:
+        parse_formula(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
 
 
 def test_log_threshold_must_be_positive():

@@ -1,5 +1,6 @@
 """Model checker tests: labeling, knowledge, uncertainty, strategic operators."""
 
+import math
 import time
 from fractions import Fraction
 from random import Random
@@ -16,6 +17,7 @@ from atlh.formula import (
     LogOfCount,
     Real,
     parse_formula,
+    subformulas_by_length,
 )
 from atlh.mcheck import (
     CheckError,
@@ -194,6 +196,35 @@ def test_compare_log_matches_integer_comparison():
                 for cmp, holds in exact.items():
                     want = holds(count**q, 2**p)
                     assert compare_log(count, cmp, Real(Fraction(p, q))) == want, (count, cmp, p, q)
+
+
+def test_compare_log_near_threshold_matches_integer_comparison():
+    # best rational approximations of log2(count), and their neighbours,
+    # sit far inside [bl - 1, bl) and closer than any float can separate
+    exact = {
+        "<": lambda a, b: a < b,
+        ">": lambda a, b: a > b,
+        "=": lambda a, b: a == b,
+    }
+    for count in (3, 5, 6, 7, 12, 100, 1000, 12345):
+        for digits in range(1, 6):
+            near = Fraction(math.log2(count)).limit_denominator(10**digits)
+            for value in (near, Fraction(2 * near.numerator + 1, 2 * near.denominator)):
+                p, q = value.numerator, value.denominator
+                for cmp, holds in exact.items():
+                    want = holds(count**q, 2**p)
+                    assert compare_log(count, cmp, Real(value)) == want, (count, cmp, value)
+
+
+def test_long_denominator_threshold_decides_at_once():
+    start = time.perf_counter()
+    assert compare_log(3, ">", Real(Fraction(10000001, 10000000)))
+    assert not compare_log(3, "<", Real(Fraction(10**40 + 1, 10**40)))
+    # 5e-13 above log2(3), with a 66-digit denominator
+    near = Fraction(301994, 190537) - Fraction(1, 10**60)
+    assert compare_log(3, "<", Real(near))
+    assert not compare_log(3, ">=", Real(near))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_huge_thresholds_decide_at_once(fig1):
@@ -397,3 +428,109 @@ def test_witness_and_verdict_match_oracle(name, formula):
     f = parse_formula(formula)
     for opts in COMBOS:
         _assert_matches_oracle(model, f, opts)
+
+
+# `a` cannot tell s0 from s1 but must play x at s0 and y at s1 to reach g
+# (or to stay on p); at g, `b` can push a y-playing `a` out to d
+FORK = """\
+agents: a b
+states: s0 s1 g d
+init: s0
+actions a: x y
+actions b: l r
+trans s0 (x, l) -> s1
+trans s0 (x, r) -> s1
+trans s0 (y, l) -> d
+trans s0 (y, r) -> d
+trans s1 (x, l) -> d
+trans s1 (x, r) -> d
+trans s1 (y, l) -> g
+trans s1 (y, r) -> g
+trans g (x, l) -> g
+trans g (x, r) -> g
+trans g (y, l) -> g
+trans g (y, r) -> d
+trans d (x, l) -> d
+trans d (x, r) -> d
+trans d (y, l) -> d
+trans d (y, r) -> d
+obs a: s0 ~ s1
+prop p: s0 s1 g
+prop goal: g
+"""
+
+
+def test_uniform_and_per_state_verdicts_differ_and_match_oracle():
+    model = load_model(FORK)
+    free = CheckOptions(strategy_mode="Ir")
+    for text, uniform, per_state in (
+        ("<a> F goal", {"s1", "g"}, {"s0", "s1", "g"}),
+        ("<a> G p", {"s1", "g"}, {"s0", "s1", "g"}),
+    ):
+        f = parse_formula(text)
+        assert label(model, f)[f] == uniform
+        assert label(model, f, free)[f] == per_state
+    for text in (
+        "<a> F goal",
+        "<a, b> F goal",
+        "<a> (p U goal)",
+        "<a> G p",
+        "<a, b> G p",
+        "<a> X goal",
+        "<b> X !p",
+        "<a> F (p & G goal)",
+        "<a, b> F (p & G goal)",
+        "<a> X <a, b> F goal",
+        "<b> G <a> F goal",
+    ):
+        f = parse_formula(text)
+        for opts in COMBOS:
+            _assert_matches_oracle(model, f, opts)
+
+
+STRATEGIC = (CoalX, CoalG, CoalU, CoalFG)
+
+
+def _nested_sample(rng, i):
+    """A random model and a strategic formula of kind `i % 4` whose operands
+    may hold `<A> F (x & G y)` and one more strategic operator."""
+    model = random_cegm(rng, max_states=4, max_agents=2, max_actions=2)
+    coal = tuple(rng.sample(model.agents, rng.randint(1, min(2, len(model.agents)))))
+    kind = (CoalFG, CoalU, CoalG, CoalX)[i % 4]
+    subs = [
+        random_formula(rng, model.props, model.agents, depth=2, strategic_budget=1, coal_fg=True)
+        for _ in range(1 if kind in (CoalX, CoalG) else 2)
+    ]
+    return model, kind(coal, *subs)
+
+
+def _uniformity_binds(model, f) -> bool:
+    return any(
+        oracle_label(model, f, "ir", scope) != oracle_label(model, f, "Ir", scope)
+        for scope in ("objective", "subjective")
+    )
+
+
+def test_fg_and_nested_strategies_match_oracle():
+    """Verdicts at every state and witnesses against the oracle, with
+    `<A> F (x & G y)` drawn and strategic operators nested two deep, in all
+    four mode/scope combinations. Random models rarely make uniformity
+    matter, so after a plain sample the draw keeps only (model, formula)
+    pairs where `ir` and `Ir` labels differ: there both the fixpoints and
+    the pruned enumeration run."""
+    rng = Random(4401)
+    nested = fg = bound = 0
+    for i in range(3000):
+        model, f = _nested_sample(rng, i)
+        binds = _uniformity_binds(model, f)
+        if i >= 24 and not binds:
+            continue
+        for opts in COMBOS:
+            _assert_matches_oracle(model, f, opts)
+        *inner, _ = subformulas_by_length(f)
+        nested += any(isinstance(g, STRATEGIC) for g in inner)
+        fg += any(isinstance(g, CoalFG) for g in [f, *inner])
+        bound += binds
+        if bound == 6:
+            break
+    assert nested >= 8 and fg >= 8 and bound == 6, (nested, fg, bound)

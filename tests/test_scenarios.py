@@ -1,12 +1,13 @@
 """Tests for the referendum and ThreeBallot case-study generators."""
 
+import time
 from random import Random
 
 import pytest
 
 from atlh.cegm import Cegm, load_model, save_model
 from atlh.formula import parse_formula, pretty_print
-from atlh.mcheck import check, hartley_classes
+from atlh.mcheck import CheckOptions, check, find_witness, hartley_classes
 from atlh.scenarios import (
     BALLOTS,
     VOTES,
@@ -28,6 +29,8 @@ from atlh.scenarios import (
     render_infoset_table,
     threeballot_infosets,
 )
+
+from bruteforce import strategy_wins
 
 # Hand-checked coercer information sets, one entry per (vote, fills, receipt).
 # Each value lists the five distinct sets of vote values the coercer may
@@ -214,6 +217,22 @@ def test_coercion_verdicts():
     assert coercion_hartley(m) is False
     # the strategic reading of maximal doubt is the weaker demand and holds
     assert coercion_hartley(m, strategic=True) is True
+
+
+def test_second_voter_can_always_match_the_first():
+    # w sees every state and votes after v: an attractor wins from q0, although
+    # w has 2**60 uniform strategies to enumerate
+    m = gen_threeballot()
+    f = parse_formula("<w> F V1_eq_V2")
+    args = [frozenset(m.states), frozenset(m.valuation["V1_eq_V2"])]
+    for mode in ("ir", "Ir"):
+        for scope in ("objective", "subjective"):
+            opts = CheckOptions(strategy_mode=mode, success_scope=scope)
+            start = time.perf_counter()
+            assert check(m, m.initial, f, opts) is True
+            witness = find_witness(m, m.initial, f, opts)
+            assert time.perf_counter() - start < 1.0
+            assert strategy_wins(m, m.initial, witness.actions, "U", args, scope)
 
 
 def test_coercion_on_observation_variants():
