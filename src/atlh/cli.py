@@ -10,6 +10,7 @@ for wallclock columns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,9 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strategy-mode", choices=("ir", "Ir"), default="ir")
     common.add_argument("--scope", choices=("objective", "subjective"), default="objective")
@@ -278,6 +281,8 @@ def main(argv=None) -> int:
         return args.run(args)
     except _ERRORS as exc:
         return _fail(str(exc))
+    except RecursionError:
+        return _fail("formula or its translation nested too deeply to process")
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ def separation_instance(n: int) -> tuple[list[PointedModel], list[PointedModel]]
 
 
 # ---------------------------------------------------------------------------
-# Shared vocabulary of a pointed-model collection
+# Shared vocabulary and state numbering of a pointed-model collection
 
 
 def _vocabulary(pointed):
@@ -113,6 +113,36 @@ def _vocabulary(pointed):
     return models, props, agents
 
 
+def _bit_layout(pointed):
+    """One bit per state of every involved model: models in `_vocabulary`
+    order, then each model's `state_index`. Both engines number states this
+    way and compute their answers separately.
+
+    Returns (total, side, atoms, classes): the number of bits, a function
+    from pointed models to the mask of their states, the mask where each
+    common prop holds and each common agent's class masks in index order.
+    """
+    models, props, agents = _vocabulary(pointed)
+    offsets = {}
+    total = 0
+    for m in models:
+        offsets[id(m)] = total
+        total += len(m.states)
+
+    def side(pms) -> int:
+        mask = 0
+        for pm in pms:
+            mask |= 1 << (offsets[id(pm.model)] + pm.model.state_index[pm.state])
+        return mask
+
+    atoms = {p: sum(m.mask(m.valuation[p]) << offsets[id(m)] for m in models) for p in props}
+    classes = {
+        a: [m.mask(cls) << offsets[id(m)] for m in models for cls in m.epistemic_classes(a)]
+        for a in agents
+    }
+    return total, side, atoms, classes
+
+
 # ---------------------------------------------------------------------------
 # Formula-size game
 
@@ -122,34 +152,30 @@ _INF = float("inf")
 class _FsgSearch:
     """Budgeted search for the smallest winning game tree.
 
-    A node holds two pointed-model sets; a win is a tree where every leaf is
-    closed by an atom true on its whole left side and false on its whole
-    right side. Moves: close by atom (one node), negate (swap sides), split
-    the left side over two children, or pick an epistemic successor for
-    every right element while the left side expands to all successors.
-    Results are memoized as exact costs or lower bounds.
+    A node holds two sets of pointed states, each an int bitmask over the
+    index of `_bit_layout`; a win is a tree where every leaf is closed by an
+    atom true on its whole left side and false on its whole right side.
+    Moves: close by atom (one node), negate (swap sides), split the left
+    side over two children, or pick an epistemic successor for every right
+    element while the left side expands to all successors. Results are
+    memoized on (left, right) as exact costs or lower bounds.
     """
 
-    def __init__(self, atoms, agents):
+    def __init__(self, atoms, classes):
         self.atoms = atoms
-        self.agents = agents
+        # per agent: single-bit mask -> (its class mask, the class's single bits)
+        self.classes = []
+        for masks in classes:
+            class_of = {}
+            for cls in masks:
+                members = tuple(1 << i for i in range(cls.bit_length()) if cls >> i & 1)
+                for bit in members:
+                    class_of[bit] = (cls, members)
+            self.classes.append(class_of)
         self.exact: dict = {}
         self.lb: dict = {}
-        self._order: dict = {}
 
-    def _key(self, pm: PointedModel):
-        rank = self._order.setdefault(id(pm.model), len(self._order))
-        return (rank, pm.model.state_index[pm.state])
-
-    def _closes(self, C, D) -> bool:
-        for p in self.atoms:
-            if all(pm.state in pm.model.valuation[p] for pm in C) and all(
-                pm.state not in pm.model.valuation[p] for pm in D
-            ):
-                return True
-        return False
-
-    def solve(self, C, D, budget: int):
+    def solve(self, C: int, D: int, budget: int):
         """Exact minimal win size if it is <= budget, else None."""
         if budget < 1:
             return None
@@ -163,7 +189,7 @@ class _FsgSearch:
             self.exact[key] = _INF
             return None
 
-        if self._closes(C, D):
+        if any(C & p == C and not D & p for p in self.atoms):
             self.exact[key] = 1
             return 1
 
@@ -176,55 +202,42 @@ class _FsgSearch:
             best = 1 + sub
             bound = best - 1
 
-        # knowledge: left expands to whole classes, right picks one per class
-        for a in self.agents:
-            expanded = frozenset(
-                PointedModel(pm.model, q2)
-                for pm in C
-                for q2 in pm.model.epistemic_class(a, pm.state)
-            )
-            groups: dict = {}
-            for pm in D:
-                cls = pm.model.epistemic_class(a, pm.state)
-                groups.setdefault((id(pm.model), cls), (pm.model, cls))
-            group_list = [
-                (model, sorted(cls, key=model.state_index.__getitem__))
-                for model, cls in groups.values()
-            ]
-            group_list.sort(key=lambda mc: self._key(PointedModel(mc[0], mc[1][0])))
-            tried = set()
-            for picks in product(*(members for _, members in group_list)):
-                chosen = frozenset(
-                    PointedModel(model, pick)
-                    for (model, _), pick in zip(group_list, picks)
-                )
-                if chosen in tried:
-                    continue
-                tried.add(chosen)
-                sub = self.solve(expanded, chosen, bound - 1)
+        # knowledge: left expands to whole classes, right picks one per class;
+        # classes are disjoint, so no two picks give the same right side
+        for class_of in self.classes:
+            expanded = 0
+            rest = C
+            while rest:
+                cls = class_of[rest & -rest][0]
+                expanded |= cls
+                rest &= ~cls
+            groups = []
+            rest = D
+            while rest:
+                cls, members = class_of[rest & -rest]
+                groups.append(members)
+                rest &= ~cls
+            groups.sort()
+            for picks in product(*groups):
+                sub = self.solve(expanded, sum(picks), bound - 1)
                 if sub is not None and (best is None or 1 + sub < best):
                     best = 1 + sub
                     bound = best - 1
 
-        # disjunction: split the left side (right side copied to both children)
-        if len(C) >= 2:
-            members = sorted(C, key=self._key)
-            first, rest = members[0], members[1:]
-            k = len(rest)
-            for bits in range(2**k - 1):
-                left = frozenset(
-                    [first] + [rest[i] for i in range(k) if bits >> i & 1]
-                )
-                right = frozenset(rest[i] for i in range(k) if not bits >> i & 1)
-                sub1 = self.solve(left, D, bound - 2)
-                if sub1 is None:
-                    continue
-                sub2 = self.solve(right, D, bound - 1 - sub1)
-                if sub2 is None:
-                    continue
-                if best is None or 1 + sub1 + sub2 < best:
-                    best = 1 + sub1 + sub2
-                    bound = best - 1
+        # disjunction: split the left side (right side copied to both children);
+        # the lowest bit goes left with every proper subset of the others
+        rest = C & (C - 1)
+        if rest:
+            first = C ^ rest
+            picked = 0
+            while picked != rest:
+                sub1 = self.solve(first | picked, D, bound - 2)
+                if sub1 is not None:
+                    sub2 = self.solve(rest ^ picked, D, bound - 1 - sub1)
+                    if sub2 is not None and (best is None or 1 + sub1 + sub2 < best):
+                        best = 1 + sub1 + sub2
+                        bound = best - 1
+                picked = (picked - rest) & rest
 
         if best is not None:
             self.exact[key] = best
@@ -235,13 +248,14 @@ class _FsgSearch:
 
 def fsg_min_win(A, B, kmax: int):
     """Smallest winning tree size separating A from B, or None above kmax."""
-    A, B = frozenset(A), frozenset(B)
+    A, B = list(A), list(B)
     if not A or not B:
         raise SuccinctError("both sides must be non-empty")
-    _, props, agents = _vocabulary(list(A) + list(B))
-    search = _FsgSearch(props, agents)
+    _, side, atoms, classes = _bit_layout(A + B)
+    search = _FsgSearch(list(atoms.values()), classes.values())
+    C, D = side(A), side(B)
     for k in range(1, kmax + 1):
-        found = search.solve(A, B, k)
+        found = search.solve(C, D, k)
         if found is not None:
             return found
     return None
@@ -261,40 +275,13 @@ def min_mel_formula(A, B, size_cap: int):
     A, B = list(A), list(B)
     if not A or not B:
         raise SuccinctError("both sides must be non-empty")
-    models, props, agents = _vocabulary(A + B)
-
-    offsets = {}
-    total = 0
-    for m in models:
-        offsets[id(m)] = total
-        total += len(m.states)
+    total, side, atoms, class_masks = _bit_layout(A + B)
     if total > 16:
         raise SuccinctError(f"fingerprint space 2^{total} exceeds the 2^16 cap")
     full = (1 << total) - 1
-
-    def bit(pm: PointedModel) -> int:
-        return 1 << (offsets[id(pm.model)] + pm.model.state_index[pm.state])
-
-    need = 0
-    for pm in A:
-        need |= bit(pm)
-    forbid = 0
-    for pm in B:
-        forbid |= bit(pm)
+    need, forbid = side(A), side(B)
     if need & forbid:
         return None
-
-    class_masks = {}  # agent -> list of class bitmasks across models
-    for a in agents:
-        masks = []
-        for m in models:
-            base = offsets[id(m)]
-            for cls in m.epistemic_classes(a):
-                cm = 0
-                for q in cls:
-                    cm |= 1 << (base + m.state_index[q])
-                masks.append(cm)
-        class_masks[a] = masks
 
     def separates(fp: int) -> bool:
         return fp & need == need and fp & forbid == 0
@@ -314,18 +301,12 @@ def min_mel_formula(A, B, size_cap: int):
     for size in range(1, size_cap + 1):
         found = None
         if size == 1:
-            for p in props:
-                fp = 0
-                for m in models:
-                    base = offsets[id(m)]
-                    for q in m.valuation[p]:
-                        fp |= 1 << (base + m.state_index[q])
+            for p, fp in atoms.items():
                 found = found or register(fp, Atom(p), size)
         prev = levels.get(size - 1, ())
         for fp in prev:
             found = found or register(full & ~fp, Not(seen[fp]), size)
-        for a in agents:
-            masks = class_masks[a]
+        for a, masks in class_masks.items():
             for fp in prev:
                 kfp = 0
                 for cm in masks:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import atlh
+from atlh import cli
 from atlh.cegm import load_model
 from atlh.cli import main
 from atlh.scenarios import (
@@ -233,6 +234,16 @@ def test_threeballot_witness_output_is_pinned(tmp_path, capsys):
     assert digest == "73f74d6a79bf6f7fe0fe66adfbba4dc5fd1c8c3be7be647ac5232123a37a4bb7"
 
 
+def _run_cli(*argv):
+    """`atlh` in a fresh interpreter, so a crash shows as a traceback on stderr."""
+    src = str(Path(atlh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "atlh.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     ["!" * 5000 + "Voted", "<v> X " * 400 + "Voted", " & ".join(["Voted"] * 3000)],
@@ -241,18 +252,46 @@ def test_threeballot_witness_output_is_pinned(tmp_path, capsys):
 def test_deeply_nested_formula_is_a_clean_error(fig1_path, tmp_path, text):
     formula = tmp_path / "deep.atlh"
     formula.write_text(text, encoding="utf-8")
-    src = str(Path(atlh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "atlh.cli", "check", "--model", fig1_path,
-         "--formula-file", str(formula)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    run = _run_cli("check", "--model", fig1_path, "--formula-file", str(formula))
     assert run.returncode == 2
     assert run.stderr.startswith("error: 1:")
     assert "nested deeper than" in run.stderr
     assert "Traceback" not in run.stderr
     assert run.stdout == ""
+
+
+def test_translation_too_deep_for_the_walkers_is_a_clean_error():
+    # within --cap-nodes, but the 1,820-term disjunction overflows the recursion limit
+    run = _run_cli("translate", "--dir", "h2k", "--formula", "H[a] = log(4) {p1, p2, p3, p4}")
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:")
+    assert "nested too deeply" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
+
+
+def test_back_to_back_calls_match_single_calls(fig1_path, capsys):
+    calls = [
+        ["check", "--model", fig1_path, "--formula", "<v> F Voted", "--output", "json-lines"],
+        ["check", "--model", fig1_path, "--output", "xml"],
+        ["translate", "--dir", "k2h", "--formula", "K[a] p"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    in_a_row = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    assert in_a_row == alone
+    assert [code for code, _ in in_a_row] == [0, 2, 0]
+    assert "invalid choice: 'xml'" in in_a_row[1][1].err
 
 
 def test_translate_k2h(capsys):

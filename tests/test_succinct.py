@@ -14,6 +14,7 @@ from atlh.formula import (
     pretty_print,
 )
 from atlh.mcheck import CheckOptions, check, hartley_classes, label
+from atlh.sampling import random_cegm
 from atlh.succinct import (
     PointedModel,
     SuccinctError,
@@ -158,6 +159,7 @@ def test_mel_result_separates_semantically():
 def test_n2_lower_bound():
     a, b = separation_instance(2)
     assert fsg_min_win(a, b, 4) is None
+    assert fsg_min_win(a, b, 18) is None
 
 
 def test_mel_size_cap_returns_none():
@@ -187,6 +189,41 @@ def test_mel_on_handmade_split():
     f, size = min_mel_formula(a, b, 6)
     assert (f, size) == (Atom("p_1"), 1)
     assert fsg_min_win(a, b, 6) == 1
+
+
+def _random_sides(rng):
+    """Disjoint non-empty sides over one or two random models (at most 12
+    states in total) with two or more common agents, one of which has a
+    partition that is neither discrete nor a single class."""
+    while True:
+        models = [random_cegm(rng, max_states=6, max_props=2) for _ in range(rng.randint(1, 2))]
+        pointed = [PointedModel(m, q) for m in models for q in m.states]
+        agents = [a for a in models[0].agents if all(a in m.actions for m in models)]
+        if len(agents) < 2:
+            continue
+        if not any(1 < len(m.epistemic_classes(a)) < len(m.states) for m in models for a in agents):
+            continue
+        while True:
+            sides = [rng.randrange(3) for _ in pointed]
+            a = [pm for pm, side in zip(pointed, sides) if side == 0]
+            b = [pm for pm, side in zip(pointed, sides) if side == 1]
+            if a and b:
+                return a, b
+
+
+def test_engines_agree_on_random_multi_agent_instances():
+    rng = random.Random(20261018)
+    sizes = []
+    for _ in range(200):
+        a, b = _random_sides(rng)
+        found = min_mel_formula(a, b, 9)
+        assert fsg_min_win(a, b, 9) == (None if found is None else found[1])
+        if found is not None:
+            f, size = found
+            sizes.append(size)
+            assert all(check(pm.model, pm.state, f) for pm in a)
+            assert not any(check(pm.model, pm.state, f) for pm in b)
+    assert len([s for s in sizes if s >= 4]) >= 20
 
 
 def test_experiment_rows():
