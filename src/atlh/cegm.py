@@ -6,6 +6,14 @@ exactly the available joint actions, one epistemic equivalence relation per
 agent, and a propositional valuation. Everything downstream (labeling,
 strategy enumeration, serialization) iterates in declaration order, which
 keeps runs deterministic.
+
+`Cegm.moves` is the transition function as plain data, built while the
+constructor checks that it is total: for each state, in state order, a tuple
+of (profile, target bit) pairs, one per available joint action, in the order
+of `itertools.product` over the agents' available actions (agents in
+declaration order, each agent's actions in its declaration order). The
+target bit is `1 << state_index[target]`. The checker projects its
+coalition moves from this table; it holds no reference to the model.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ class ModelError(ValueError):
 class Cegm:
     """An explicit-state concurrent game model with epistemic relations.
 
-    Immutable after construction; all queries are read-only.
+    Immutable after construction; all queries are read-only. `moves[i]` lists
+    the joint actions available at `states[i]` with their target bits (see
+    the module docstring for the order).
     """
 
     def __init__(
@@ -49,23 +59,23 @@ class Cegm:
         symmetric, transitive closure is computed. `valuation` maps each
         proposition in `props` to the states where it holds.
         """
-        self.agents = tuple(agents)
-        self.states = tuple(states)
+        self.agents = agents = tuple(agents)
+        self.states = states = tuple(states)
         self.initial = initial
-        if not self.agents:
+        if not agents:
             raise ModelError("a model needs at least one agent")
-        if len(set(self.agents)) != len(self.agents):
+        if len(set(agents)) != len(agents):
             raise ModelError("duplicate agent name")
-        if not self.states:
+        if not states:
             raise ModelError("a model needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        if len(set(states)) != len(states):
             raise ModelError("duplicate state name")
-        self.state_index = {q: i for i, q in enumerate(self.states)}
-        if initial not in self.state_index:
+        self.state_index = index = {q: i for i, q in enumerate(states)}
+        if initial not in index:
             raise ModelError(f"initial state {initial} is not a declared state")
 
         self.actions = {}
-        for a in self.agents:
+        for a in agents:
             acts = tuple(actions.get(a, ()))
             if not acts:
                 raise ModelError(f"agent {a} has no actions")
@@ -75,23 +85,32 @@ class Cegm:
 
         avail = dict(avail or {})
         self._avail = {}
-        for a in self.agents:
+        columns = [[] for _ in states]  # per state, each agent's available actions
+        for a in agents:
             declared = self.actions[a]
             order = {x: i for i, x in enumerate(declared)}
-            for q in self.states:
+            normal = {}  # each distinct availability list, validated once
+            for q, column in zip(states, columns):
                 chosen = avail.pop((a, q), None)
                 if chosen is None:
                     self._avail[a, q] = declared
+                    column.append(declared)
                     continue
-                chosen = list(chosen)
-                if not chosen:
-                    raise ModelError(f"empty availability for agent {a} at state {q}")
-                for x in chosen:
-                    if x not in order:
-                        raise ModelError(f"action {x} not declared for agent {a}")
-                if len(set(chosen)) != len(chosen):
-                    raise ModelError(f"duplicate available action for agent {a} at state {q}")
-                self._avail[a, q] = tuple(sorted(chosen, key=order.__getitem__))
+                chosen = tuple(chosen)
+                acts = normal.get(chosen)
+                if acts is None:
+                    if not chosen:
+                        raise ModelError(f"empty availability for agent {a} at state {q}")
+                    for x in chosen:
+                        if x not in order:
+                            raise ModelError(f"action {x} not declared for agent {a}")
+                    if len(set(chosen)) != len(chosen):
+                        raise ModelError(
+                            f"duplicate available action for agent {a} at state {q}"
+                        )
+                    acts = normal[chosen] = tuple(sorted(chosen, key=order.__getitem__))
+                self._avail[a, q] = acts
+                column.append(acts)
         if avail:
             (a, q) = next(iter(avail))
             raise ModelError(f"availability for unknown agent/state pair ({a}, {q})")
@@ -99,62 +118,71 @@ class Cegm:
         self.trans = {}
         for (q, profile), target in (trans or {}).items():
             profile = tuple(profile)
-            if q not in self.state_index:
+            if q not in index:
                 raise ModelError(f"transition from unknown state {q}")
-            if target not in self.state_index:
+            if target not in index:
                 raise ModelError(f"transition to unknown state {target}")
-            if len(profile) != len(self.agents):
+            if len(profile) != len(agents):
                 raise ModelError(
-                    f"transition at {q} has {len(profile)} actions for {len(self.agents)} agents"
+                    f"transition at {q} has {len(profile)} actions for {len(agents)} agents"
                 )
-            for a, x in zip(self.agents, profile):
-                if x not in self._avail[a, q]:
+            for a, x, acts in zip(agents, profile, columns[index[q]]):
+                if x not in acts:
                     raise ModelError(
                         f"transition at {q} uses action {x} unavailable to agent {a}"
                     )
             self.trans[q, profile] = target
-        for q in self.states:
-            for profile in product(*(self._avail[a, q] for a in self.agents)):
-                if (q, profile) not in self.trans:
+        moves = []
+        for q, column in zip(states, columns):
+            row = []
+            for profile in product(*column):
+                target = self.trans.get((q, profile))
+                if target is None:
                     raise ModelError(
                         f"missing transition at {q} for profile ({', '.join(profile)})"
                     )
+                row.append((profile, 1 << index[target]))
+            moves.append(tuple(row))
+        self.moves = tuple(moves)
 
-        # union-find closure of the declared indistinguishability links
-        parent = {(a, q): (a, q) for a in self.agents for q in self.states}
+        # per agent, union-find over the states its links mention
+        parents = {a: {} for a in agents}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
+        def find(parent, x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = x = parent[parent[x]]
             return x
 
         for a, q, q2 in obs:
-            if a not in self.actions:
+            if a not in parents:
                 raise ModelError(f"observation link for unknown agent {a}")
-            if q not in self.state_index or q2 not in self.state_index:
+            if q not in index or q2 not in index:
                 raise ModelError(f"observation link {q} ~ {q2} uses an unknown state")
-            parent[find((a, q))] = find((a, q2))
+            parent = parents[a]
+            parent[find(parent, q)] = find(parent, q2)
 
-        self._class_of = {a: {} for a in self.agents}
+        self._class_of = {}
         self._classes = {}
-        for a in self.agents:
-            groups = {}
-            for q in self.states:
-                groups.setdefault(find((a, q)), []).append(q)
-            classes = sorted(groups.values(), key=lambda c: self.state_index[c[0]])
-            self._classes[a] = tuple(frozenset(c) for c in classes)
-            for cls in self._classes[a]:
-                for q in cls:
-                    self._class_of[a][q] = cls
-
-        for a in self.agents:
-            for cls in self._classes[a]:
-                avails = {self._avail[a, q] for q in cls}
-                if len(avails) > 1:
-                    members = ", ".join(sorted(cls, key=self.state_index.__getitem__))
+        singletons = None  # the classes of every agent without links, shared
+        for a in agents:
+            parent = parents[a]
+            if not parent:
+                if singletons is None:
+                    singletons = tuple(frozenset((q,)) for q in states)
+                    singleton_of = dict(zip(states, singletons))
+                self._classes[a] = singletons
+                self._class_of[a] = singleton_of
+                continue
+            groups = {}  # in order of each class's first state
+            for q in states:
+                groups.setdefault(find(parent, q) if q in parent else q, []).append(q)
+            self._classes[a] = classes = tuple(frozenset(c) for c in groups.values())
+            self._class_of[a] = {q: cls for cls in classes for q in cls}
+            for members in groups.values():
+                if len(members) > 1 and len({self._avail[a, q] for q in members}) > 1:
                     raise ModelError(
-                        f"agent {a} has differing availability inside class {{{members}}}"
+                        f"agent {a} has differing availability inside class"
+                        f" {{{', '.join(members)}}}"
                     )
 
         self.props = tuple(props)
@@ -164,7 +192,7 @@ class Cegm:
         for p in self.props:
             extension = tuple((valuation or {}).get(p, ()))
             for q in extension:
-                if q not in self.state_index:
+                if q not in index:
                     raise ModelError(f"proposition {p} declared at unknown state {q}")
             self.valuation[p] = frozenset(extension)
 
@@ -234,9 +262,11 @@ class Cegm:
 
 
 def _names(text: str, line: int, what: str) -> list[str]:
+    """Whitespace-separated names: a letter or `_`, then letters, digits or
+    `_` (in the sense of `str.isalpha` and `str.isalnum`)."""
     names = text.split()
     for n in names:
-        if not (n[0].isalpha() or n[0] == "_") or not all(c.isalnum() or c == "_" for c in n):
+        if not ((n[0].isalpha() or n[0] == "_") and n.replace("_", "a").isalnum()):
             raise ModelError(f"bad {what} name {n!r}", line)
     return names
 
@@ -252,97 +282,127 @@ def load_model(text: str) -> Cegm:
     obs = []
     props = []
     valuation = {}
+    known_agents: set = set()
+    known_states: set = set()  # empty until the states line
+    profiles = {}  # profile text -> action tuple; models repeat a few profiles
+    menus = {}  # avail line tail -> its checked action names
 
-    def declared_state(name: str, line: int) -> str:
-        if states is None or name not in states_set:
-            raise ModelError(f"unknown state {name}", line)
-        return name
-
-    states_set: set = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if ":" not in line and "->" not in line:
-            raise ModelError(f"unrecognized line {line!r}", lineno)
-        head, _, tail = line.partition(":")
-        key = head.split()
-        if key[:1] == ["agents"] and len(key) == 1:
-            if agents is not None:
-                raise ModelError("duplicate agents declaration", lineno)
-            agents = _names(tail, lineno, "agent")
-            if not agents or len(set(agents)) != len(agents):
-                raise ModelError("agents must be non-empty and distinct", lineno)
-        elif key[:1] == ["states"] and len(key) == 1:
-            if states is not None:
-                raise ModelError("duplicate states declaration", lineno)
-            states = _names(tail, lineno, "state")
-            states_set = set(states)
-            if not states or len(states_set) != len(states):
-                raise ModelError("states must be non-empty and distinct", lineno)
-        elif key[:1] == ["init"] and len(key) == 1:
-            if initial is not None:
-                raise ModelError("duplicate init declaration", lineno)
-            names = _names(tail, lineno, "state")
-            if len(names) != 1:
-                raise ModelError("expected exactly one initial state", lineno)
-            initial = declared_state(names[0], lineno)
-        elif key[:1] == ["actions"]:
-            if len(key) != 2:
-                raise ModelError("expected `actions <agent>: ...`", lineno)
-            if agents is None or key[1] not in agents:
-                raise ModelError(f"unknown agent {key[1]}", lineno)
-            if key[1] in actions:
-                raise ModelError(f"duplicate actions declaration for {key[1]}", lineno)
-            actions[key[1]] = _names(tail, lineno, "action")
-        elif key[:1] == ["avail"]:
-            if len(key) != 3:
-                raise ModelError("expected `avail <agent> <state>: ...`", lineno)
-            agent, state = key[1], key[2]
-            if agents is None or agent not in agents:
-                raise ModelError(f"unknown agent {agent}", lineno)
-            declared_state(state, lineno)
-            if (agent, state) in avail:
-                raise ModelError(f"duplicate avail declaration for {agent} at {state}", lineno)
-            avail[agent, state] = _names(tail, lineno, "action")
-        elif key[:1] == ["obs"]:
-            if len(key) != 2:
-                raise ModelError("expected `obs <agent>: <state> ~ <state>`", lineno)
-            if agents is None or key[1] not in agents:
-                raise ModelError(f"unknown agent {key[1]}", lineno)
-            sides = tail.split("~")
-            if len(sides) != 2:
-                raise ModelError("expected exactly one `~` in observation link", lineno)
-            left = _names(sides[0], lineno, "state")
-            right = _names(sides[1], lineno, "state")
-            if len(left) != 1 or len(right) != 1:
-                raise ModelError("observation link needs one state on each side", lineno)
-            obs.append((key[1], declared_state(left[0], lineno), declared_state(right[0], lineno)))
-        elif key[:1] == ["prop"]:
-            if len(key) != 2:
-                raise ModelError("expected `prop <name>: <states>`", lineno)
-            name = key[1]
-            if name in valuation:
-                raise ModelError(f"duplicate proposition {name}", lineno)
-            props.append(name)
-            valuation[name] = [declared_state(q, lineno) for q in _names(tail, lineno, "state")]
-        elif line.startswith("trans "):
-            rest = line[len("trans "):]
+        if line.startswith("trans ") and ("->" in line or ":" in line):
+            rest = line[6:]
             if "(" not in rest or ")" not in rest or "->" not in rest:
                 raise ModelError("expected `trans <state> (<actions>) -> <state>`", lineno)
-            src_text, _, rest = rest.partition("(")
+            src, _, rest = rest.partition("(")
             profile_text, _, rest = rest.partition(")")
-            arrow, _, target_text = rest.partition("->")
+            arrow, _, target = rest.partition("->")
             if arrow.strip():
                 raise ModelError("expected `->` right after the action profile", lineno)
-            src = declared_state(src_text.strip(), lineno)
-            target = declared_state(target_text.strip(), lineno)
-            profile = tuple(x.strip() for x in profile_text.split(","))
+            src = src.strip()
+            if src not in known_states:
+                raise ModelError(f"unknown state {src}", lineno)
+            target = target.strip()
+            if target not in known_states:
+                raise ModelError(f"unknown state {target}", lineno)
+            profile = profiles.get(profile_text)
+            if profile is None:
+                profile = profiles[profile_text] = tuple(map(str.strip, profile_text.split(",")))
             if agents is None or len(profile) != len(agents):
                 raise ModelError("action profile length differs from agent count", lineno)
             if (src, profile) in trans:
                 raise ModelError(f"duplicate transition at {src} for ({', '.join(profile)})", lineno)
             trans[src, profile] = target
+            continue
+        head, colon, tail = line.partition(":")
+        key = head.split()
+        if not (colon or "->" in line) or not key:
+            raise ModelError(f"unrecognized line {line!r}", lineno)
+        word = key[0]
+        if word == "avail":
+            if len(key) != 3:
+                raise ModelError("expected `avail <agent> <state>: ...`", lineno)
+            agent, state = key[1], key[2]
+            if agent not in known_agents:
+                raise ModelError(f"unknown agent {agent}", lineno)
+            if state not in known_states:
+                raise ModelError(f"unknown state {state}", lineno)
+            if (agent, state) in avail:
+                raise ModelError(f"duplicate avail declaration for {agent} at {state}", lineno)
+            menu = menus.get(tail)
+            if menu is None:
+                menu = menus[tail] = _names(tail, lineno, "action")
+            avail[agent, state] = menu
+        elif word == "obs":
+            if len(key) != 2:
+                raise ModelError("expected `obs <agent>: <state> ~ <state>`", lineno)
+            if key[1] not in known_agents:
+                raise ModelError(f"unknown agent {key[1]}", lineno)
+            sides = tail.split("~")
+            if len(sides) != 2:
+                raise ModelError("expected exactly one `~` in observation link", lineno)
+            left, right = sides[0].split(), sides[1].split()
+            if not (
+                len(left) == len(right) == 1
+                and left[0] in known_states
+                and right[0] in known_states
+            ):
+                # declared states passed the name check; any other name gets
+                # the checks in this order
+                _names(sides[0], lineno, "state")
+                _names(sides[1], lineno, "state")
+                if len(left) != 1 or len(right) != 1:
+                    raise ModelError("observation link needs one state on each side", lineno)
+                for q in (left[0], right[0]):
+                    if q not in known_states:
+                        raise ModelError(f"unknown state {q}", lineno)
+            obs.append((key[1], left[0], right[0]))
+        elif word == "prop":
+            if len(key) != 2:
+                raise ModelError("expected `prop <name>: <states>`", lineno)
+            name = key[1]
+            if name in valuation:
+                raise ModelError(f"duplicate proposition {name}", lineno)
+            extension = tail.split()
+            if not known_states.issuperset(extension):
+                _names(tail, lineno, "state")
+                for q in extension:
+                    if q not in known_states:
+                        raise ModelError(f"unknown state {q}", lineno)
+            props.append(name)
+            valuation[name] = extension
+        elif word == "actions":
+            if len(key) != 2:
+                raise ModelError("expected `actions <agent>: ...`", lineno)
+            if key[1] not in known_agents:
+                raise ModelError(f"unknown agent {key[1]}", lineno)
+            if key[1] in actions:
+                raise ModelError(f"duplicate actions declaration for {key[1]}", lineno)
+            actions[key[1]] = _names(tail, lineno, "action")
+        elif word == "agents" and len(key) == 1:
+            if agents is not None:
+                raise ModelError("duplicate agents declaration", lineno)
+            agents = _names(tail, lineno, "agent")
+            known_agents = set(agents)
+            if not agents or len(known_agents) != len(agents):
+                raise ModelError("agents must be non-empty and distinct", lineno)
+        elif word == "states" and len(key) == 1:
+            if states is not None:
+                raise ModelError("duplicate states declaration", lineno)
+            states = _names(tail, lineno, "state")
+            known_states = set(states)
+            if not states or len(known_states) != len(states):
+                raise ModelError("states must be non-empty and distinct", lineno)
+        elif word == "init" and len(key) == 1:
+            if initial is not None:
+                raise ModelError("duplicate init declaration", lineno)
+            names = _names(tail, lineno, "state")
+            if len(names) != 1:
+                raise ModelError("expected exactly one initial state", lineno)
+            if names[0] not in known_states:
+                raise ModelError(f"unknown state {names[0]}", lineno)
+            initial = names[0]
         else:
             raise ModelError(f"unrecognized line {line!r}", lineno)
 

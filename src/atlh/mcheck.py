@@ -23,6 +23,11 @@ A witness is always the first strategy, in `enumerate_strategies` order,
 that validates the queried state. The fixpoint path builds it one choice
 point at a time, and only when a witness is asked for (`find_witness`,
 `atlh check`), never for `check` or `label`.
+
+Each labelling pass builds one coalition engine per coalition. An engine
+projects the model's move table (`Cegm.moves`) onto the coalition's
+columns, so building one costs one pass over the available joint actions.
+Engines point at their model and are never kept on it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from .cegm import Cegm
 from .formula import (
@@ -192,42 +198,53 @@ class _CoalitionEngine:
     A strategy is a tuple of actions, one per choice point (an epistemic
     class in `ir` mode, a single state in `Ir` mode, per coalition agent).
     Buckets map each state and coalition-action tuple to the mask of states
-    reachable under any opponent response.
+    reachable under any opponent response; they are the model's move table
+    with each profile projected onto the coalition's columns, in the
+    table's profile order.
     """
 
     def __init__(self, model: Cegm, coalition, mode: str):
         self.model = model
-        self.coalition = tuple(a for a in model.agents if a in set(coalition))
-        members = set(self.coalition)
+        members = set(coalition)
+        self.coalition = tuple(a for a in model.agents if a in members)
+        index = model.state_index
         self.choice_points = []
+        # strategies are free per state: no uniformity constraint binds
+        self.per_state = True
+        cp_at = []  # per coalition agent, each state's choice-point index
         for a in self.coalition:
+            at = [0] * len(model.states)
             if mode == "ir":
                 for cls in model.epistemic_classes(a):
-                    states = sorted(cls, key=model.state_index.__getitem__)
-                    self.choice_points.append((a, tuple(states), model.avail(a, states[0])))
+                    states = tuple(cls)
+                    if len(states) > 1:
+                        states = tuple(sorted(states, key=index.__getitem__))
+                    options = model.avail(a, states[0])
+                    if len(states) > 1 and len(options) > 1:
+                        self.per_state = False
+                    for q in states:
+                        at[index[q]] = len(self.choice_points)
+                    self.choice_points.append((a, states, options))
             else:
-                for q in model.states:
+                for i, q in enumerate(model.states):
+                    at[i] = len(self.choice_points)
                     self.choice_points.append((a, (q,), model.avail(a, q)))
-        cp_of = {}
-        for idx, (a, states, _) in enumerate(self.choice_points):
-            for q in states:
-                cp_of[a, q] = idx
-        self.state_cps = [
-            tuple(cp_of[a, q] for a in self.coalition) for q in model.states
-        ]
-        # strategies are free per state: no uniformity constraint binds
-        self.per_state = all(
-            len(states) == 1 or len(options) == 1 for _, states, options in self.choice_points
-        )
-        proj = [i for i, a in enumerate(model.agents) if a in members]
+            cp_at.append(at)
+        self.state_cps = list(zip(*cp_at)) if cp_at else [()] * len(model.states)
+        cols = [i for i, a in enumerate(model.agents) if a in members]
+        if len(cols) > 1:
+            project = itemgetter(*cols)
+        elif cols:
+            (col,) = cols
+            project = lambda profile: (profile[col],)
+        else:
+            project = lambda profile: ()
         self.buckets = []
-        for q in model.states:
+        for moves in model.moves:
             bucket = {}
-            cols = [model.avail(a, q) for a in model.agents]
-            for profile in product(*cols):
-                key = tuple(profile[i] for i in proj)
-                target = 1 << model.state_index[model.trans[q, profile]]
-                bucket[key] = bucket.get(key, 0) | target
+            for profile, bit in moves:
+                key = project(profile)
+                bucket[key] = bucket.get(key, 0) | bit
             self.buckets.append(bucket)
         self._start_masks = None
 
@@ -323,15 +340,21 @@ def _region(succs, kind: str, args) -> int:
         z = nz
 
 
-def _first_winner(engine: _CoalitionEngine, kind: str, args, scope: str, at_bit: int):
+def _first_winner(
+    engine: _CoalitionEngine, kind: str, args, scope: str, at_bit: int, region: int
+):
     """First choice tuple in `choice_tuples` order validating `at_bit`, built
     one choice point at a time on a per-state engine, given that some tuple
-    validates it.
+    validates it and that `region` is the winning region with no choice fixed.
 
     Each choice point keeps its first action for which the fixpoint, with the
     choices made so far fixed, still validates `at_bit`; that is the
     lexicographically first winner, since per-state choices are independent.
-    The last action needs no test: one of the actions must keep a winner.
+    Two cases need no test. The last action: one of the actions must keep a
+    winner. A state outside the region: restricting its moves leaves the X,
+    least-U and greatest-G regions as they are, so the first action keeps
+    them. Fixing choices only shrinks the region, so the last region
+    computed, or `region`, contains the current one.
     """
     moves = [list(bucket.items()) for bucket in engine.buckets]
     succs = [[m for _, m in items] for items in moves]
@@ -346,9 +369,11 @@ def _first_winner(engine: _CoalitionEngine, kind: str, args, scope: str, at_bit:
             for k, picked in enumerate(options, 1):
                 moves[q] = [km for km in kept if km[0][j] == picked]
                 succs[q] = [m for _, m in moves[q]]
-                if k == len(options):
+                if k == len(options) or not region >> q & 1:
                     break
-                if _validated(engine, _region(succs, kind, args), scope) & at_bit:
+                w = _region(succs, kind, args)
+                if _validated(engine, w, scope) & at_bit:
+                    region = w
                     break
         choices.append(picked)
     return tuple(choices)
@@ -371,11 +396,12 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     at_bit = 0 if at is None else 1 << at
     if kind != "FG":
         succs = [list(set(bucket.values())) for bucket in engine.buckets]
-        bound = _validated(engine, _region(succs, kind, args), scope)
+        region = _region(succs, kind, args)
+        bound = _validated(engine, region, scope)
         if engine.per_state:
             first = None
             if bound & at_bit:
-                first = _first_winner(engine, kind, args, scope, at_bit)
+                first = _first_winner(engine, kind, args, scope, at_bit, region)
             return bound, first
         want &= bound
         if not want:

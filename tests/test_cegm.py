@@ -180,3 +180,87 @@ def test_mask_helpers(fig1):
     assert m == 0b101
     assert fig1.states_of(m) == ("s0", "s2")
     assert fig1.full_mask == 0b111
+
+
+def _edit(old: str, new: str) -> str:
+    assert old in FIG1, old
+    return FIG1.replace(old, new, 1)
+
+
+_NUDGE = _edit("actions c: eps", "actions c: eps nudge").replace(
+    "obs c: s1 ~ s2",
+    "avail c s0: eps\navail c s1: eps\navail c s2: eps nudge\n"
+    "trans s2 (eps, nudge) -> s2\nobs c: s1 ~ s2",
+)
+
+# (model text, the full ModelError message). Loader faults carry `line N:`;
+# model-level faults found after parsing carry none. Each two-fault text pins
+# which fault is reported first.
+LOAD_ERRORS = [
+    (FIG1 + "banana\n", "line 17: unrecognized line 'banana'"),
+    (FIG1 + ": s0\n", "line 17: unrecognized line ': s0'"),
+    (FIG1 + "trans s0 (eps, eps)\n", "line 17: unrecognized line 'trans s0 (eps, eps)'"),
+    (FIG1 + "trans\ts0 (eps, eps) -> s0\n", "line 17: unrecognized line 'trans\\ts0 (eps, eps) -> s0'"),
+    (_edit("states:", "agents: w\nstates:"), "line 3: duplicate agents declaration"),
+    (_edit("agents: v c", "agents: v 1c"), "line 2: bad agent name '1c'"),
+    (_edit("agents: v c", "agents: v ²c"), "line 2: bad agent name '²c'"),
+    (_edit("agents: v c", "agents: v c·d"), "line 2: bad agent name 'c·d'"),
+    (_edit("agents: v c", "agents: v c v"), "line 2: agents must be non-empty and distinct"),
+    (_edit("states: s0 s1 s2", "states: s0 s1 s-2"), "line 3: bad state name 's-2'"),
+    (_edit("states: s0 s1 s2", "states:"), "line 3: states must be non-empty and distinct"),
+    (_edit("init: s0", "init: s0 s1"), "line 4: expected exactly one initial state"),
+    (_edit("init: s0", "init: s9"), "line 4: unknown state s9"),
+    ("agents: a\ninit: s0\n", "line 2: unknown state s0"),
+    (_edit("actions c: eps", "actions c d: eps"), "line 6: expected `actions <agent>: ...`"),
+    (_edit("actions c: eps", "actions x: eps"), "line 6: unknown agent x"),
+    (_edit("actions c: eps", "actions c: eps\nactions c: eps"), "line 7: duplicate actions declaration for c"),
+    (_edit("avail v s1: eps", "avail v: eps"), "line 7: expected `avail <agent> <state>: ...`"),
+    (_edit("avail v s1: eps", "avail v s9: eps"), "line 7: unknown state s9"),
+    (_edit("avail v s1: eps", "avail v s1: eps\navail v s1: eps"), "line 8: duplicate avail declaration for v at s1"),
+    (_edit("obs c: s1 ~ s2", "obs c: s1 ~ s2 ~ s0"), "line 14: expected exactly one `~` in observation link"),
+    (_edit("obs c: s1 ~ s2", "obs c: s1 s0 ~ s2"), "line 14: observation link needs one state on each side"),
+    (_edit("obs c: s1 ~ s2", "obs x: s1 ~ s2"), "line 14: unknown agent x"),
+    (_edit("prop V_A: s1", "prop V A: s1"), "line 16: expected `prop <name>: <states>`"),
+    (_edit("prop V_A: s1", "prop V_A: s1 s1x"), "line 16: unknown state s1x"),
+    (_edit("(eps, eps) -> s1", "eps, eps -> s1"), "line 12: expected `trans <state> (<actions>) -> <state>`"),
+    (_edit("(eps, eps) -> s1", "(eps, eps) s1 -> s1"), "line 12: expected `->` right after the action profile"),
+    (_edit("(eps, eps) -> s1", "(eps) -> s1"), "line 12: action profile length differs from agent count"),
+    (_edit("(eps, eps) -> s1", "(eps, eps) -> s9"), "line 12: unknown state s9"),
+    (FIG1 + "trans s1 ( eps ,eps ) -> s1\n", "line 17: duplicate transition at s1 for (eps, eps)"),
+    ("states: s0\ninit: s0\n", "missing agents declaration"),
+    ("agents: a\nstates: s0\n", "missing init declaration"),
+    (_edit("actions c: eps\n", ""), "agent c has no actions"),
+    (_edit("voteNA eps", "voteNA eps voteA"), "duplicate action for agent v"),
+    (_edit("avail v s1: eps", "avail v s1:"), "empty availability for agent v at state s1"),
+    (_edit("avail v s1: eps", "avail v s1: abstain"), "action abstain not declared for agent v"),
+    (_edit("avail v s1: eps", "avail v s1: eps eps"), "duplicate available action for agent v at state s1"),
+    (_edit("trans s0 (voteNA, eps) -> s2\n", ""), "missing transition at s0 for profile (voteNA, eps)"),
+    (_NUDGE, "agent c has differing availability inside class {s1, s2}"),
+    # two faults each
+    (
+        _edit("trans s0 (voteNA, eps) -> s2\n", "") + "trans s1 (voteA, eps) -> s1\n",
+        "transition at s1 uses action voteA unavailable to agent v",
+    ),
+    (_edit("prop V_A: s1", "prop V_A: s9 1x"), "line 16: bad state name '1x'"),
+    (_edit("trans s1 (eps, eps) -> s1", "trans s9 (eps) -> s1"), "line 12: unknown state s9"),
+    (_NUDGE + "prop Voted: s1\n", "line 21: duplicate proposition Voted"),
+]
+
+
+@pytest.mark.parametrize("text, message", LOAD_ERRORS)
+def test_load_errors_are_pinned(text, message):
+    with pytest.raises(ModelError) as exc:
+        load_model(text)
+    assert str(exc.value) == message
+
+
+def test_unicode_names_follow_str_isalnum():
+    # a name starts with a letter or `_` and continues with str.isalnum()
+    # characters or `_`; superscript and non-Latin digits count as alnum
+    text = FIG1.replace("v c\n", "v c²\n").replace(" c:", " c²:")
+    text = text.replace("prop V_A", "prop V_٣").replace("s2", "ş2")
+    m = load_model(text)
+    assert m.agents == ("v", "c²")
+    assert m.states == ("s0", "s1", "ş2")
+    assert m.props == ("Voted", "V_٣")
+    assert m.epistemic_class("c²", "s1") == {"s1", "ş2"}

@@ -3,11 +3,12 @@
 import math
 import time
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
-from atlh.cegm import load_model
+from atlh.cegm import Cegm, load_model
 from atlh.formula import (
     CoalFG,
     CoalG,
@@ -22,6 +23,7 @@ from atlh.formula import (
 from atlh.mcheck import (
     CheckError,
     CheckOptions,
+    _CoalitionEngine,
     check,
     compare_log,
     enumerate_strategies,
@@ -534,3 +536,69 @@ def test_fg_and_nested_strategies_match_oracle():
         if bound == 6:
             break
     assert nested >= 8 and fg >= 8 and bound == 6, (nested, fg, bound)
+
+
+def _binding_model(rng):
+    """A random model in which coalition member `a0` has one class of two or
+    more states offering two or more actions, so uniform strategies are a
+    strict subset of per-state ones and `ir` queries take the enumeration
+    path. Other classes, agents, availability and transitions are random."""
+    n = rng.randint(2, 4)
+    states = [f"s{i}" for i in range(n)]
+    agents = ["a0", "a1"][: rng.randint(1, 2)]
+    actions = {a: ["x", "y", "z"][: rng.randint(2, 3)] for a in agents}
+    wide = rng.sample(states, rng.randint(2, n))
+    partition = {"a0": [wide] + [[q] for q in states if q not in wide]}
+    if "a1" in agents:
+        blocks = {}
+        for q in states:
+            blocks.setdefault(rng.randrange(n), []).append(q)
+        partition["a1"] = list(blocks.values())
+    obs, avail = [], {}
+    for a in agents:
+        for cls in partition[a]:
+            obs += [(a, left, right) for left, right in zip(cls, cls[1:])]
+            if cls is wide:
+                chosen = rng.sample(actions[a], rng.randint(2, len(actions[a])))
+            else:
+                chosen = [x for x in actions[a] if rng.random() < 0.7] or [actions[a][0]]
+            avail.update(((a, q), chosen) for q in cls)
+    trans = {
+        (q, profile): rng.choice(states)
+        for q in states
+        for profile in product(*(sorted(avail[a, q], key=actions[a].index) for a in agents))
+    }
+    props = ["p", "q"]
+    valuation = {p: [q for q in states if rng.random() < 0.5] for p in props}
+    return Cegm(agents, states, "s0", actions, avail, trans, obs, props, valuation)
+
+
+def test_uniformity_binding_models_match_oracle():
+    """Labels and witnesses against the oracle on models where uniformity
+    binds a coalition member, in all four mode/scope combinations: `ir`
+    queries there run the pruned enumeration over the engine's projected
+    buckets (`succ`), which no bundled model reaches. Both single-state
+    queries (`check`, `find_witness`) and whole labels are compared. After
+    24 plain draws, only draws whose `ir` and `Ir` labels differ are
+    compared, until there are 10 of them."""
+    rng = Random(5507)
+    literals = [parse_formula(t) for t in ("p", "q", "!p", "!q", "p | q", "p & !q")]
+    binding = 0
+    for i in range(2000):
+        model = _binding_model(rng)
+        coal = ("a0",) if len(model.agents) == 1 or i % 2 else ("a0", "a1")
+        assert not _CoalitionEngine(model, coal, "ir").per_state
+        kind = STRATEGIC[i % 4]
+        f = kind(coal, *(rng.choice(literals) for _ in range(1 if kind in (CoalX, CoalG) else 2)))
+        binds = _uniformity_binds(model, f)
+        if i >= 24 and not binds:
+            continue
+        for opts in COMBOS:
+            _assert_matches_oracle(model, f, opts)
+            # all states at once: the search must cover the whole union
+            want = oracle_label(model, f, opts.strategy_mode, opts.success_scope)
+            assert label(model, f, opts)[f] == want, (f, opts)
+        binding += binds
+        if binding == 10:
+            break
+    assert binding == 10, binding

@@ -1,6 +1,8 @@
 """Tests for the referendum and ThreeBallot case-study generators."""
 
+import gc
 import time
+import weakref
 from random import Random
 
 import pytest
@@ -326,3 +328,21 @@ def test_coercion_property_formulas_print():
     assert strategic.count("H[c] = log(4) {V_A, V_B}") == 4
     invariant = pretty_print(hartley_invariant_property())
     assert invariant.count("<> G") == 4
+
+
+def test_checked_model_is_freed_without_the_cycle_collector():
+    """Checking leaves no reference cycle through the model: coalition
+    engines point at their model, so they must not be kept on it."""
+    model = load_model(save_model(gen_threeballot()))
+    ref = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert check(model, "q0", parse_formula("<v, c> F V1_eq_ab"))
+        assert find_witness(model, "q0", parse_formula("<v, c> F V1_eq_ab")) is not None
+        assert coercion_epistemic(model)
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
