@@ -361,7 +361,9 @@ def load_model(text: str) -> Cegm:
         elif word == "prop":
             if len(key) != 2:
                 raise ModelError("expected `prop <name>: <states>`", lineno)
-            name = key[1]
+            name = _names(key[1], lineno, "proposition")[0]
+            if name in ("true", "false"):
+                raise ModelError(f"reserved proposition name {name!r}", lineno)
             if name in valuation:
                 raise ModelError(f"duplicate proposition {name}", lineno)
             extension = tail.split()

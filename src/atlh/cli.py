@@ -135,8 +135,10 @@ def cmd_translate(args) -> int:
         result = h_to_k(f, node_cap=args.cap_nodes)
     else:
         result = k_to_h(f)
-    text = pretty_print(result)
     sizes = (formula_length(f), formula_length(result))
+    if sizes[1] > args.cap_nodes:
+        raise TranslateError(f"translation has {sizes[1]} nodes, over the cap {args.cap_nodes}")
+    text = pretty_print(result)
     if args.output == "json-lines":
         print(
             json.dumps(

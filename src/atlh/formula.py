@@ -8,14 +8,18 @@ that compares the log-count of valuation classes against a threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import reduce
+from operator import attrgetter, is_
 
 CMPS = ("<", "<=", ">", ">=", "=")
 
-# Deepest formula the parser accepts. The tree walkers recurse once or twice
-# per level and the parser up to four times per parenthesis, so this stays
-# far below Python's default recursion limit of 1000.
+# Deepest formula the parser accepts. The parser recurses up to four times per
+# parenthesis and the dataclass-generated `__eq__`/`__hash__` once per level,
+# so this stays far below Python's default recursion limit of 1000. Every
+# other walker keeps its own stack (`fold`, `pretty_print`), so translations
+# may build far deeper formulas.
 MAX_DEPTH = 100
 
 
@@ -36,6 +40,9 @@ def _canon_coalition(agents) -> tuple[str, ...]:
 
 class _Node:
     """Shared behaviour for all formula nodes."""
+
+    # Child fields, the last fields of every formula class; see `children`.
+    _kids: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         return pretty_print(self)
@@ -64,18 +71,21 @@ class FalseF(_Node):
 @dataclass(frozen=True, repr=False)
 class Not(_Node):
     sub: "Formula"
+    _kids = ("sub",)
 
 
 @dataclass(frozen=True, repr=False)
 class And(_Node):
     left: "Formula"
     right: "Formula"
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True, repr=False)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True, repr=False)
@@ -84,6 +94,7 @@ class CoalX(_Node):
 
     coalition: tuple[str, ...]
     sub: "Formula"
+    _kids = ("sub",)
 
     def __post_init__(self):
         object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
@@ -95,6 +106,7 @@ class CoalG(_Node):
 
     coalition: tuple[str, ...]
     sub: "Formula"
+    _kids = ("sub",)
 
     def __post_init__(self):
         object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
@@ -107,6 +119,7 @@ class CoalU(_Node):
     coalition: tuple[str, ...]
     hold: "Formula"
     goal: "Formula"
+    _kids = ("hold", "goal")
 
     def __post_init__(self):
         object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
@@ -123,6 +136,7 @@ class CoalFG(_Node):
     coalition: tuple[str, ...]
     goal: "Formula"
     invariant: "Formula"
+    _kids = ("goal", "invariant")
 
     def __post_init__(self):
         object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
@@ -134,6 +148,7 @@ class Knows(_Node):
 
     agent: str
     sub: "Formula"
+    _kids = ("sub",)
 
 
 @dataclass(frozen=True, repr=False)
@@ -142,6 +157,7 @@ class MutualKnows(_Node):
 
     coalition: tuple[str, ...]
     sub: "Formula"
+    _kids = ("sub",)
 
     def __post_init__(self):
         coal = _canon_coalition(self.coalition)
@@ -190,6 +206,7 @@ class Hartley(_Node):
     cmp: str
     threshold: Threshold
     beta: tuple["Formula", ...]
+    _kids = ("beta",)  # the one field holding a tuple of children
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(self.beta))
@@ -198,7 +215,7 @@ class Hartley(_Node):
         if not self.beta:
             raise FormulaError("empty formula set in uncertainty operator")
         seen = set()
-        for b in self.beta:
+        for b in self.beta if len(self.beta) > 1 else ():  # a hash walks all of b
             if b in seen:
                 raise FormulaError(f"duplicate formula in uncertainty set: {pretty_print(b)}")
             seen.add(b)
@@ -217,6 +234,7 @@ class _PathG(_Node):
     sub: "Formula"
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
+    _kids = ("sub",)
 
 
 def _format_rational(value: Fraction) -> str:
@@ -240,34 +258,88 @@ def _format_rational(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Length metric
+# Walking the tree: every walker below keeps its own stack, so formulas far
+# deeper than the recursion limit (translations build them) are fine.
+
+
+def _getter(names):
+    """Function returning the fields `names` of a node as a tuple."""
+    if len(names) == 1:
+        name = names[0]
+        return lambda f: (getattr(f, name),)
+    return attrgetter(*names) if names else lambda f: ()
+
+
+_CHILDREN = {cls: _getter(cls._kids) for cls in (*Formula.__args__, _PathG)}
+_CHILDREN[Hartley] = attrgetter("beta")
+_OTHER_FIELDS = {
+    cls: _getter(tuple(x.name for x in fields(cls) if x.name not in cls._kids))
+    for cls in Formula.__args__
+}
+
+
+def children(f: Formula) -> tuple:
+    """The child formulas of `f`, in printed order."""
+    try:
+        get = _CHILDREN[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    return get(f)
+
+
+def rebuild(f: Formula, kids) -> Formula:
+    """`f` with its children replaced by `kids`, or `f` itself if none changed.
+
+    Rewriting can map two members of an uncertainty set to the same formula.
+    Equal members add identical coordinates to every valuation pattern, so
+    they are merged, first seen first, without changing the pattern count.
+    """
+    if all(map(is_, kids, children(f))):
+        return f
+    if type(f) is Hartley:
+        beta = []
+        for k in kids:
+            if k not in beta:
+                beta.append(k)
+        kids = (tuple(beta),)
+    return type(f)(*_OTHER_FIELDS[type(f)](f), *kids)
+
+
+def fold(f: Formula, step):
+    """`step(node, values of its children)` for `f`, computed bottom-up.
+
+    Children are done left to right before their parent, as in a recursive
+    post-order walk, and each distinct node object once: a sub-DAG shared
+    by several parents is walked once.
+    """
+    done: dict = {}  # id(node) -> value; every node stays alive under `f`
+    stack = [(f, children(f))]
+    while stack:
+        g, kids = stack[-1]
+        top = len(stack)
+        for k in reversed(kids):
+            if id(k) not in done:
+                stack.append((k, children(k)))
+        if len(stack) == top:
+            stack.pop()
+            if id(g) not in done:  # else pushed twice, as in And(x, x)
+                done[id(g)] = step(g, [done[id(k)] for k in kids])
+    return done[id(f)]
+
+
+def _own_length(g: Formula) -> int:
+    """Length of `g` without its children: the connective and any coalition."""
+    t = type(g)
+    if t is MutualKnows:
+        return len(g.coalition)
+    if t is CoalFG:  # 2 for F, 1 for G, 1 for &; a `true` goal and its & count 0
+        return len(g.coalition) + (2 if type(g.goal) is TrueF else 4)
+    return len(g.coalition) + 1 if t in (CoalX, CoalG, CoalU) else 1
 
 
 def formula_length(f: Formula) -> int:
     """Node-count length: atoms cost 1, each connective 1, a coalition |A|."""
-    match f:
-        case Atom() | TrueF() | FalseF():
-            return 1
-        case Not(sub):
-            return 1 + formula_length(sub)
-        case And(left, right) | Or(left, right):
-            return formula_length(left) + formula_length(right) + 1
-        case CoalX(coalition, sub) | CoalG(coalition, sub):
-            return len(coalition) + 1 + formula_length(sub)
-        case CoalU(coalition, hold, goal):
-            return len(coalition) + formula_length(hold) + formula_length(goal) + 1
-        case CoalFG(coalition, goal, invariant):
-            body = 1 + formula_length(invariant)
-            if not isinstance(goal, TrueF):
-                body += formula_length(goal) + 1
-            return len(coalition) + 2 + body
-        case Knows(_, sub):
-            return 1 + formula_length(sub)
-        case MutualKnows(coalition, sub):
-            return len(coalition) + formula_length(sub)
-        case Hartley(_, _, _, beta):
-            return 1 + sum(formula_length(b) for b in beta)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda g, kids: _own_length(g) + sum(kids))
 
 
 def subformulas_by_length(f: Formula) -> list[Formula]:
@@ -277,29 +349,22 @@ def subformulas_by_length(f: Formula) -> list[Formula]:
     Every proper subformula sorts strictly before its parent, so the list
     doubles as an evaluation order; the final element is `f` itself.
     """
-    seen: set[Formula] = set()
+    first: dict = {}  # printed text -> ((length, text), node); printing is injective
 
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        match g:
-            case Not(sub) | CoalX(_, sub) | CoalG(_, sub) | Knows(_, sub) | MutualKnows(_, sub):
-                walk(sub)
-            case And(left, right) | Or(left, right):
-                walk(left)
-                walk(right)
-            case CoalU(_, hold, goal):
-                walk(hold)
-                walk(goal)
-            case CoalFG(_, goal, invariant):
-                walk(goal)
-                walk(invariant)
-            case Hartley(_, _, _, beta):
-                for b in beta:
-                    walk(b)
-    walk(f)
-    return sorted(seen, key=lambda g: (formula_length(g), pretty_print(g)))
+    def step(g, kids):  # each kid's value is (length, text, precedence)
+        parts = []
+        for p in _TEMPLATES[type(g)](g):
+            if type(p) is str:
+                parts.append(p)
+            else:
+                _, text, prec = kids[p[0]]
+                parts.append(text if prec >= p[1] else "(" + text + ")")
+        key = (_own_length(g) + sum(k[0] for k in kids), "".join(parts))
+        first.setdefault(key[1], (key, g))
+        return (*key, _PREC.get(type(g), _PREC_UNARY))
+
+    fold(f, step)
+    return [g for _, g in sorted(first.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -308,64 +373,67 @@ def subformulas_by_length(f: Formula) -> list[Formula]:
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_UNARY = 3
+_PREC = {Or: _PREC_OR, And: _PREC_AND}  # every other node binds as tightly as unary
 
 
 def _coalition_text(coalition: tuple[str, ...]) -> str:
     return "<" + ", ".join(coalition) + ">"
 
 
-def _print(f: Formula, min_prec: int) -> str:
-    text, prec = _print_raw(f)
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+def _hartley_template(f: Hartley) -> list:
+    pieces: list = [f"H[{f.agent}] {f.cmp} {f.threshold} {{", (0, _PREC_OR)]
+    for i in range(1, len(f.beta)):
+        pieces += [", ", (i, _PREC_OR)]
+    return pieces + ["}"]
 
 
-def _print_raw(f: Formula) -> tuple[str, int]:
-    match f:
-        case Atom(name):
-            return name, _PREC_UNARY
-        case TrueF():
-            return "true", _PREC_UNARY
-        case FalseF():
-            return "false", _PREC_UNARY
-        case Not(sub):
-            return "!" + _print(sub, _PREC_UNARY), _PREC_UNARY
-        case And(left, right):
-            return _print(left, _PREC_AND) + " & " + _print(right, _PREC_UNARY), _PREC_AND
-        case Or(left, right):
-            return _print(left, _PREC_OR) + " | " + _print(right, _PREC_AND), _PREC_OR
-        case CoalX(coalition, sub):
-            return _coalition_text(coalition) + " X " + _print(sub, _PREC_UNARY), _PREC_UNARY
-        case CoalG(coalition, sub):
-            return _coalition_text(coalition) + " G " + _print(sub, _PREC_UNARY), _PREC_UNARY
-        case CoalU(coalition, hold, goal):
-            if isinstance(hold, TrueF):
-                return _coalition_text(coalition) + " F " + _print(goal, _PREC_UNARY), _PREC_UNARY
-            inner = _print(hold, _PREC_OR) + " U " + _print(goal, _PREC_OR)
-            return _coalition_text(coalition) + " (" + inner + ")", _PREC_UNARY
-        case CoalFG(coalition, goal, invariant):
-            tail = "G " + _print(invariant, _PREC_UNARY)
-            if isinstance(goal, TrueF):
-                inner = tail
-            else:
-                inner = _print(goal, _PREC_AND) + " & " + tail
-            return _coalition_text(coalition) + " F (" + inner + ")", _PREC_UNARY
-        case Knows(agent, sub):
-            return f"K[{agent}] " + _print(sub, _PREC_UNARY), _PREC_UNARY
-        case MutualKnows(coalition, sub):
-            return "E[" + ", ".join(coalition) + "] " + _print(sub, _PREC_UNARY), _PREC_UNARY
-        case Hartley(agent, cmp, threshold, beta):
-            members = ", ".join(_print(b, _PREC_OR) for b in beta)
-            return f"H[{agent}] {cmp} {threshold} {{{members}}}", _PREC_UNARY
-        case _PathG(sub):
-            return "G " + _print(sub, _PREC_UNARY), _PREC_UNARY
-    raise TypeError(f"not a formula: {f!r}")
+# Per node class, the printed form as strings and `(i, least)` pairs: child i,
+# in parentheses if it binds less tightly than `least`.
+_TEMPLATES = {
+    Atom: lambda f: (f.name,),
+    TrueF: lambda f: ("true",),
+    FalseF: lambda f: ("false",),
+    Not: lambda f: ("!", (0, _PREC_UNARY)),
+    And: lambda f: ((0, _PREC_AND), " & ", (1, _PREC_UNARY)),
+    Or: lambda f: ((0, _PREC_OR), " | ", (1, _PREC_AND)),
+    CoalX: lambda f: (_coalition_text(f.coalition) + " X ", (0, _PREC_UNARY)),
+    CoalG: lambda f: (_coalition_text(f.coalition) + " G ", (0, _PREC_UNARY)),
+    CoalU: lambda f: (
+        (_coalition_text(f.coalition) + " F ", (1, _PREC_UNARY))
+        if type(f.hold) is TrueF
+        else (_coalition_text(f.coalition) + " (", (0, _PREC_OR), " U ", (1, _PREC_OR), ")")
+    ),
+    CoalFG: lambda f: (
+        (_coalition_text(f.coalition) + " F (G ", (1, _PREC_UNARY), ")")
+        if type(f.goal) is TrueF
+        else (_coalition_text(f.coalition) + " F (", (0, _PREC_AND), " & G ", (1, _PREC_UNARY), ")")
+    ),
+    Knows: lambda f: (f"K[{f.agent}] ", (0, _PREC_UNARY)),
+    MutualKnows: lambda f: ("E[" + ", ".join(f.coalition) + "] ", (0, _PREC_UNARY)),
+    Hartley: _hartley_template,
+    _PathG: lambda f: ("G ", (0, _PREC_UNARY)),
+}
 
 
 def pretty_print(f: Formula) -> str:
     """Concrete syntax for `f`; parsing the result reproduces `f` exactly."""
-    return _print(f, _PREC_OR)
+    out = []
+    stack: list = [(f, _PREC_OR)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, least = item
+        kids = children(g)
+        wrap = _PREC.get(type(g), _PREC_UNARY) < least
+        if wrap:
+            stack.append(")")
+        for p in reversed(_TEMPLATES[type(g)](g)):
+            stack.append(p if type(p) is str else (kids[p[0]], p[1]))
+        if wrap:
+            stack.append("(")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +657,7 @@ class _Parser:
         if len(path_parts) > 1:
             raise self.error("at most one G conjunct is supported under F", tok)
         rest = [c for c in conjuncts if not isinstance(c, _PathG)]
-        goal: Formula = TrueF()
-        if rest:
-            goal = rest[0]
-            for c in rest[1:]:
-                goal = And(goal, c)
+        goal = reduce(And, rest) if rest else TrueF()
         return CoalFG(coalition, goal, path_parts[0].sub)
 
     def parse_hartley(self, tok: _Token) -> Formula:
@@ -648,26 +712,9 @@ def _flatten_and(f: Formula) -> list[Formula]:
     return parts
 
 
-def _check_no_pathg(f: Formula) -> None:
-    match f:
-        case _PathG():
-            raise FormulaError(
-                "bare G is only supported as a conjunct inside <A> F (...)", f.line, f.col
-            )
-        case Not(sub) | CoalX(_, sub) | CoalG(_, sub) | Knows(_, sub) | MutualKnows(_, sub):
-            _check_no_pathg(sub)
-        case And(left, right) | Or(left, right):
-            _check_no_pathg(left)
-            _check_no_pathg(right)
-        case CoalU(_, hold, goal):
-            _check_no_pathg(hold)
-            _check_no_pathg(goal)
-        case CoalFG(_, goal, invariant):
-            _check_no_pathg(goal)
-            _check_no_pathg(invariant)
-        case Hartley(_, _, _, beta):
-            for b in beta:
-                _check_no_pathg(b)
+def _first_bare_g(g, kids):
+    """The first `_PathG` under `g` in printed order, or None."""
+    return g if type(g) is _PathG else next(filter(None, kids), None)
 
 
 def parse_formula(text: str) -> Formula:
@@ -677,5 +724,9 @@ def parse_formula(text: str) -> Formula:
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.error(f"unexpected {tok.text!r} after formula", tok)
-    _check_no_pathg(f)
+    bare = fold(f, _first_bare_g)
+    if bare is not None:
+        raise FormulaError(
+            "bare G is only supported as a conjunct inside <A> F (...)", bare.line, bare.col
+        )
     return f

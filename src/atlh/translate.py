@@ -10,17 +10,13 @@ members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import comb
 from random import Random
 
 from .formula import (
     And,
-    Atom,
-    CoalFG,
-    CoalG,
-    CoalU,
-    CoalX,
     FalseF,
     Formula,
     Hartley,
@@ -30,8 +26,10 @@ from .formula import (
     Not,
     Or,
     TrueF,
+    fold,
     formula_length,
     pretty_print,
+    rebuild,
 )
 from .mcheck import CheckOptions, check, compare_log
 from .sampling import random_cegm, random_formula
@@ -41,66 +39,20 @@ class TranslateError(ValueError):
     """Raised when a translation exceeds its size caps or gets bad arguments."""
 
 
-def _dedupe(members) -> tuple:
-    """Drop repeated uncertainty-set members, keeping first-seen order.
-
-    Rewriting can map two distinct members to the same formula; equal
-    members contribute identical coordinates to every valuation pattern,
-    so merging them never changes the pattern count.
-    """
-    out = []
-    for m in members:
-        if m not in out:
-            out.append(m)
-    return tuple(out)
-
-
-def _rebuild(f: Formula, rec) -> Formula:
-    """Rebuild a node with every child mapped through `rec`."""
-    match f:
-        case Atom() | TrueF() | FalseF():
-            return f
-        case Not(sub):
-            return Not(rec(sub))
-        case And(left, right):
-            return And(rec(left), rec(right))
-        case Or(left, right):
-            return Or(rec(left), rec(right))
-        case CoalX(coal, sub):
-            return CoalX(coal, rec(sub))
-        case CoalG(coal, sub):
-            return CoalG(coal, rec(sub))
-        case CoalU(coal, hold, goal):
-            return CoalU(coal, rec(hold), rec(goal))
-        case CoalFG(coal, goal, inv):
-            return CoalFG(coal, rec(goal), rec(inv))
-        case Knows(agent, sub):
-            return Knows(agent, rec(sub))
-        case MutualKnows(coal, sub):
-            return MutualKnows(coal, rec(sub))
-        case Hartley(agent, cmp, thr, beta):
-            return Hartley(agent, cmp, thr, _dedupe(rec(b) for b in beta))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def k_to_h(f: Formula) -> Formula:
     """Replace knowledge by uncertainty, innermost-first.
 
     `K[a] x` becomes `x & H[a] = log(1) {x}`; mutual knowledge expands to the
     conjunction of the members' rewritten knowledge.
     """
-    match f:
-        case Knows(agent, sub):
-            sub2 = k_to_h(sub)
-            return And(sub2, Hartley(agent, "=", LogOfCount(1), (sub2,)))
-        case MutualKnows(coal, sub):
-            parts = [k_to_h(Knows(a, sub)) for a in coal]
-            out = parts[0]
-            for p in parts[1:]:
-                out = And(out, p)
-            return out
-        case _:
-            return _rebuild(f, k_to_h)
+
+    def step(g: Formula, kids) -> Formula:
+        if type(g) not in (Knows, MutualKnows):
+            return rebuild(g, kids)
+        agents = (g.agent,) if type(g) is Knows else g.coalition
+        return reduce(And, [And(kids[0], Hartley(a, "=", LogOfCount(1), kids)) for a in agents])
+
+    return fold(f, step)
 
 
 def phi_beta(beta, cap: int = 4) -> list[Formula]:
@@ -116,11 +68,7 @@ def phi_beta(beta, cap: int = 4) -> list[Formula]:
         raise TranslateError(f"formula set of size {len(members)} exceeds cap {cap}")
     out = []
     for signs in product((1, 0), repeat=len(members)):
-        parts = [b if s else Not(b) for s, b in zip(signs, members)]
-        conj = parts[0]
-        for p in parts[1:]:
-            conj = And(conj, p)
-        out.append(conj)
+        out.append(reduce(And, [b if s else Not(b) for s, b in zip(signs, members)]))
     return out
 
 
@@ -144,14 +92,8 @@ def _count_formula(agent: str, alphas, m: int, n: int) -> Formula:
         for tj, alpha in zip(t, alphas):
             lit: Formula = Knows(agent, Not(alpha))
             parts.append(lit if tj else Not(lit))
-        conj = parts[0]
-        for p in parts[1:]:
-            conj = And(conj, p)
-        disjuncts.append(conj)
-    out = disjuncts[0]
-    for d in disjuncts[1:]:
-        out = Or(out, d)
-    return out
+        disjuncts.append(reduce(And, parts))
+    return reduce(Or, disjuncts)
 
 
 def h_eq_to_k(agent: str, beta, m: int, cap: int = 4) -> Formula:
@@ -184,39 +126,31 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
     The construction is exponential by design, hence the caps.
     """
 
-    def rec(g: Formula) -> Formula:
-        match g:
-            case Hartley(agent, cmp, thr, beta):
-                members = list(_dedupe(rec(b) for b in beta))
-                return _expand(agent, cmp, thr, members)
-            case _:
-                return _rebuild(g, rec)
-
-    def _expand(agent, cmp, thr, members) -> Formula:
+    def step(g: Formula, kids) -> Formula:
+        g = rebuild(g, kids)
+        if type(g) is not Hartley:
+            return g
+        members = g.beta
         n = len(members)
         if n > beta_cap:
             raise TranslateError(
                 f"uncertainty set of size {n} exceeds cap {beta_cap}"
             )
         size = 2**n
-        counts = [c for c in range(1, size + 1) if compare_log(c, cmp, thr)]
+        counts = [c for c in range(1, size + 1) if compare_log(c, g.cmp, g.threshold)]
         if not counts:
             return FalseF()
         if len(counts) == size:
             return TrueF()
-        nodes = _expansion_size([formula_length(b) for b in members], counts, n)
+        alphas = phi_beta(members, beta_cap)
+        nodes = _expansion_size([formula_length(a) for a in alphas], counts, n)
         if nodes > node_cap:
             raise TranslateError(
                 f"translation would have {nodes} nodes, over the cap {node_cap}"
             )
-        alphas = phi_beta(members, beta_cap)
-        parts = [_count_formula(agent, alphas, m, n) for m in counts]
-        out = parts[0]
-        for p in parts[1:]:
-            out = Or(out, p)
-        return out
+        return reduce(Or, [_count_formula(g.agent, alphas, m, n) for m in counts])
 
-    return rec(f)
+    return fold(f, step)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,10 @@ LOAD_ERRORS = [
     (_edit("obs c: s1 ~ s2", "obs x: s1 ~ s2"), "line 14: unknown agent x"),
     (_edit("prop V_A: s1", "prop V A: s1"), "line 16: expected `prop <name>: <states>`"),
     (_edit("prop V_A: s1", "prop V_A: s1 s1x"), "line 16: unknown state s1x"),
+    (_edit("prop V_A: s1", "prop 1x: s1"), "line 16: bad proposition name '1x'"),
+    (_edit("prop V_A: s1", "prop V-A: s1"), "line 16: bad proposition name 'V-A'"),
+    (_edit("prop V_A: s1", "prop true: s1"), "line 16: reserved proposition name 'true'"),
+    (_edit("prop V_A: s1", "prop false: s1"), "line 16: reserved proposition name 'false'"),
     (_edit("(eps, eps) -> s1", "eps, eps -> s1"), "line 12: expected `trans <state> (<actions>) -> <state>`"),
     (_edit("(eps, eps) -> s1", "(eps, eps) s1 -> s1"), "line 12: expected `->` right after the action profile"),
     (_edit("(eps, eps) -> s1", "(eps) -> s1"), "line 12: action profile length differs from agent count"),

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -260,13 +261,31 @@ def test_deeply_nested_formula_is_a_clean_error(fig1_path, tmp_path, text):
     assert run.stdout == ""
 
 
-def test_translation_too_deep_for_the_walkers_is_a_clean_error():
-    # within --cap-nodes, but the 1,820-term disjunction overflows the recursion limit
+def test_deep_translation_within_the_cap_prints():
+    # a 1,820-term disjunction, far deeper than the recursion limit
     run = _run_cli("translate", "--dir", "h2k", "--formula", "H[a] = log(4) {p1, p2, p3, p4}")
-    assert run.returncode == 2
-    assert run.stderr.startswith("error:")
-    assert "nested too deeply" in run.stderr
+    assert run.returncode == 0
     assert "Traceback" not in run.stderr
+    assert run.stdout.splitlines()[-2:] == ["input length: 5", "output length: 356719"]
+
+
+@pytest.mark.parametrize(
+    "direction, text, size, seconds",
+    [
+        # the output is a DAG of 40 levels that prints as a tree of 3 * 2^40 nodes
+        ("k2h", "K[a] " * 40 + "p", 3 * 2**40 - 2, 2),
+        ("k2h", "K[a] " * 19 + "p", 1572862, 60),
+        # each expansion is under the cap, the three together are not
+        ("h2k", " & ".join(["H[a] = log(4) {p1, p2, p3, p4}"] * 3), 1070159, 60),
+    ],
+    ids=["k2h-40", "k2h-19", "h2k-3x"],
+)
+def test_cap_nodes_bounds_the_output_in_both_directions(direction, text, size, seconds):
+    start = time.perf_counter()
+    run = _run_cli("translate", "--dir", direction, "--formula", text)
+    assert time.perf_counter() - start < seconds
+    assert run.returncode == 2
+    assert run.stderr == f"error: translation has {size} nodes, over the cap 1000000\n"
     assert run.stdout == ""
 
 

@@ -196,6 +196,11 @@ def test_parse_error_positions():
         parse_formula("p\n& $")
     assert exc.value.line == 2
     assert exc.value.col == 3
+    # the first bare G in printed order is reported
+    for text, col in (("G p & G q", 1), ("<a> F (G (G p & G q))", 11), ("H[a] = 1 {q, G p}", 14)):
+        with pytest.raises(FormulaError, match="bare G") as exc:
+            parse_formula(text)
+        assert (exc.value.line, exc.value.col) == (1, col), text
 
 
 def test_comments_are_skipped():

@@ -538,6 +538,55 @@ def test_fg_and_nested_strategies_match_oracle():
     assert nested >= 8 and fg >= 8 and bound == 6, (nested, fg, bound)
 
 
+# One agent, `<a> F (x & G y)`, memoryless strategies. With Z the G-region
+# of y, the U-region of x & Z is an upper bound and the least fixpoint R
+# from x & Z, where states in Z keep to moves into R & Z, a lower bound.
+# On the first model the upper bound holds s, where a must play b to reach r
+# and a to stay on y; on the second the lower bound misses s, where b wins.
+FG_UPPER_TOO_HIGH = """\
+agents: a
+states: r s m
+init: r
+actions a: a b
+avail a r: a
+avail a m: a
+trans r (a) -> s
+trans s (a) -> s
+trans s (b) -> m
+trans m (a) -> r
+prop x: r
+prop y: r s
+"""
+
+FG_LOWER_TOO_LOW = """\
+agents: a
+states: s p t
+init: s
+actions a: a b
+avail a p: a
+avail a t: a
+trans s (a) -> s
+trans s (b) -> p
+trans p (a) -> t
+trans t (a) -> t
+prop x: t
+prop y: s t
+"""
+
+
+@pytest.mark.parametrize(
+    "text, holds",
+    [(FG_UPPER_TOO_HIGH, {"r", "m"}), (FG_LOWER_TOO_LOW, {"s", "p", "t"})],
+    ids=["upper-too-high", "lower-too-low"],
+)
+def test_fg_bound_counterexamples_match_oracle(text, holds):
+    model = load_model(text)
+    f = parse_formula("<a> F (x & G y)")
+    for opts in COMBOS:
+        assert label(model, f, opts)[f] == holds, opts
+        _assert_matches_oracle(model, f, opts)
+
+
 def _binding_model(rng):
     """A random model in which coalition member `a0` has one class of two or
     more states offering two or more actions, so uniform strategies are a

@@ -1,6 +1,8 @@
 """Knowledge/uncertainty translation tests."""
 
 import re
+import sys
+from functools import reduce
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from atlh.formula import (
     And,
     Atom,
+    CoalX,
     FalseF,
     Hartley,
     Knows,
@@ -17,6 +20,7 @@ from atlh.formula import (
     TrueF,
     formula_length,
     parse_formula,
+    pretty_print,
 )
 from atlh.mcheck import check, label
 from atlh.sampling import random_cegm
@@ -168,6 +172,18 @@ def test_h_to_k_caps():
     wide = parse_formula("H[a] = log(7) {p, q, r, s}")
     with pytest.raises(TranslateError, match="over the cap"):
         h_to_k(wide, node_cap=1000)
+    # subformulas are translated left to right, so the left cap is hit first
+    with pytest.raises(TranslateError, match="size 5 exceeds"):
+        h_to_k(parse_formula(big + " & H[a] = log(7) {p, q, r, s}"))
+
+
+def test_h_to_k_cap_is_the_exact_output_length():
+    for text in ("H[a] = log(3) {p, q}", "H[a] = 1 {p, K[b] q}", "H[a] <= 1 {p, q | r, !s}"):
+        f = parse_formula(text)
+        size = formula_length(h_to_k(f))
+        assert formula_length(h_to_k(f, node_cap=size)) == size
+        with pytest.raises(TranslateError, match=f"would have {size} nodes"):
+            h_to_k(f, node_cap=size - 1)
 
 
 def test_h_to_k_identity_without_h():
@@ -224,3 +240,27 @@ def test_check_translation_equivalence_deterministic():
     a = check_translation_equivalence(samples=10, seed=99)
     b = check_translation_equivalence(samples=10, seed=99)
     assert a.lines == b.lines
+
+
+def test_walkers_handle_formulas_deeper_than_the_recursion_limit():
+    # dataclass __eq__ and __hash__ still recurse, so compare printed text
+    base = Or(Knows("a", p), Hartley("a", "=", LogOfCount(1), (p,)))
+    base_k, base_h = pretty_print(k_to_h(base)), pretty_print(h_to_k(base))
+    assert base_k == "p & H[a] = log(1) {p} | H[a] = log(1) {p}"
+    assert base_h == "K[a] p | (K[a] !p & !K[a] !!p | !K[a] !p & K[a] !!p)"
+    nots, nexts = base, base
+    for _ in range(5000):
+        nots, nexts = Not(nots), CoalX(("a",), nexts)
+    chain = reduce(Or, [base] + [Atom(f"p{i}") for i in range(1, 3000)])
+    tail = "".join(f" | p{i}" for i in range(1, 3000))
+    assert 3000 > sys.getrecursionlimit()
+    for f, size, wrap in (
+        (nots, 5000 + 5, lambda text: "!" * 5000 + f"({text})"),
+        (nexts, 2 * 5000 + 5, lambda text: "<a> X " * 5000 + f"({text})"),
+        (chain, 5 + 2 * 2999, lambda text: text + tail),
+    ):
+        assert formula_length(f) == size
+        assert pretty_print(f) == wrap(pretty_print(base))
+        assert pretty_print(k_to_h(f)) == wrap(base_k)
+        assert pretty_print(h_to_k(f)) == wrap(base_h)
+        assert formula_length(h_to_k(f)) == size - 5 + formula_length(h_to_k(base))
