@@ -159,6 +159,24 @@ class _FsgSearch:
     side over two children, or pick an epistemic successor for every right
     element while the left side expands to all successors. Results are
     memoized on (left, right) as exact costs or lower bounds.
+
+    The game value is monotone: a win on (C, D) also wins on every
+    non-empty (C' <= C, D' <= D) at the same cost or less, move by move
+    (the same atom closes it, negation swaps the sides, a knowledge move
+    keeps only the picks of the classes D' touches, a split intersects
+    both halves with C'). Three exact pruning rules follow from it:
+
+    (a) a move is tried only when its children's budget can hold a win:
+        negation and knowledge need two nodes, a split three;
+    (b) a knowledge pick m that loses as a singleton right side at the
+        child budget loses in every combination, so picks are enumerated
+        over the surviving members of each class, and not at all when a
+        class keeps none;
+    (b') every bit x of C lies in one half of a split, so the split can
+        win only if solve(x, D, bound - 2) = s(x) wins for every x; with
+        top = max s, the half holding a top bit costs at least top, the
+        other half at most bound - 1 - top, and bits with a larger s
+        ("heavy") must all go to the same half.
     """
 
     def __init__(self, atoms, classes):
@@ -197,14 +215,19 @@ class _FsgSearch:
         bound = budget
 
         # negation: swap sides
-        sub = self.solve(D, C, bound - 1)
-        if sub is not None:
-            best = 1 + sub
-            bound = best - 1
+        if bound >= 2:
+            sub = self.solve(D, C, bound - 1)
+            if sub is not None:
+                best = 1 + sub
+                bound = best - 1
 
         # knowledge: left expands to whole classes, right picks one per class;
-        # classes are disjoint, so no two picks give the same right side
+        # classes are disjoint, so no two picks give the same right side.
+        # Cached children are probed inline: most of them are.
+        exact, lb = self.exact, self.lb
         for class_of in self.classes:
+            if bound < 2:
+                break
             expanded = 0
             rest = C
             while rest:
@@ -215,29 +238,75 @@ class _FsgSearch:
             rest = D
             while rest:
                 cls, members = class_of[rest & -rest]
-                groups.append(members)
+                alive = []
+                for m in members:
+                    sub = exact.get((expanded, m))
+                    if sub is None:
+                        if lb.get((expanded, m), 1) <= bound - 1:
+                            sub = self.solve(expanded, m, bound - 1)
+                    elif sub > bound - 1:
+                        sub = None
+                    if sub is not None:
+                        alive.append(m)
+                if not alive:
+                    break
+                groups.append(alive)
                 rest &= ~cls
+            if rest:
+                continue
             groups.sort()
             for picks in product(*groups):
-                sub = self.solve(expanded, sum(picks), bound - 1)
+                right = sum(picks)
+                sub = exact.get((expanded, right))
+                if sub is None:
+                    if lb.get((expanded, right), 1) <= bound - 1:
+                        sub = self.solve(expanded, right, bound - 1)
+                elif sub > bound - 1:
+                    sub = None
                 if sub is not None and (best is None or 1 + sub < best):
                     best = 1 + sub
                     bound = best - 1
 
         # disjunction: split the left side (right side copied to both children);
-        # the lowest bit goes left with every proper subset of the others
-        rest = C & (C - 1)
-        if rest:
-            first = C ^ rest
-            picked = 0
-            while picked != rest:
-                sub1 = self.solve(first | picked, D, bound - 2)
-                if sub1 is not None:
-                    sub2 = self.solve(rest ^ picked, D, bound - 1 - sub1)
-                    if sub2 is not None and (best is None or 1 + sub1 + sub2 < best):
-                        best = 1 + sub1 + sub2
-                        bound = best - 1
-                picked = (picked - rest) & rest
+        # the lowest bit goes left, and the heavy bits stay together
+        if C & (C - 1) and bound >= 3:
+            costs = []
+            bits = C
+            while bits:
+                bit = bits & -bits
+                s = self.solve(bit, D, bound - 2)
+                if s is None:
+                    break
+                costs.append((bit, s))
+                bits ^= bit
+            if not bits:
+                light = bound - 1 - max(s for _, s in costs)
+                heavy = sum(bit for bit, s in costs if s > light)
+                first = C & -C
+                if heavy & first:
+                    first |= heavy
+                    heavy = 0
+                rest = C ^ first
+                free = rest ^ heavy
+                for base in (0, heavy) if heavy else (0,):
+                    picked = base
+                    while bound >= 3:
+                        if picked != rest:
+                            left = first | picked
+                            sub1 = exact.get((left, D))
+                            if sub1 is None:
+                                if lb.get((left, D), 1) <= bound - 2:
+                                    sub1 = self.solve(left, D, bound - 2)
+                            elif sub1 > bound - 2:
+                                sub1 = None
+                            if sub1 is not None:
+                                sub2 = self.solve(rest ^ picked, D, bound - 1 - sub1)
+                                if sub2 is not None and (best is None or 1 + sub1 + sub2 < best):
+                                    best = 1 + sub1 + sub2
+                                    bound = best - 1
+                        if picked == base | free:
+                            break
+                        picked = base | ((picked - base - free) & free)
 
         if best is not None:
             self.exact[key] = best

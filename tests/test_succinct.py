@@ -1,6 +1,7 @@
 """Tests for the succinctness model families and the two minimal-size engines."""
 
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from atlh.formula import (
     Atom,
     Knows,
     Not,
+    Or,
     formula_length,
     parse_formula,
     pretty_print,
@@ -162,6 +164,15 @@ def test_n2_lower_bound():
     assert fsg_min_win(a, b, 18) is None
 
 
+def test_n3_certified_lower_bound():
+    # no knowledge-only formula of size 10 or less separates M_3 from its
+    # deletions, so fsg_min(3) >= 11; the pruned game proves it quickly
+    a, b = separation_instance(3)
+    started = time.perf_counter()
+    assert fsg_min_win(a, b, 10) is None
+    assert time.perf_counter() - started < 2.0
+
+
 def test_mel_size_cap_returns_none():
     a, b = separation_instance(1)
     assert min_mel_formula(a, b, 3) is None
@@ -189,6 +200,12 @@ def test_mel_on_handmade_split():
     f, size = min_mel_formula(a, b, 6)
     assert (f, size) == (Atom("p_1"), 1)
     assert fsg_min_win(a, b, 6) == 1
+    # q1 and q2 against q0 takes p_1 | p_2; a cap equal to the size must
+    # still find it
+    a = [PointedModel(m, "q1"), PointedModel(m, "q2")]
+    b = [PointedModel(m, "q0")]
+    assert min_mel_formula(a, b, 6) == (Or(Atom("p_1"), Atom("p_2")), 3)
+    assert fsg_min_win(a, b, 3) == 3
 
 
 def _random_sides(rng):
@@ -224,6 +241,30 @@ def test_engines_agree_on_random_multi_agent_instances():
             assert all(check(pm.model, pm.state, f) for pm in a)
             assert not any(check(pm.model, pm.state, f) for pm in b)
     assert len([s for s in sizes if s >= 4]) >= 20
+
+
+def _sub_side(rng, side):
+    kept = [pm for pm in side if rng.random() < 0.5]
+    return kept or [rng.choice(side)]
+
+
+def test_game_value_is_monotone_in_both_sides():
+    # a win on (A, B) also wins on every (A' <= A, B' <= B) at no greater
+    # size; the sub-sides get the whole sides' size as their cap, so a rule
+    # that loses a win only at a tight budget shows here
+    rng = random.Random(20261019)
+    tight = shrunk = 0
+    for _ in range(120):
+        a, b = _random_sides(rng)
+        whole = fsg_min_win(a, b, 9)
+        for _ in range(2):
+            a2, b2 = _sub_side(rng, a), _sub_side(rng, b)
+            part = fsg_min_win(a2, b2, 9 if whole is None else whole)
+            if whole is not None:
+                assert part is not None and part <= whole
+                tight += part == whole
+            shrunk += part is not None and (whole is None or part < whole)
+    assert tight >= 40 and shrunk >= 40
 
 
 def test_experiment_rows():
