@@ -134,7 +134,7 @@ def cmd_translate(args) -> int:
     if args.dir == "h2k":
         result = h_to_k(f, node_cap=args.cap_nodes)
     else:
-        result = k_to_h(f)
+        result = k_to_h(f, node_cap=args.cap_nodes)
     sizes = (formula_length(f), formula_length(result))
     if sizes[1] > args.cap_nodes:
         raise TranslateError(f"translation has {sizes[1]} nodes, over the cap {args.cap_nodes}")

@@ -15,7 +15,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, permutations, product
+from math import factorial, prod
 
 from .cegm import Cegm
 from .formula import (
@@ -143,6 +144,84 @@ def _bit_layout(pointed):
     return total, side, atoms, classes
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+_MAX_ATOM_PERMUTATIONS = 720
+
+
+def _atom_symmetries(total, atoms, classes):
+    """The permutations of the `total` state bits, other than the identity,
+    that come from permuting the common atoms and keep the game's structure.
+
+    `atoms` and `classes` are `_bit_layout`'s. A permutation of the distinct
+    atom masks changes each state's valuation. Every class of the first
+    agent goes to an unused class whose valuations are the changed ones,
+    and each of its states to the state of that class with its changed
+    valuation (equal valuations are paired in index order). A candidate is
+    kept only if it maps the set of atom masks and every agent's class
+    partition onto themselves, so any instance is safe.
+
+    Masks are only exchanged with masks of as many states, and when that
+    leaves more than `_MAX_ATOM_PERMUTATIONS` candidates none is tried, so
+    deriving takes at most 720 candidates of O(total + classes) steps.
+    Each map is a tuple whose entry i is the bit that bit i goes to.
+    """
+    if not classes:
+        return []
+    masks = list(dict.fromkeys(atoms.values()))
+    same_size = {}
+    for j, m in enumerate(masks):
+        same_size.setdefault(m.bit_count(), []).append(j)
+    groups = list(same_size.values())
+    if not 1 < prod(factorial(len(g)) for g in groups) <= _MAX_ATOM_PERMUTATIONS:
+        return []
+    valuation = [0] * total
+    for j, m in enumerate(masks):
+        for i in _bits(m):
+            valuation[i] |= 1 << j
+    # the first agent's classes as states in valuation order, grouped by
+    # their valuations
+    first = [sorted(_bits(cls), key=valuation.__getitem__) for cls in next(iter(classes.values()))]
+    with_valuations = {}
+    for c, members in enumerate(first):
+        with_valuations.setdefault(tuple(valuation[i] for i in members), []).append(c)
+    structure = [set(masks)] + [set(part) for part in classes.values()]
+    maps = []
+    for images in islice(product(*(permutations(g) for g in groups)), 1, None):  # not the identity
+        moved = [0] * len(masks)
+        for g, img in zip(groups, images):
+            for j, k in zip(g, img):
+                moved[j] = 1 << k
+        changed = {v: sum(moved[j] for j in _bits(v)) for v in set(valuation)}
+        free = {vals: list(cs) for vals, cs in with_valuations.items()}
+        image = list(range(total))
+        for members in first:
+            ordered = sorted(members, key=lambda i: changed[valuation[i]])
+            targets = free.get(tuple(changed[valuation[i]] for i in ordered))
+            if not targets:
+                break
+            for i, t in zip(ordered, first[targets.pop()]):
+                image[i] = t
+        else:
+            if _keeps_structure(image, structure):
+                maps.append(tuple(image))
+    return maps
+
+
+def _keeps_structure(image, structure) -> bool:
+    """Whether the bit map `image` maps each set of masks in `structure`
+    onto itself."""
+    return all({sum(1 << image[i] for i in _bits(m)) for m in masks} == masks for masks in structure)
+
+
 # ---------------------------------------------------------------------------
 # Formula-size game
 
@@ -177,9 +256,20 @@ class _FsgSearch:
         top = max s, the half holding a top bit costs at least top, the
         other half at most bound - 1 - top, and bits with a larger s
         ("heavy") must all go to the same half.
+
+    The game value is also invariant: if a permutation s of the state bits
+    maps the set of atom masks and every agent's class partition onto
+    themselves, then v(sC, sD) = v(C, D). Each move on (C, D) maps to the
+    matching move on (sC, sD) and back under the inverse: the same atoms
+    close both, negation commutes with s, s carries the classes C touches
+    to those sC touches (and picks to picks), and a split of C to the split
+    of sC into the halves' images. So an exact value, and "no win <=
+    budget", carries over to every image. An expansion's result is stored
+    under the images of its key by the `maps` of `_atom_symmetries` too, a
+    lower bound as the max with the image's own; probes stay plain lookups.
     """
 
-    def __init__(self, atoms, classes):
+    def __init__(self, atoms, classes, maps=()):
         self.atoms = atoms
         # per agent: single-bit mask -> (its class mask, the class's single bits)
         self.classes = []
@@ -190,8 +280,24 @@ class _FsgSearch:
                 for bit in members:
                     class_of[bit] = (cls, members)
             self.classes.append(class_of)
+        # per map and byte of a mask: the image of each byte value
+        self.tables = [_byte_tables(image) for image in maps]
         self.exact: dict = {}
         self.lb: dict = {}
+
+    def _images(self, C: int, D: int) -> list:
+        """The image of the key (C, D) under every map."""
+        keys = []
+        for tables in self.tables:
+            c = d = 0
+            x, y = C, D
+            for table in tables:
+                c |= table[x & 255]
+                d |= table[y & 255]
+                x >>= 8
+                y >>= 8
+            keys.append((c, d))
+        return keys
 
     def solve(self, C: int, D: int, budget: int):
         """Exact minimal win size if it is <= budget, else None."""
@@ -309,10 +415,29 @@ class _FsgSearch:
                         picked = base | ((picked - base - free) & free)
 
         if best is not None:
-            self.exact[key] = best
+            exact[key] = best
+            if self.tables:
+                for k in self._images(C, D):
+                    exact[k] = best
             return best
-        self.lb[key] = max(self.lb.get(key, 1), budget + 1)
+        lb[key] = max(lb.get(key, 1), budget + 1)
+        if self.tables:
+            for k in self._images(C, D):
+                lb[k] = max(lb.get(k, 1), budget + 1)
         return None
+
+
+def _byte_tables(image) -> list[list[int]]:
+    """For the bit map `image`, per byte of a mask: the image of each of
+    the 256 byte values."""
+    tables = []
+    for start in range(0, len(image), 8):
+        table = [0]
+        for i in range(start, start + 8):
+            bit = 1 << image[i] if i < len(image) else 0
+            table += [t | bit for t in table]
+        tables.append(table)
+    return tables
 
 
 def fsg_min_win(A, B, kmax: int):
@@ -320,8 +445,9 @@ def fsg_min_win(A, B, kmax: int):
     A, B = list(A), list(B)
     if not A or not B:
         raise SuccinctError("both sides must be non-empty")
-    _, side, atoms, classes = _bit_layout(A + B)
-    search = _FsgSearch(list(atoms.values()), classes.values())
+    total, side, atoms, classes = _bit_layout(A + B)
+    maps = _atom_symmetries(total, atoms, classes)
+    search = _FsgSearch(list(atoms.values()), classes.values(), maps)
     C, D = side(A), side(B)
     for k in range(1, kmax + 1):
         found = search.solve(C, D, k)

@@ -26,6 +26,7 @@ from .formula import (
     Not,
     Or,
     TrueF,
+    _own_length,
     fold,
     formula_length,
     pretty_print,
@@ -39,20 +40,34 @@ class TranslateError(ValueError):
     """Raised when a translation exceeds its size caps or gets bad arguments."""
 
 
-def k_to_h(f: Formula) -> Formula:
+def k_to_h(f: Formula, node_cap: int = 10**6) -> Formula:
     """Replace knowledge by uncertainty, innermost-first.
 
     `K[a] x` becomes `x & H[a] = log(1) {x}`; mutual knowledge expands to the
-    conjunction of the members' rewritten knowledge.
+    conjunction of the members' rewritten knowledge. Each level of `K`
+    doubles the printed length, so an uncertainty set whose rewritten
+    members total more than `node_cap` nodes raises before it is built:
+    building it hashes every member as a tree.
     """
 
-    def step(g: Formula, kids) -> Formula:
-        if type(g) not in (Knows, MutualKnows):
-            return rebuild(g, kids)
-        agents = (g.agent,) if type(g) is Knows else g.coalition
-        return reduce(And, [And(kids[0], Hartley(a, "=", LogOfCount(1), kids)) for a in agents])
+    def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
+        size = sum(n for _, n in kids)
+        if type(g) in (Knows, MutualKnows):
+            agents = (g.agent,) if type(g) is Knows else g.coalition
+            x = kids[0][0]
+            rewritten = [And(x, Hartley(a, "=", LogOfCount(1), (x,))) for a in agents]
+            return reduce(And, rewritten), len(agents) * (2 * size + 3) - 1
+        if type(g) is not Hartley or len(kids) < 2:
+            return rebuild(g, [h for h, _ in kids]), _own_length(g) + size
+        if size > node_cap:
+            raise TranslateError(
+                f"uncertainty set members total {size} nodes, over the cap {node_cap}"
+            )
+        h = rebuild(g, [h for h, _ in kids])
+        length = {id(m): n for m, n in kids}
+        return h, 1 + sum(length[id(m)] for m in h.beta)
 
-    return fold(f, step)
+    return fold(f, step)[0]
 
 
 def phi_beta(beta, cap: int = 4) -> list[Formula]:

@@ -289,6 +289,16 @@ def test_cap_nodes_bounds_the_output_in_both_directions(direction, text, size, s
     assert run.stdout == ""
 
 
+def test_cap_nodes_stops_k2h_before_building_an_uncertainty_set():
+    start = time.perf_counter()
+    run = _run_cli("translate", "--dir", "k2h", "--formula", "H[b] = 1 {" + "K[a] " * 40 + "p, q}")
+    assert time.perf_counter() - start < 2
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and "over the cap 1000000" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
+
+
 def test_back_to_back_calls_match_single_calls(fig1_path, capsys):
     calls = [
         ["check", "--model", fig1_path, "--formula", "<v> F Voted", "--output", "json-lines"],

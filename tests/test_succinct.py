@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import factorial
 
 import pytest
 
@@ -18,8 +19,12 @@ from atlh.formula import (
 from atlh.mcheck import CheckOptions, check, hartley_classes, label
 from atlh.sampling import random_cegm
 from atlh.succinct import (
+    _INF,
     PointedModel,
     SuccinctError,
+    _atom_symmetries,
+    _bit_layout,
+    _FsgSearch,
     fsg_min_win,
     gen_Mn,
     gen_Nnj,
@@ -265,6 +270,66 @@ def test_game_value_is_monotone_in_both_sides():
                 tight += part == whole
             shrunk += part is not None and (whole is None or part < whole)
     assert tight >= 40 and shrunk >= 40
+
+
+def _is_symmetry(image, atoms, classes):
+    """`image` permutes the bits and maps the set of atom masks and each
+    agent's partition onto themselves."""
+
+    def apply(mask):
+        return sum(1 << image[i] for i in range(len(image)) if mask >> i & 1)
+
+    masks = set(atoms.values())
+    return (
+        sorted(image) == list(range(len(image)))
+        and {apply(m) for m in masks} == masks
+        and all({apply(c) for c in part} == set(part) for part in classes.values())
+    )
+
+
+def test_family_symmetries_are_the_atom_permutations():
+    for n in (1, 2, 3):
+        a, b = separation_instance(n)
+        total, _, atoms, classes = _bit_layout(a + b)
+        maps = _atom_symmetries(total, atoms, classes)
+        assert len(maps) == factorial(n) - 1
+        assert all(_is_symmetry(image, atoms, classes) for image in maps)
+
+
+def test_symmetries_of_random_instances_keep_the_structure():
+    rng = random.Random(20261020)
+    kept = unequal = 0
+    for _ in range(1000):
+        a, b = _random_sides(rng)
+        total, _, atoms, classes = _bit_layout(a + b)
+        maps = _atom_symmetries(total, atoms, classes)
+        assert all(_is_symmetry(image, atoms, classes) for image in maps)
+        kept += bool(maps)
+        # a map sends each atom mask to one as large, so atoms whose
+        # supports all differ in size allow none
+        if len({bin(m).count("1") for m in atoms.values()}) == len(atoms) > 1:
+            assert maps == []
+            unequal += 1
+    assert kept >= 5 and unequal >= 100
+
+
+@pytest.mark.parametrize("n, kmax", [(2, 19), (3, 10)])
+def test_memo_entries_stored_under_images_hold(n, kmax):
+    # every exact value and lower bound the search stored, under its own key
+    # or an image's, is what a search without maps finds on that key
+    a, b = separation_instance(n)
+    total, side, atoms, classes = _bit_layout(a + b)
+    maps = _atom_symmetries(total, atoms, classes)
+    search = _FsgSearch(list(atoms.values()), classes.values(), maps)
+    found = [search.solve(side(a), side(b), k) for k in range(1, kmax + 1)]
+    assert found[-1] == (19 if n == 2 else None)
+    plain = _FsgSearch(list(atoms.values()), classes.values())
+    for (c, d), value in search.exact.items():
+        if value != _INF:
+            assert plain.solve(c, d, value) == value
+            assert value == 1 or plain.solve(c, d, value - 1) is None
+    for (c, d), bound in search.lb.items():
+        assert plain.solve(c, d, bound - 1) is None
 
 
 def test_experiment_rows():

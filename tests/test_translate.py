@@ -72,6 +72,24 @@ def test_k_to_h_merges_colliding_members():
     assert k_to_h(f) == parse_formula("H[a] >= 1 {p & H[b] = log(1) {p}}")
 
 
+def test_k_to_h_caps_an_uncertainty_set_before_building_it():
+    # K nested k deep rewrites to 3 * 2^k - 2 nodes, so the set below totals
+    # 3 * 2^k - 1; building it would hash that many nodes
+    def nest(k):
+        return parse_formula("H[b] = 1 {" + "K[a] " * k + "p, q}")
+
+    out = k_to_h(nest(6), node_cap=3 * 2**6 - 1)
+    assert formula_length(out) == 3 * 2**6
+    with pytest.raises(TranslateError, match="total 191 nodes, over the cap 190"):
+        k_to_h(nest(6), node_cap=3 * 2**6 - 2)
+    with pytest.raises(TranslateError, match="over the cap 1000000"):
+        k_to_h(nest(40))
+    # the inner set's two members (4 nodes each) merge into one, so the
+    # outer set's members total 6 nodes, not 10
+    merged = k_to_h(parse_formula("H[c] = 1 {H[a] >= 1 {K[b] p, p & H[b] = log(1) {p}}, q}"), node_cap=9)
+    assert formula_length(merged) == 7
+
+
 def test_h_to_k_merges_colliding_members():
     f = parse_formula("H[a] = log(1) {H[b] >= 0 {p}, H[b] <= 9 {q}}")
     assert h_to_k(f) == h_to_k(parse_formula("H[a] = log(1) {H[b] >= 0 {p}}"))
