@@ -5,24 +5,22 @@ arguments as already-computed state sets (bitmasks over the model's state
 order). A strategic operator's state set is the union, over the
 coalition's memoryless strategies, of the states each strategy validates;
 one search, `_search`, computes it for `label`, `check`, `find_witness`
-and `atlh check`. It decides the union in one of two ways:
+and `atlh check`.
 
-- Fixpoints, for X, G and U whenever every coalition choice point covers
-  one state or offers one action: all of `Ir`, and `ir` on models where
-  uniformity constrains nothing (every bundled scenario). Strategies are
-  then free per state, so the union is the winning region of the
-  controllable-predecessor fixpoint (X one step, G greatest, U least).
-- Enumeration, for the reach-then-maintain pattern `F (x & G y)` and for
-  `ir` queries with a choice point spanning several states and actions.
-  There X, G and U first compute the per-state (`Ir`) region, which
-  contains the uniform one, and enumerate only for queried states inside
-  it. A query about a single state stops the enumeration at the
-  formula's root as soon as that state is validated.
+Its bound is the winning region of the game in which every state may use
+any of its coalition moves: a controllable-predecessor fixpoint (X one
+step, G greatest, U least; `F (x & G y)` is U towards the states of `x`
+inside the G-region of `y`). For X, G and U on a per-state engine (all of
+`Ir`, and `ir` wherever uniformity constrains nothing, as in every bundled
+scenario) the bound is the union. Otherwise a depth-first search over the
+choice points, pruned by the same region with the choices made so far
+fixed, looks for a winner from each wanted state the winners found so far
+miss.
 
 A witness is always the first strategy, in `enumerate_strategies` order,
-that validates the queried state. The fixpoint path builds it one choice
-point at a time, and only when a witness is asked for (`find_witness`,
-`atlh check`), never for `check` or `label`.
+that validates the queried state: the first one that search reaches. It
+is searched for only when asked for (`find_witness`, `atlh check`), or
+when the bound is not the union.
 
 Each labelling pass builds one coalition engine per coalition. An engine
 projects the model's move table (`Cegm.moves`) onto the coalition's
@@ -211,9 +209,7 @@ class _CoalitionEngine:
         self.choice_points = []
         # strategies are free per state: no uniformity constraint binds
         self.per_state = True
-        cp_at = []  # per coalition agent, each state's choice-point index
         for a in self.coalition:
-            at = [0] * len(model.states)
             if mode == "ir":
                 for cls in model.epistemic_classes(a):
                     states = tuple(cls)
@@ -222,15 +218,10 @@ class _CoalitionEngine:
                     options = model.avail(a, states[0])
                     if len(states) > 1 and len(options) > 1:
                         self.per_state = False
-                    for q in states:
-                        at[index[q]] = len(self.choice_points)
                     self.choice_points.append((a, states, options))
             else:
-                for i, q in enumerate(model.states):
-                    at[i] = len(self.choice_points)
+                for q in model.states:
                     self.choice_points.append((a, (q,), model.avail(a, q)))
-            cp_at.append(at)
-        self.state_cps = list(zip(*cp_at)) if cp_at else [()] * len(model.states)
         cols = [i for i, a in enumerate(model.agents) if a in members]
         if len(cols) > 1:
             project = itemgetter(*cols)
@@ -251,13 +242,6 @@ class _CoalitionEngine:
     def choice_tuples(self):
         """All strategies, in choice-point-order by action-declaration order."""
         return product(*(options for (_, _, options) in self.choice_points))
-
-    def succ(self, choices) -> list[list[int]]:
-        """Per state, the one successor mask the strategy `choices` allows."""
-        return [
-            [bucket[tuple(choices[j] for j in cps)]]
-            for bucket, cps in zip(self.buckets, self.state_cps)
-        ]
 
     def start_masks(self) -> list[int]:
         """Subjective start set per state: union of members' classes."""
@@ -285,8 +269,9 @@ class _CoalitionEngine:
 
 
 def _condition(succs, kind: str, args) -> int:
-    """States from which every path under one strategy (one move per state
-    in `succs`) meets the condition."""
+    """States from which the coalition, picking among the moves in `succs`,
+    makes every path meet the condition; with one move per state, the states
+    where that strategy wins."""
     if kind == "FG":
         goal, inv = args
         safe = goal & _region(succs, "G", [inv])
@@ -341,80 +326,102 @@ def _region(succs, kind: str, args) -> int:
 
 
 def _first_winner(
-    engine: _CoalitionEngine, kind: str, args, scope: str, at_bit: int, region: int
+    engine: _CoalitionEngine, kind: str, args, scope: str, at: int, region: int, exact: bool
 ):
-    """First choice tuple in `choice_tuples` order validating `at_bit`, built
-    one choice point at a time on a per-state engine, given that some tuple
-    validates it and that `region` is the winning region with no choice fixed.
+    """First choice tuple in `choice_tuples` order whose validated states
+    include state index `at`, with those states, or None if there is none.
+    `region` is the region of `_condition` with no choice fixed; it must
+    validate `at`.
 
-    Each choice point keeps its first action for which the fixpoint, with the
-    choices made so far fixed, still validates `at_bit`; that is the
-    lexicographically first winner, since per-state choices are independent.
-    Two cases need no test. The last action: one of the actions must keep a
-    winner. A state outside the region: restricting its moves leaves the X,
-    least-U and greatest-G regions as they are, so the first action keeps
-    them. Fixing choices only shrinks the region, so the last region
-    computed, or `region`, contains the current one.
+    A depth-first search fixes one choice point at a time, trying actions in
+    declaration order. A prefix is pruned when the region with its choices
+    fixed, and every later choice point left free per state, does not
+    validate `at`: a strategy extending the prefix keeps one of those moves
+    per state, and every kind's region only shrinks as moves are removed.
+    With every choice fixed the region is the strategy's own, so the first
+    complete prefix is the winner. Only the fixed states' move lists change.
+
+    With `exact` (a per-state engine, and X, G or U) the region of every
+    prefix is exact, since one strategy wins on the whole region of a
+    per-state game, so the search never backtracks. Two cases then need no
+    test. The last action: one of the actions must keep a winner. A state
+    outside the region: restricting its moves leaves the X, least-U and
+    greatest-G regions as they are, so the first action keeps them. (Not so
+    for FG: a state outside the U-region can lie inside the G-region that a
+    goal state needs.) The states returned are then a superset of the
+    winner's; without `exact` they are the winner's own.
     """
+    index = engine.model.state_index
+    slot = {a: j for j, a in enumerate(engine.coalition)}
     moves = [list(bucket.items()) for bucket in engine.buckets]
     succs = [[m for _, m in items] for items in moves]
-    slot = {a: j for j, a in enumerate(engine.coalition)}
-    choices = []
-    for agent, states, options in engine.choice_points:
-        picked = options[0]
-        if len(options) > 1:
-            q = engine.model.state_index[states[0]]  # the only state
+    points = engine.choice_points
+    valid = _validated(engine, region, scope)
+    stack = []  # per fixed choice point: action index, replaced moves, region and valid before
+    i = 0
+    while len(stack) < len(points):
+        agent, states, options = points[len(stack)]
+        if len(options) == 1 and i == 0:
+            stack.append((0, (), region, valid))
+            continue
+        if i < len(options):
+            kept = [(q, moves[q], succs[q]) for q in map(index.__getitem__, states)]
+            stack.append((i, kept, region, valid))
+            picked, last, i = options[i], i == len(options) - 1, 0
             j = slot[agent]
-            kept = moves[q]
-            for k, picked in enumerate(options, 1):
-                moves[q] = [km for km in kept if km[0][j] == picked]
+            for q, km, _ in kept:
+                moves[q] = [m for m in km if m[0][j] == picked]
                 succs[q] = [m for _, m in moves[q]]
-                if k == len(options) or not region >> q & 1:
-                    break
-                w = _region(succs, kind, args)
-                if _validated(engine, w, scope) & at_bit:
-                    region = w
-                    break
-        choices.append(picked)
-    return tuple(choices)
+            if exact and (last or not region >> kept[0][0] & 1):
+                continue
+            w = _condition(succs, kind, args)
+            v = _validated(engine, w, scope)
+            if v >> at & 1:
+                region, valid = w, v
+                continue
+        # no action left here, or this one is pruned: undo the last choice
+        if not stack:
+            return None
+        i, kept, region, valid = stack.pop()
+        for q, km, ks in kept:
+            moves[q], succs[q] = km, ks
+        i += 1
+    return tuple(points[k][2][frame[0]] for k, frame in enumerate(stack)), valid
 
 
 def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at):
-    """Union of the states each strategy validates, and the first strategy
-    (a choice tuple, in `choice_tuples` order) whose validated states include
-    state index `at`; `at=None` asks for no strategy.
+    """Union of the states each strategy validates, exact on `want`, and the
+    first strategy (a choice tuple, in `choice_tuples` order) whose validated
+    states include state index `at`; `at=None` asks for no strategy.
 
-    The union is exact on `want` only. When every choice point covers one
-    state or offers one action, strategies are free per state, and X, G and
-    U are decided by fixpoints over the coalition's moves: one strategy then
-    wins on the whole region, so the region is the union. Otherwise (`ir`
-    with a real uniformity constraint, or the FG pattern) strategies are
-    enumerated, stopping once the union covers `want`; for X, G and U only
-    the states the per-state region validates are searched, since uniform
-    strategies are among the per-state ones.
+    The bound is the region of the game in which each state may use any of
+    its coalition moves: every strategy wins inside it. On a per-state
+    engine with X, G or U it is the union, since one strategy then wins on
+    the whole region. Otherwise `_first_winner` runs from each wanted state
+    in the bound that no winner found so far validates, and the union is
+    that of the winners found.
     """
-    at_bit = 0 if at is None else 1 << at
-    if kind != "FG":
-        succs = [list(set(bucket.values())) for bucket in engine.buckets]
-        region = _region(succs, kind, args)
-        bound = _validated(engine, region, scope)
-        if engine.per_state:
-            first = None
-            if bound & at_bit:
-                first = _first_winner(engine, kind, args, scope, at_bit, region)
-            return bound, first
-        want &= bound
-        if not want:
-            return 0, None
-    union = 0
+    succs = [list(set(bucket.values())) for bucket in engine.buckets]
+    region = _condition(succs, kind, args)
+    bound = _validated(engine, region, scope)
+    exact = engine.per_state and kind != "FG"
     first = None
-    for choices in engine.choice_tuples():
-        v = _validated(engine, _condition(engine.succ(choices), kind, args), scope)
-        if v & at_bit and first is None:
-            first = choices
-        union |= v
-        if union & want == want:
-            break
+    union = 0
+    todo = want & bound
+    if at is not None and bound >> at & 1:
+        found = _first_winner(engine, kind, args, scope, at, region, exact)
+        if found is not None:
+            first, union = found
+        todo &= ~(1 << at)
+    if exact:
+        return bound, first
+    todo &= ~union
+    while todo:
+        q = (todo & -todo).bit_length() - 1
+        found = _first_winner(engine, kind, args, scope, q, region, False)
+        if found is not None:
+            union |= found[1]
+        todo &= ~union & ~(1 << q)
     return union, first
 
 
@@ -435,20 +442,6 @@ def _require_agents(model: Cegm, agents) -> None:
     for a in agents:
         if a not in model.actions:
             raise CheckError(f"unknown agent {a}")
-
-
-def _validate(model: Cegm, subformulas) -> None:
-    for g in subformulas:
-        match g:
-            case Atom(name):
-                if name not in model.valuation:
-                    raise CheckError(f"unknown atom {name}")
-            case Knows(agent, _) | Hartley(agent, _, _, _):
-                _require_agents(model, (agent,))
-            case CoalX(coal, _) | CoalG(coal, _) | MutualKnows(coal, _):
-                _require_agents(model, coal)
-            case CoalU(coal, _, _) | CoalFG(coal, _, _):
-                _require_agents(model, coal)
 
 
 def _knows_mask(model: Cegm, agent: str, sub: int) -> int:
@@ -487,7 +480,6 @@ def label_masks(
             raise CheckError(f"unknown state {state}")
         at = model.state_index[state]
     order = subformulas_by_length(f)
-    _validate(model, order)
     full = model.full_mask
     want = full if exact or at is None else 1 << at
     witness_at = at if witness else None
@@ -498,6 +490,8 @@ def label_masks(
         search = None
         match g:
             case Atom(name):
+                if name not in model.valuation:
+                    raise CheckError(f"unknown atom {name}")
                 mask = model.mask(model.valuation[name])
             case TrueF():
                 mask = full
@@ -510,12 +504,15 @@ def label_masks(
             case Or(left, right):
                 mask = lab[left] | lab[right]
             case Knows(agent, sub):
+                _require_agents(model, (agent,))
                 mask = _knows_mask(model, agent, lab[sub])
             case MutualKnows(coal, sub):
+                _require_agents(model, coal)
                 mask = full
                 for a in coal:
                     mask &= _knows_mask(model, a, lab[sub])
-            case Hartley():
+            case Hartley(agent):
+                _require_agents(model, (agent,))
                 mask = _hartley_mask(model, g, lab)
             case CoalX(coal, sub):
                 search = coal, "X", [lab[sub]]
@@ -531,6 +528,7 @@ def label_masks(
             coal, kind, args = search
             engine = engines.get(coal)
             if engine is None:
+                _require_agents(model, coal)
                 engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
             root = g is f
             mask, choices = _search(

@@ -1,10 +1,12 @@
-"""Shared pytest configuration.
+"""Shared pytest configuration and helpers.
 
 After a run that included the acceptance suite, prints one verdict line per
 acceptance criterion so the gate can be read off the terminal directly.
+`within` enforces a test's time bound while the call runs.
 """
 
 import re
+import signal
 
 CRITERIA = {
     1: "single-referendum coercion resistance holds at the start state",
@@ -20,6 +22,38 @@ CRITERIA = {
     11: "randomized invariant suites report zero violations",
     12: "strategy enumeration agrees with the brute-force oracle",
 }
+
+
+class TimeLimitExceeded(BaseException):
+    """A call outran its time bound. Not an `Exception`, so handlers in the
+    code under test, such as `cli.main`'s, cannot swallow it."""
+
+
+def within(seconds: float, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, interrupted by `TimeLimitExceeded` once it has
+    run `seconds` of wall time, so a runaway call fails instead of hanging.
+
+    The exception is raised again from here, without the interrupted frames:
+    a frame stopped between two lines has no line number, which pytest
+    cannot print. The message names the function that was running."""
+
+    def expire(signum, frame):
+        code = frame.f_code
+        raise TimeLimitExceeded(
+            f"{getattr(fn, '__name__', fn)} ran past {seconds} s,"
+            f" interrupted in {code.co_name} ({code.co_filename})"
+        )
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args, **kwargs)
+    except TimeLimitExceeded as exc:
+        raise TimeLimitExceeded(*exc.args) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

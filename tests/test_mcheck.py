@@ -17,6 +17,7 @@ from atlh.formula import (
     Hartley,
     LogOfCount,
     Real,
+    TrueF,
     parse_formula,
     subformulas_by_length,
 )
@@ -32,8 +33,10 @@ from atlh.mcheck import (
     label,
 )
 from atlh.sampling import random_cegm, random_formula
+from atlh.scenarios import gen_threeballot
 
 from bruteforce import oracle_label, strategy_wins
+from conftest import within
 
 FIG1 = """\
 agents: v c
@@ -519,7 +522,7 @@ def test_fg_and_nested_strategies_match_oracle():
     four mode/scope combinations. Random models rarely make uniformity
     matter, so after a plain sample the draw keeps only (model, formula)
     pairs where `ir` and `Ir` labels differ: there both the fixpoints and
-    the pruned enumeration run."""
+    the pruned search run."""
     rng = Random(4401)
     nested = fg = bound = 0
     for i in range(3000):
@@ -587,6 +590,49 @@ def test_fg_bound_counterexamples_match_oracle(text, holds):
         _assert_matches_oracle(model, f, opts)
 
 
+def _timed_label(model, text, opts, seconds):
+    """The label of `text` and its verdict at q0 by `check`, each within `seconds`."""
+    f = parse_formula(text)
+    return within(seconds, label, model, f, opts)[f], within(seconds, check, model, "q0", f, opts)
+
+
+def test_threeballot_fg_queries_finish_with_pinned_verdicts():
+    """Reach-then-maintain queries on ThreeBallot, each within 1 s in all
+    four mode/scope combinations. The q0 verdicts follow from the model:
+    - a vote cannot be `Ab` and back B, nor `ab` and back A, so the goals
+      `V1_eq_Ab & V_B` and `V1_eq_ab & V_A` hold nowhere: empty labels;
+    - `G true` holds everywhere, so `<v> F (V1_eq_aB & G true)` labels the
+      states `<v> F V1_eq_aB` does, q0 among them: v votes `aB` there;
+    - c has only `eps`, so v may vote `aB` at q0 and never reach `V_A`:
+      `<c> F (V_A & G V1_eq_V2)` is false at q0."""
+    model = gen_threeballot()
+    for opts in COMBOS:
+        for text in ("<v, w> F (V1_eq_Ab & G V_B)", "<v, c> F (V1_eq_ab & G V_A)"):
+            assert _timed_label(model, text, opts, 1.0) == (set(), False), (text, opts)
+        reach, holds = _timed_label(model, "<v> F (V1_eq_aB & G true)", opts, 1.0)
+        assert holds and reach == _timed_label(model, "<v> F V1_eq_aB", opts, 1.0)[0], opts
+        _, holds = _timed_label(model, "<c> F (V_A & G V1_eq_V2)", opts, 1.0)
+        assert not holds, opts
+
+
+def test_fg_with_invariant_true_labels_as_reachability():
+    """`<A> F (x & G true)` and `<A> F x` label the same states on random
+    models in all four mode/scope combinations: the first runs the strategy
+    search, the second the fixpoint unless a uniformity constraint binds,
+    and enough draws have one that binds."""
+    rng = Random(9102)
+    binding = 0
+    for _ in range(300):
+        model = random_cegm(rng, max_states=5, max_agents=2, max_actions=3)
+        coal = tuple(rng.sample(model.agents, rng.randint(0, min(2, len(model.agents)))))
+        x = random_formula(rng, model.props, model.agents, depth=2, strategic_budget=1)
+        fg, reach = CoalFG(coal, x, TrueF()), CoalU(coal, TrueF(), x)
+        for opts in COMBOS:
+            assert label(model, fg, opts)[fg] == label(model, reach, opts)[reach], (fg, opts)
+        binding += not _CoalitionEngine(model, coal, "ir").per_state
+    assert binding >= 30, binding
+
+
 def _binding_model(rng):
     """A random model in which coalition member `a0` has one class of two or
     more states offering two or more actions, so uniform strategies are a
@@ -625,8 +671,8 @@ def _binding_model(rng):
 def test_uniformity_binding_models_match_oracle():
     """Labels and witnesses against the oracle on models where uniformity
     binds a coalition member, in all four mode/scope combinations: `ir`
-    queries there run the pruned enumeration over the engine's projected
-    buckets (`succ`), which no bundled model reaches. Both single-state
+    queries there run the pruned search over the engine's projected
+    buckets, which no bundled model reaches. Both single-state
     queries (`check`, `find_witness`) and whole labels are compared. After
     24 plain draws, only draws whose `ir` and `Ir` labels differ are
     compared, until there are 10 of them."""
