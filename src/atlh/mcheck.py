@@ -15,7 +15,10 @@ inside the G-region of `y`). For X, G and U on a per-state engine (all of
 scenario) the bound is the union. Otherwise a depth-first search over the
 choice points, pruned by the same region with the choices made so far
 fixed, looks for a winner from each wanted state the winners found so far
-miss.
+miss. Fixing a choice point recomputes the region only on the states whose
+membership the lost moves can change (`_narrow`), over the engine's
+predecessor masks; a choice point the queried state's start set cannot
+reach keeps its first action untested.
 
 A witness is always the first strategy, in `enumerate_strategies` order,
 that validates the queried state: the first one that search reaches. It
@@ -238,6 +241,7 @@ class _CoalitionEngine:
                 bucket[key] = bucket.get(key, 0) | bit
             self.buckets.append(bucket)
         self._start_masks = None
+        self._predecessors = None
 
     def choice_tuples(self):
         """All strategies, in choice-point-order by action-declaration order."""
@@ -256,6 +260,21 @@ class _CoalitionEngine:
             self._start_masks = masks
         return self._start_masks
 
+    def predecessors(self) -> list[int]:
+        """Per state, the states with some move that may lead to it."""
+        if self._predecessors is None:
+            preds = [0] * len(self.buckets)
+            for i, bucket in enumerate(self.buckets):
+                post = 0
+                for m in bucket.values():
+                    post |= m
+                while post:
+                    low = post & -post
+                    preds[low.bit_length() - 1] |= 1 << i
+                    post ^= low
+            self._predecessors = preds
+        return self._predecessors
+
     def strategy_from(self, choices) -> Strategy:
         actions: dict = {a: {} for a in self.coalition}
         for (agent, states, _), chosen in zip(self.choice_points, choices):
@@ -268,15 +287,16 @@ class _CoalitionEngine:
         return Strategy(self.coalition, ordered)
 
 
-def _condition(succs, kind: str, args) -> int:
+def _condition(succs, kind: str, args) -> tuple[int, int]:
     """States from which the coalition, picking among the moves in `succs`,
-    makes every path meet the condition; with one move per state, the states
-    where that strategy wins."""
+    makes every path meet the condition (with one move per state, the states
+    where that strategy wins), and for FG the G-region of the invariant
+    whose goal states they reach (0 for the other kinds)."""
     if kind == "FG":
         goal, inv = args
-        safe = goal & _region(succs, "G", [inv])
-        return _region(succs, "U", [(1 << len(succs)) - 1, safe])
-    return _region(succs, kind, args)
+        g = _region(succs, "G", [inv])
+        return _region(succs, "U", [(1 << len(succs)) - 1, goal & g]), g
+    return _region(succs, kind, args), 0
 
 
 def _validated(engine: _CoalitionEngine, w: int, scope: str) -> int:
@@ -290,16 +310,27 @@ def _validated(engine: _CoalitionEngine, w: int, scope: str) -> int:
     return v
 
 
+def _gather(table, mask: int) -> int:
+    """Union of `table[i]` over the set bits `i` of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _cpre(succs, z: int, cand: int) -> int:
     """States in `cand` where some coalition move keeps every successor in `z`."""
     out = 0
     bad = ~z
-    for i, moves in enumerate(succs):
-        if cand >> i & 1:
-            for m in moves:
-                if not m & bad:
-                    out |= 1 << i
-                    break
+    while cand:
+        low = cand & -cand
+        for m in succs[low.bit_length() - 1]:
+            if not m & bad:
+                out |= low
+                break
+        cand ^= low
     return out
 
 
@@ -325,13 +356,85 @@ def _region(succs, kind: str, args) -> int:
         z = nz
 
 
+def _shrink(succs, pred, z: int, dirty: int) -> int:
+    """Greatest fixpoint of `_cpre` below `z`, which was one before the
+    states in `dirty` lost moves: only those states, and then the
+    predecessors of the states dropped, are tested again."""
+    dirty &= z
+    while dirty:
+        lost = dirty & ~_cpre(succs, z, dirty)
+        z &= ~lost
+        dirty = _gather(pred, lost) & z
+    return z
+
+
+def _grow(succs, pred, hold: int, goal: int, z: int, seeds: int) -> int:
+    """Least U-fixpoint (`hold`, `goal`) inside `z`, which was the fixpoint
+    before the states in `seeds` lost moves or left the goal. A state of `z`
+    outside the backward closure of the seeds inside `z` wins as before: it
+    keeps all its moves, and none of its successors lies in the closure. So
+    the fixpoint restarts from those states and the goal, and tests only
+    states in the closure."""
+    cut = frontier = seeds & z
+    while frontier:
+        frontier = _gather(pred, frontier) & z & ~cut
+        cut |= frontier
+    z = (z & ~cut) | goal
+    cand = cut & hold & ~z
+    while cand:
+        won = _cpre(succs, z, cand)
+        z |= won
+        cand = _gather(pred, won) & cut & hold & ~z
+    return z
+
+
+def _narrow(engine: _CoalitionEngine, succs, kind: str, args, scope: str, now, fixed: int):
+    """`now` is `(region, gpart, valid)`: `_condition` and `_validated` of the
+    moves before the states in `fixed` lost some of theirs. Returns the same
+    triple for `succs`, recomputed only on the states whose membership the
+    lost moves can change."""
+    region, gpart, valid = now
+    if kind == "X":
+        test = fixed & region
+        w, g = region & ~(test & ~_cpre(succs, args[0], test)), 0
+    elif kind == "G":
+        w, g = _shrink(succs, engine.predecessors(), region, fixed), 0
+    elif kind == "U":
+        w, g = _grow(succs, engine.predecessors(), args[0], args[1], region, fixed), 0
+    else:
+        pred = engine.predecessors()
+        goal = args[0]
+        g = _shrink(succs, pred, gpart, fixed)
+        seeds = fixed | goal & gpart & ~g
+        w = _grow(succs, pred, (1 << len(succs)) - 1, goal & g, region, seeds)
+    if scope == "objective":
+        return w, g, w
+    # start sets are unions of the members' classes, so i's holds j exactly
+    # when j's holds i: the states whose start set lost a state are those
+    # in the start sets of the states lost
+    return w, g, valid & ~_gather(engine.start_masks(), region & ~w)
+
+
+def _reachable(succs, start: int) -> int:
+    """States some path under the moves in `succs` reaches from `start`."""
+    seen = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        for m in succs[low.bit_length() - 1]:
+            new = m & ~seen
+            seen |= new
+            frontier |= new
+    return seen
+
+
 def _first_winner(
-    engine: _CoalitionEngine, kind: str, args, scope: str, at: int, region: int, exact: bool
+    engine: _CoalitionEngine, kind: str, args, scope: str, at: int, parts, exact: bool
 ):
     """First choice tuple in `choice_tuples` order whose validated states
     include state index `at`, with those states, or None if there is none.
-    `region` is the region of `_condition` with no choice fixed; it must
-    validate `at`.
+    `parts` is `_condition` with no choice fixed; its region must validate
+    `at`.
 
     A depth-first search fixes one choice point at a time, trying actions in
     declaration order. A prefix is pruned when the region with its choices
@@ -339,7 +442,9 @@ def _first_winner(
     validate `at`: a strategy extending the prefix keeps one of those moves
     per state, and every kind's region only shrinks as moves are removed.
     With every choice fixed the region is the strategy's own, so the first
-    complete prefix is the winner. Only the fixed states' move lists change.
+    complete prefix is the winner. Only the fixed states' move lists change,
+    and `_narrow` recomputes the region only on the states whose membership
+    that can change; every other state keeps the parent prefix's value.
 
     With `exact` (a per-state engine, and X, G or U) the region of every
     prefix is exact, since one strategy wins on the whole region of a
@@ -350,43 +455,62 @@ def _first_winner(
     for FG: a state outside the U-region can lie inside the G-region that a
     goal state needs.) The states returned are then a superset of the
     winner's; without `exact` they are the winner's own.
+
+    Without `exact` a choice point none of whose states the start set (`at`,
+    or in subjective scope the states of its start set) reaches under the
+    moves left keeps its first action, untested, and is never revisited:
+    whether a strategy extending the prefix validates `at` does not depend
+    on it, so the first winner, if any, plays its first action there.
     """
     index = engine.model.state_index
     slot = {a: j for j, a in enumerate(engine.coalition)}
     moves = [list(bucket.items()) for bucket in engine.buckets]
     succs = [[m for _, m in items] for items in moves]
     points = engine.choice_points
-    valid = _validated(engine, region, scope)
-    stack = []  # per fixed choice point: action index, replaced moves, region and valid before
+    now = parts + (_validated(engine, parts[0], scope),)
+    pending = 0  # states fixed, untested, since `now` was computed
+    reach = None
+    if not exact:
+        start = 1 << at if scope == "objective" else engine.start_masks()[at]
+        reach = _reachable(succs, start)
+    # per fixed choice point: action index, index to resume from on
+    # backtrack, replaced moves, and the search state before it
+    stack = []
     i = 0
     while len(stack) < len(points):
         agent, states, options = points[len(stack)]
+        saved = now, pending, reach
         if len(options) == 1 and i == 0:
-            stack.append((0, (), region, valid))
+            stack.append((0, 1, (), saved))
             continue
         if i < len(options):
             kept = [(q, moves[q], succs[q]) for q in map(index.__getitem__, states)]
-            stack.append((i, kept, region, valid))
+            fixed = engine.model.mask(states)
+            unreached = i == 0 and reach is not None and not fixed & reach
+            stack.append((i, len(options) if unreached else i + 1, kept, saved))
             picked, last, i = options[i], i == len(options) - 1, 0
             j = slot[agent]
             for q, km, _ in kept:
                 moves[q] = [m for m in km if m[0][j] == picked]
                 succs[q] = [m for _, m in moves[q]]
-            if exact and (last or not region >> kept[0][0] & 1):
+            if unreached or exact and (last or not now[0] & fixed):
+                pending |= fixed
                 continue
-            w = _condition(succs, kind, args)
-            v = _validated(engine, w, scope)
-            if v >> at & 1:
-                region, valid = w, v
+            nxt = _narrow(engine, succs, kind, args, scope, now, pending | fixed)
+            if nxt[2] >> at & 1:
+                now, pending = nxt, 0
+                if reach is not None and fixed & reach:
+                    reach = _reachable(succs, start)
                 continue
         # no action left here, or this one is pruned: undo the last choice
         if not stack:
             return None
-        i, kept, region, valid = stack.pop()
+        _, i, kept, (now, pending, reach) = stack.pop()
         for q, km, ks in kept:
             moves[q], succs[q] = km, ks
-        i += 1
-    return tuple(points[k][2][frame[0]] for k, frame in enumerate(stack)), valid
+    if pending and not exact:
+        now = _narrow(engine, succs, kind, args, scope, now, pending)
+    return tuple(points[k][2][frame[0]] for k, frame in enumerate(stack)), now[2]
 
 
 def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at):
@@ -402,14 +526,14 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     that of the winners found.
     """
     succs = [list(set(bucket.values())) for bucket in engine.buckets]
-    region = _condition(succs, kind, args)
-    bound = _validated(engine, region, scope)
+    parts = _condition(succs, kind, args)
+    bound = _validated(engine, parts[0], scope)
     exact = engine.per_state and kind != "FG"
     first = None
     union = 0
     todo = want & bound
     if at is not None and bound >> at & 1:
-        found = _first_winner(engine, kind, args, scope, at, region, exact)
+        found = _first_winner(engine, kind, args, scope, at, parts, exact)
         if found is not None:
             first, union = found
         todo &= ~(1 << at)
@@ -418,7 +542,7 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     todo &= ~union
     while todo:
         q = (todo & -todo).bit_length() - 1
-        found = _first_winner(engine, kind, args, scope, q, region, False)
+        found = _first_winner(engine, kind, args, scope, q, parts, False)
         if found is not None:
             union |= found[1]
         todo &= ~union & ~(1 << q)

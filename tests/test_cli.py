@@ -22,6 +22,8 @@ from atlh.scenarios import (
 )
 from atlh.cegm import save_model
 
+from conftest import within
+
 MICRO = """
 agents: a
 states: s0 s1 b
@@ -233,6 +235,26 @@ def test_threeballot_witness_output_is_pinned(tmp_path, capsys):
     assert len(out) == 12104
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "73f74d6a79bf6f7fe0fe66adfbba4dc5fd1c8c3be7be647ac5232123a37a4bb7"
+
+
+@pytest.mark.parametrize("mode", ["ir", "Ir"])
+@pytest.mark.parametrize("scope", ["objective", "subjective"])
+def test_threeballot_attractor_output_is_pinned(tmp_path, capsys, mode, scope):
+    # w sees every state, so all four combinations print the same witness:
+    # the first winning strategy in enumeration order, fixed one choice
+    # point at a time with the region recomputed only where it can change
+    path = tmp_path / "threeballot.cegm"
+    path.write_text(save_model(gen_threeballot()), encoding="utf-8")
+    argv = ["check", "--model", str(path), "--formula", "<w> F V1_eq_V2"]
+    assert within(1, main, [*argv, "--strategy-mode", mode, "--scope", scope]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "formula: <w> F V1_eq_V2\nstate: q0\nresult: true\n"
+        "witness: w: q0=eps bs_ab_BB_FB_BF=eps r_ab_BB_FB_BF_BB=ab_BB_FB_BF "
+    )
+    assert len(out) == 6238
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "51213a0277470b8e5061ac2e627b8725717115ad2da7258bc2fece29704ee87c"
 
 
 def _run_cli(*argv):

@@ -25,6 +25,9 @@ from atlh.mcheck import (
     CheckError,
     CheckOptions,
     _CoalitionEngine,
+    _condition,
+    _narrow,
+    _validated,
     check,
     compare_log,
     enumerate_strategies,
@@ -385,6 +388,7 @@ def _oracle_first_winner(model, state, f, opts):
 
 def _assert_matches_oracle(model, f, opts):
     holds = oracle_label(model, f, opts.strategy_mode, opts.success_scope)
+    assert label(model, f, opts)[f] == holds, (f, opts)
     for q in model.states:
         assert check(model, q, f, opts) == (q in holds), (f, q, opts)
         if isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
@@ -491,6 +495,79 @@ def test_uniform_and_per_state_verdicts_differ_and_match_oracle():
         f = parse_formula(text)
         for opts in COMBOS:
             _assert_matches_oracle(model, f, opts)
+
+
+def _fork_gadget(k: int) -> str:
+    """FORK with k two-state classes of a's self-loops declared between its
+    sinks (g, d) and its fork (s0, s1). No FORK state reaches a loop, and
+    from g the search fixes the loops and the fork after its last test."""
+    loops = [f"l{i}{side}" for i in range(k) for side in "ab"]
+    lines = [
+        "agents: a b",
+        "states: " + " ".join(["g", "d", *loops, "s0", "s1"]),
+        "init: s0",
+        "actions a: x y",
+        "actions b: l r",
+    ]
+    lines += [f"trans {q} ({x}, {y}) -> {q}" for q in loops for x in "xy" for y in "lr"]
+    lines += [f"obs a: l{i}a ~ l{i}b" for i in range(k)]
+    lines += [line for line in FORK.splitlines() if line.startswith(("trans", "obs", "prop"))]
+    return "\n".join(lines) + "\n"
+
+
+def test_unreachable_choice_points_are_not_searched():
+    """The loops' choices cannot change whether a strategy wins from s0, so
+    they keep their first action untested: at k = 16 the search tries the
+    fork a few times instead of once per loop prefix (2**16)."""
+    model = load_model(_fork_gadget(16))
+    f = parse_formula("<a> F goal")
+    assert not within(2, check, model, "s0", f)
+    assert within(2, find_witness, model, "s0", f) is None
+    assert within(2, label, model, f)[f] == {"g", "s1"}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_fork_gadget_matches_oracle(k):
+    """Labels and witnesses against the oracle; searching from g fixes the
+    unreachable fork last, so g's winner must not report s0 as validated.
+    Beyond k = 2 only `<a> F goal` in `ir` runs: the oracle walks all
+    2**(2k + 4) per-state strategies."""
+    model = load_model(_fork_gadget(k))
+    small = k <= 2
+    for text in ("<a> F goal", "<a> G p", "<a> F (p & G p)")[: 3 if small else 1]:
+        f = parse_formula(text)
+        for opts in COMBOS if small else COMBOS[:2]:
+            _assert_matches_oracle(model, f, opts)
+
+
+# a cannot tell s0 from u, but in Ir mode chooses at each separately; u,
+# which s0 never reaches, must play y to stay on p
+BLIND_START = """\
+agents: a
+states: s0 u b
+init: s0
+actions a: x y
+avail a b: x
+trans s0 (x) -> s0
+trans s0 (y) -> b
+trans u (x) -> b
+trans u (y) -> u
+trans b (x) -> b
+obs a: s0 ~ u
+prop p: s0 u
+"""
+
+
+def test_subjective_search_covers_the_start_set():
+    """In subjective scope a choice point the queried state cannot reach
+    still matters when its states lie in the start set."""
+    model = load_model(BLIND_START)
+    f = parse_formula("<a> F (p & G p)")
+    opts = CheckOptions(strategy_mode="Ir", success_scope="subjective")
+    assert check(model, "s0", f, opts)
+    assert find_witness(model, "s0", f, opts).actions == {"a": {"s0": "x", "u": "y", "b": "x"}}
+    for opts in COMBOS:
+        _assert_matches_oracle(model, f, opts)
 
 
 STRATEGIC = (CoalX, CoalG, CoalU, CoalFG)
@@ -697,3 +774,63 @@ def test_uniformity_binding_models_match_oracle():
         if binding == 10:
             break
     assert binding == 10, binding
+
+
+def _restricted_succs(engine, fixes):
+    """Successor masks per state with each (choice point, action) in
+    `fixes` played, the other choice points free."""
+    slot = {a: j for j, a in enumerate(engine.coalition)}
+    moves = [list(bucket.items()) for bucket in engine.buckets]
+    for (agent, states, _), picked in fixes:
+        for q in states:
+            i = engine.model.state_index[q]
+            moves[i] = [m for m in moves[i] if m[0][slot[agent]] == picked]
+    return [[m for _, m in items] for items in moves]
+
+
+def _from_scratch(engine, succs, kind, args, scope):
+    w, g = _condition(succs, kind, args)
+    return w, g, _validated(engine, w, scope)
+
+
+def test_local_recompute_matches_from_scratch():
+    """`_narrow`, which recomputes a region only on the states a fixed
+    choice point can change, against `_condition` (with FG's G-part) and
+    `_validated` from scratch on the same restricted moves: X, G, U and FG,
+    both modes and scopes, random and uniformity-binding models. Along a
+    random prefix every action of every choice point is tried from the
+    prefix's state; about half the prefix's choices are left pending, so
+    one recompute often covers several fixed choice points."""
+    rng = Random(6113)
+    kinds = ("X", "G", "U", "FG")
+    tried = 0
+    for i in range(600):
+        if i % 2:
+            model = _binding_model(rng)
+        else:
+            model = random_cegm(rng, max_states=6, max_agents=2, max_actions=3)
+        coal = tuple(rng.sample(model.agents, rng.randint(1, len(model.agents))))
+        masks = [rng.getrandbits(len(model.states)) for _ in range(2)]
+        kind = kinds[i % 4]
+        args = masks[:1] if kind in ("X", "G") else masks
+        for mode, scope in product(("ir", "Ir"), ("objective", "subjective")):
+            engine = _CoalitionEngine(model, coal, mode)
+            fixes = []
+            now = _from_scratch(engine, _restricted_succs(engine, []), kind, args, scope)
+            pending = []  # fixes made since `now` was computed
+            for point in engine.choice_points:
+                for picked in point[2]:
+                    succs = _restricted_succs(engine, fixes + [(point, picked)])
+                    fixed = model.mask(point[1])
+                    for p, _ in pending:
+                        fixed |= model.mask(p[1])
+                    got = _narrow(engine, succs, kind, args, scope, now, fixed)
+                    assert got == _from_scratch(engine, succs, kind, args, scope), (kind, mode, scope)
+                    tried += 1
+                fix = (point, rng.choice(point[2]))
+                fixes.append(fix)
+                pending.append(fix)
+                if rng.random() < 0.5:
+                    now = _from_scratch(engine, _restricted_succs(engine, fixes), kind, args, scope)
+                    pending = []
+    assert tried > 10000, tried
