@@ -430,16 +430,10 @@ def save_model(model: Cegm) -> str:
             chosen = model.avail(a, q)
             if chosen != model.actions[a]:
                 out.append(f"avail {a} {q}: " + " ".join(chosen))
-    order = [{x: i for i, x in enumerate(model.actions[a])} for a in model.agents]
-    by_state: dict[str, list] = {q: [] for q in model.states}
-    for (s, p) in model.trans:
-        by_state[s].append(p)
-    for q in model.states:
-        profiles = sorted(
-            by_state[q], key=lambda p: tuple(order[i][x] for i, x in enumerate(p))
-        )
-        for profile in profiles:
-            out.append(f"trans {q} ({', '.join(profile)}) -> {model.trans[q, profile]}")
+    for q, row in zip(model.states, model.moves):
+        for profile, bit in row:
+            target = model.states[bit.bit_length() - 1]
+            out.append(f"trans {q} ({', '.join(profile)}) -> {target}")
     for a in model.agents:
         for cls in model.epistemic_classes(a):
             members = sorted(cls, key=model.state_index.__getitem__)

@@ -203,7 +203,9 @@ def cmd_experiment(args) -> int:
         print("\n".join(out))
         return 0
     if args.name == "translation-equivalence":
-        report = check_translation_equivalence(samples=args.samples, seed=args.seed)
+        report = check_translation_equivalence(
+            samples=args.samples, seed=args.seed, opts=_options(args)
+        )
         print(report)
         print(f"mismatches: {report.mismatches}")
         return 0 if report.mismatches == 0 else 1

@@ -323,39 +323,22 @@ def infoset_table_csv(rows) -> str:
 _MAX_DOUBT = "H[c] = log(4) {V_A, V_B}"
 
 
-def _epistemic_coercion_goals(literal_antecedent: bool) -> list[str]:
-    guard = "!V1_eq_V2" if literal_antecedent else "V1_eq_V2"
-    return [
-        f"<v, c> F (V1_eq_{vote} & ({guard} | K[c] V1_eq_{vote}))" for vote in VOTES
-    ]
-
-
-def _hartley_coercion_goals() -> list[str]:
-    return [f"<v, c> F (V1_eq_{vote} & (V1_eq_V2 | {_MAX_DOUBT}))" for vote in VOTES]
-
-
-def _none_of(goals: list[str]) -> Formula:
-    return parse_formula(" & ".join(f"!{goal}" for goal in goals))
-
-
-def _any_enforceable(model: Cegm, goals: list[str]) -> bool:
-    """Can the voter-coercer pair force some goal from the initial state?
-    Checks one goal at a time, so the first enforceable goal ends the
-    search."""
-    return any(check(model, model.initial, parse_formula(goal)) for goal in goals)
-
-
 def epistemic_coercion_property(literal_antecedent: bool = False) -> Formula:
     """No voter-coercer strategy makes the coercer learn the vote, for any
     vote value; differing votes are required before knowledge counts (set
     `literal_antecedent` to require matching votes instead)."""
-    return _none_of(_epistemic_coercion_goals(literal_antecedent))
+    guard = "!V1_eq_V2" if literal_antecedent else "V1_eq_V2"
+    parts = [
+        f"!<v, c> F (V1_eq_{vote} & ({guard} | K[c] V1_eq_{vote}))" for vote in VOTES
+    ]
+    return parse_formula(" & ".join(parts))
 
 
 def hartley_coercion_property() -> Formula:
     """Strategic reading: the voter-coercer pair can steer every play into an
     outcome with their chosen vote and maximal coercer uncertainty."""
-    return _none_of(_hartley_coercion_goals())
+    parts = [f"!<v, c> F (V1_eq_{vote} & (V1_eq_V2 | {_MAX_DOUBT}))" for vote in VOTES]
+    return parse_formula(" & ".join(parts))
 
 
 def hartley_invariant_property() -> Formula:
@@ -370,27 +353,25 @@ def hartley_invariant_property() -> Formula:
 def coercion_epistemic(model: Cegm, literal_antecedent: bool = False) -> bool:
     """Does the model resist coercion in the knowledge sense?
 
-    Evaluates `epistemic_coercion_property` at the initial state, one
-    conjunct per vote value: there is no voter-coercer strategy forcing an
-    outcome with that vote where the coercer knows the vote (outcomes where
-    both voters voted alike are excused, since the public board alone
-    reveals such votes).
+    Checks `epistemic_coercion_property` at the initial state: for no vote
+    value is there a voter-coercer strategy forcing an outcome with that
+    vote where the coercer knows the vote (outcomes where both voters voted
+    alike are excused, since the public board alone reveals such votes).
     """
-    return not _any_enforceable(model, _epistemic_coercion_goals(literal_antecedent))
+    return check(model, model.initial, epistemic_coercion_property(literal_antecedent))
 
 
 def coercion_hartley(model: Cegm, strategic: bool = False) -> bool:
     """Does the model resist coercion in the information-theoretic sense?
 
-    By default this checks the invariant reading: along every play, whenever
-    voter 1 has cast a vote that differs from voter 2's, the coercer must be
-    at maximal uncertainty about (V_A, V_B). The strategic reading
-    (`strategic=True`, `hartley_coercion_property`) instead asks whether the
-    voter-coercer pair has no joint strategy that forces plays into
-    maximal-uncertainty outcomes; that is a much weaker demand, satisfied
-    here because the other voter alone can always push the play into a
-    revealing board.
+    Checks a property formula at the initial state. By default that is
+    `hartley_invariant_property`: along every play, whenever voter 1 has
+    cast a vote that differs from voter 2's, the coercer must be at maximal
+    uncertainty about (V_A, V_B). The strategic reading (`strategic=True`,
+    `hartley_coercion_property`) instead asks whether the voter-coercer pair
+    has no joint strategy that forces plays into maximal-uncertainty
+    outcomes; that is a much weaker demand, satisfied here because the other
+    voter alone can always push the play into a revealing board.
     """
-    if not strategic:
-        return check(model, model.initial, hartley_invariant_property())
-    return not _any_enforceable(model, _hartley_coercion_goals())
+    prop = hartley_coercion_property() if strategic else hartley_invariant_property()
+    return check(model, model.initial, prop)

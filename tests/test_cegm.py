@@ -1,8 +1,11 @@
 """Model loading, validation and query tests."""
 
+from random import Random
+
 import pytest
 
 from atlh.cegm import Cegm, ModelError, load_model, save_model
+from atlh.sampling import random_cegm
 
 FIG1 = """\
 # single-issue referendum, one voter, one coercer
@@ -268,3 +271,49 @@ def test_unicode_names_follow_str_isalnum():
     assert m.states == ("s0", "s1", "ş2")
     assert m.props == ("Voted", "V_٣")
     assert m.epistemic_class("c²", "s1") == {"s1", "ş2"}
+
+
+def _sorted_trans_lines(model: Cegm) -> list[str]:
+    """The `trans` lines written by sorting `model.trans` per state on each
+    agent's declaration index of its action."""
+    order = [{x: i for i, x in enumerate(model.actions[a])} for a in model.agents]
+    lines = []
+    for q in model.states:
+        profiles = sorted(
+            (p for (s, p) in model.trans if s == q),
+            key=lambda p: tuple(order[i][x] for i, x in enumerate(p)),
+        )
+        for p in profiles:
+            lines.append(f"trans {q} ({', '.join(p)}) -> {model.trans[q, p]}")
+    return lines
+
+
+def _redeclared(model: Cegm) -> Cegm:
+    """The same model with every agent's actions declared in reverse order
+    and the transitions given in reverse order."""
+    obs = [
+        (a, left, right)
+        for a in model.agents
+        for cls in model.epistemic_classes(a)
+        for left, right in zip(sorted(cls), sorted(cls)[1:])
+    ]
+    return Cegm(
+        model.agents,
+        model.states,
+        model.initial,
+        {a: model.actions[a][::-1] for a in model.agents},
+        {(a, q): model.avail(a, q) for a in model.agents for q in model.states},
+        dict(reversed(model.trans.items())),
+        obs,
+        model.props,
+        model.valuation,
+    )
+
+
+def test_save_model_writes_transitions_in_declaration_order():
+    rng = Random(11)
+    for _ in range(150):
+        drawn = random_cegm(rng, max_states=5, max_agents=3, max_actions=3)
+        for model in (drawn, _redeclared(drawn)):
+            lines = save_model(model).splitlines()
+            assert [l for l in lines if l.startswith("trans ")] == _sorted_trans_lines(model)

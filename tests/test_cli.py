@@ -14,6 +14,7 @@ import atlh
 from atlh import cli
 from atlh.cegm import load_model
 from atlh.cli import main
+from atlh.mcheck import CheckOptions
 from atlh.scenarios import (
     gen_referendum_single,
     gen_threeballot,
@@ -21,6 +22,7 @@ from atlh.scenarios import (
     threeballot_infosets,
 )
 from atlh.cegm import save_model
+from atlh.translate import TranslationReport
 
 from conftest import within
 
@@ -433,6 +435,23 @@ def test_experiment_translation_equivalence(capsys):
 
     main(["experiment", "translation-equivalence", "--samples", "5", "--seed", "8"])
     assert capsys.readouterr().out != first
+
+
+def test_experiment_translation_equivalence_passes_check_options(monkeypatch):
+    seen = []
+
+    def fake(samples, seed, opts):
+        seen.append((samples, seed, opts))
+        return TranslationReport(lines=[], mismatches=0)
+
+    monkeypatch.setattr(cli, "check_translation_equivalence", fake)
+    argv = ["experiment", "translation-equivalence", "--samples", "3", "--seed", "5"]
+    assert main(argv + ["--strategy-mode", "Ir", "--scope", "subjective"]) == 0
+    assert main(argv) == 0
+    assert seen == [
+        (3, 5, CheckOptions("Ir", "subjective")),
+        (3, 5, CheckOptions("ir", "objective")),
+    ]
 
 
 def test_color_toggle(fig1_path, capsys, monkeypatch):

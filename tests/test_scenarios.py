@@ -1,12 +1,14 @@
 """Tests for the referendum and ThreeBallot case-study generators."""
 
 import gc
+import hashlib
 import time
 import weakref
 from random import Random
 
 import pytest
 
+from atlh import mcheck
 from atlh.cegm import Cegm, load_model, save_model
 from atlh.formula import parse_formula, pretty_print
 from atlh.mcheck import CheckOptions, check, find_witness, hartley_classes
@@ -318,16 +320,72 @@ def test_coercion_helpers_check_the_property_formulas():
     assert verdicts == {True, False}
 
 
+# per coercer observation: coercion_epistemic with literal_antecedent False
+# and True, then coercion_hartley with strategic False and True
+COERCION_VERDICTS = {
+    "board": (True, False, False, True),
+    "identity": (False, False, False, True),
+    "full": (True, True, True, False),
+}
+
+
+@pytest.mark.parametrize("coercer_obs", sorted(COERCION_VERDICTS))
+def test_each_coercion_helper_labels_once(coercer_obs, monkeypatch):
+    calls = []
+    real = mcheck.label_masks
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcheck, "label_masks", counting)
+    m = gen_threeballot(coercer_obs)
+    verdicts = []
+    for literal in (False, True):
+        calls.clear()
+        verdicts.append(coercion_epistemic(m, literal))
+        assert calls == [epistemic_coercion_property(literal)]
+    readings = [(False, hartley_invariant_property()), (True, hartley_coercion_property())]
+    for strategic, prop in readings:
+        calls.clear()
+        verdicts.append(coercion_hartley(m, strategic))
+        assert calls == [prop]
+    assert tuple(verdicts) == COERCION_VERDICTS[coercer_obs]
+
+
+# sha256 of each variant's model file, pinned so the writer's output stays
+# byte-for-byte the same
+SAVED_THREEBALLOT_SHA256 = {
+    "board": "93a46d7cef15264c0e45d9ec3031323030c408554b330939a9fc4a2e13608e35",
+    "identity": "47ad76557a1f886720fa791059874825a53eeee21f8b863fb1150a11755a5453",
+    "full": "385af41d87a64ccb1563df4cdb0de83c85aed8a635b9e7d1ad7ffff60ef533de",
+}
+
+
+@pytest.mark.parametrize("coercer_obs", sorted(SAVED_THREEBALLOT_SHA256))
+def test_saved_threeballot_bytes_are_pinned(coercer_obs):
+    text = save_model(gen_threeballot(coercer_obs))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == SAVED_THREEBALLOT_SHA256[coercer_obs]
+
+
 def test_coercion_property_formulas_print():
-    text = pretty_print(epistemic_coercion_property())
-    assert text.count("!<c, v> F") == 4
-    assert "K[c] V1_eq_ab" in text
-    literal = pretty_print(epistemic_coercion_property(literal_antecedent=True))
-    assert "!V1_eq_V2 | K[c] V1_eq_ab" in literal
-    strategic = pretty_print(hartley_coercion_property())
-    assert strategic.count("H[c] = log(4) {V_A, V_B}") == 4
-    invariant = pretty_print(hartley_invariant_property())
-    assert invariant.count("<> G") == 4
+    def conjuncts(template):
+        return " & ".join(template.format(v) for v in ("ab", "Ab", "aB", "AB"))
+
+    doubt = "H[c] = log(4) {{V_A, V_B}}"
+    assert pretty_print(epistemic_coercion_property()) == conjuncts(
+        "!<c, v> F (V1_eq_{0} & (V1_eq_V2 | K[c] V1_eq_{0}))"
+    )
+    assert pretty_print(epistemic_coercion_property(literal_antecedent=True)) == conjuncts(
+        "!<c, v> F (V1_eq_{0} & (!V1_eq_V2 | K[c] V1_eq_{0}))"
+    )
+    assert pretty_print(hartley_coercion_property()) == conjuncts(
+        "!<c, v> F (V1_eq_{0} & (V1_eq_V2 | " + doubt + "))"
+    )
+    assert pretty_print(hartley_invariant_property()) == conjuncts(
+        "<> G !(V1_eq_{0} & !V1_eq_V2 & !" + doubt + ")"
+    )
 
 
 def test_checked_model_is_freed_without_the_cycle_collector():
