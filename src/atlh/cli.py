@@ -162,55 +162,54 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
-    if args.target == "fig1":
-        model = gen_referendum_single()
-    elif args.target in ("m1", "m2"):
-        model = gen_referendum_double(args.target.upper())
-    elif args.target == "threeballot":
-        model = gen_threeballot()
-    elif args.target == "Mn":
-        if args.n is None:
-            raise SuccinctError("gen Mn needs --n")
-        model = gen_Mn(args.n)
-    else:
-        if args.n is None or args.j is None:
-            raise SuccinctError("gen Nnj needs --n and --j")
-        model = gen_Nnj(args.n, args.j)
-    text = save_model(model)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+def _gen(build):
+    """The `run` of one `gen` target: build its model, write it out."""
+
+    def run(args) -> int:
+        text = save_model(build(args))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            print(text, end="")
+        return 0
+
+    return run
+
+
+def _gen_Mn(args):
+    if args.n is None:
+        raise SuccinctError("gen Mn needs --n")
+    return gen_Mn(args.n)
+
+
+def _gen_Nnj(args):
+    if args.n is None or args.j is None:
+        raise SuccinctError("gen Nnj needs --n and --j")
+    return gen_Nnj(args.n, args.j)
+
+
+def cmd_succinctness(args) -> int:
+    header = "n,len_phi_n,len_translated,fsg_min,mel_min,wallclock_ms"
+    out = [header]
+    for row in succinctness_rows(args.nmax, node_cap=args.cap_nodes):
+        out.append(",".join("" if row[k] is None else str(row[k]) for k in header.split(",")))
+    print("\n".join(out))
     return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.name == "succinctness":
-        rows = succinctness_rows(args.nmax, node_cap=args.cap_nodes)
-        out = ["n,len_phi_n,len_translated,fsg_min,mel_min,wallclock_ms"]
-        for row in rows:
-            cells = [
-                row["n"],
-                row["len_phi_n"],
-                row["len_translated"],
-                row["fsg_min"],
-                row["mel_min"],
-                row["wallclock_ms"],
-            ]
-            out.append(",".join("" if c is None else str(c) for c in cells))
-        print("\n".join(out))
-        return 0
-    if args.name == "translation-equivalence":
-        report = check_translation_equivalence(
-            samples=args.samples, seed=args.seed, opts=_options(args)
-        )
-        print(report)
-        print(f"mismatches: {report.mismatches}")
-        return 0 if report.mismatches == 0 else 1
+def cmd_translation_equivalence(args) -> int:
+    report = check_translation_equivalence(
+        samples=args.samples, seed=args.seed, opts=_options(args)
+    )
+    print(report)
+    print(f"mismatches: {report.mismatches}")
+    return 0 if report.mismatches == 0 else 1
+
+
+def cmd_threeballot_table(args) -> int:
     rows = threeballot_infosets()
-    if args.csv or args.output == "csv":
+    if args.output == "csv":
         print(infoset_table_csv(rows))
     else:
         print(render_infoset_table(rows))
@@ -222,65 +221,91 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _add_check_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy-mode", choices=("ir", "Ir"), default="ir")
+    p.add_argument("--scope", choices=("objective", "subjective"), default="objective")
+
+
+def _add_formula_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--formula", help="formula text")
+    p.add_argument("--formula-file", help="file containing the formula")
+
+
+_OUTPUTS = ("text", "csv", "json-lines")
+_CAP_NODES = 10**6
+# Count flags that must be at least 1; each is checked only where declared.
+_POSITIVE = ("cap_nodes", "nmax", "samples")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use; parsing leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--strategy-mode", choices=("ir", "Ir"), default="ir")
-    common.add_argument("--scope", choices=("objective", "subjective"), default="objective")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap-nodes", type=int, default=10**6)
-    common.add_argument(
-        "--output", choices=("text", "csv", "json-lines"), default="text"
-    )
+    """The command-line parser, built on first use; parsing leaves it unchanged.
 
+    Every leaf command declares exactly the flags it reads and sets its
+    own `run`.
+    """
     parser = argparse.ArgumentParser(
         prog="atlh",
         description="Model checking for strategic logics with knowledge and uncertainty.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", parents=[common], help="evaluate a formula on a model")
+    p_check = sub.add_parser("check", help="evaluate a formula on a model")
     p_check.add_argument("--model", required=True, help="model file path")
-    p_check.add_argument("--formula", help="formula text")
-    p_check.add_argument("--formula-file", help="file containing the formula")
+    _add_formula_source(p_check)
     p_check.add_argument("--state", help="state to check (default: initial state)")
     p_check.add_argument(
         "--dump-labels", action="store_true", help="print every subformula's states"
     )
+    _add_check_options(p_check)
+    p_check.add_argument("--output", choices=_OUTPUTS, default="text")
     p_check.set_defaults(run=cmd_check)
 
-    p_tr = sub.add_parser("translate", parents=[common], help="rewrite between the two logics")
+    p_tr = sub.add_parser("translate", help="rewrite between the two logics")
     p_tr.add_argument("--dir", choices=("h2k", "k2h"), required=True)
-    p_tr.add_argument("--formula", help="formula text")
-    p_tr.add_argument("--formula-file", help="file containing the formula")
+    _add_formula_source(p_tr)
+    p_tr.add_argument("--cap-nodes", type=int, default=_CAP_NODES)
+    p_tr.add_argument("--output", choices=_OUTPUTS, default="text")
     p_tr.set_defaults(run=cmd_translate)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a bundled model")
-    p_gen.add_argument(
-        "target", choices=("fig1", "m1", "m2", "threeballot", "Mn", "Nnj")
-    )
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--j", type=int)
-    p_gen.add_argument("--out", help="write the model here instead of stdout")
-    p_gen.set_defaults(run=cmd_gen)
+    gen = sub.add_parser("gen", help="generate a bundled model")
+    targets = gen.add_subparsers(dest="target", required=True)
+    for name, build, sizes in (
+        ("fig1", lambda args: gen_referendum_single(), ()),
+        ("m1", lambda args: gen_referendum_double("M1"), ()),
+        ("m2", lambda args: gen_referendum_double("M2"), ()),
+        ("threeballot", lambda args: gen_threeballot(), ()),
+        ("Mn", _gen_Mn, ("--n",)),
+        ("Nnj", _gen_Nnj, ("--n", "--j")),
+    ):
+        p = targets.add_parser(name)
+        for flag in sizes:
+            p.add_argument(flag, type=int)
+        p.add_argument("--out", help="write the model here instead of stdout")
+        p.set_defaults(run=_gen(build))
 
-    p_exp = sub.add_parser("experiment", parents=[common], help="run a bundled experiment")
-    p_exp.add_argument(
-        "name", choices=("succinctness", "translation-equivalence", "threeballot-table")
-    )
-    p_exp.add_argument("--nmax", type=int, default=4)
-    p_exp.add_argument("--samples", type=int, default=100)
-    p_exp.add_argument("--csv", action="store_true", help="CSV table output")
-    p_exp.set_defaults(run=cmd_experiment)
+    exp = sub.add_parser("experiment", help="run a bundled experiment")
+    names = exp.add_subparsers(dest="name", required=True)
+    p = names.add_parser("succinctness")
+    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--cap-nodes", type=int, default=_CAP_NODES)
+    p.set_defaults(run=cmd_succinctness)
+    p = names.add_parser("translation-equivalence")
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    _add_check_options(p)
+    p.set_defaults(run=cmd_translation_equivalence)
+    p = names.add_parser("threeballot-table")
+    p.add_argument("--output", choices=("text", "csv"), default="text")
+    p.set_defaults(run=cmd_threeballot_table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.cap_nodes < 1:
-        return _fail("--cap-nodes must be positive")
+    args = _build_parser().parse_args(argv)
+    for name in _POSITIVE:
+        if getattr(args, name, 1) < 1:
+            return _fail(f"--{name.replace('_', '-')} must be positive")
     try:
         return args.run(args)
     except _ERRORS as exc:

@@ -34,10 +34,6 @@ class FormulaError(ValueError):
         super().__init__(message)
 
 
-def _canon_coalition(agents) -> tuple[str, ...]:
-    return tuple(sorted(set(agents)))
-
-
 class _Node:
     """Shared behaviour for all formula nodes."""
 
@@ -49,6 +45,13 @@ class _Node:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({pretty_print(self)!r})"
+
+
+class _Coalitional(_Node):
+    """A node over a coalition, which is stored sorted and without repeats."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "coalition", tuple(sorted(set(self.coalition))))
 
 
 @dataclass(frozen=True, repr=False)
@@ -89,31 +92,25 @@ class Or(_Node):
 
 
 @dataclass(frozen=True, repr=False)
-class CoalX(_Node):
+class CoalX(_Coalitional):
     """Coalition can enforce `sub` in the next state."""
 
     coalition: tuple[str, ...]
     sub: "Formula"
     _kids = ("sub",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
-
 
 @dataclass(frozen=True, repr=False)
-class CoalG(_Node):
+class CoalG(_Coalitional):
     """Coalition can enforce `sub` forever."""
 
     coalition: tuple[str, ...]
     sub: "Formula"
     _kids = ("sub",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
-
 
 @dataclass(frozen=True, repr=False)
-class CoalU(_Node):
+class CoalU(_Coalitional):
     """Coalition can enforce `hold` until `goal`; F is the `hold = true` case."""
 
     coalition: tuple[str, ...]
@@ -121,12 +118,9 @@ class CoalU(_Node):
     goal: "Formula"
     _kids = ("hold", "goal")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
-
 
 @dataclass(frozen=True, repr=False)
-class CoalFG(_Node):
+class CoalFG(_Coalitional):
     """Coalition can reach `goal` and then maintain `invariant` forever.
 
     This is the one admitted path pattern that nests G under a coalition F;
@@ -137,9 +131,6 @@ class CoalFG(_Node):
     goal: "Formula"
     invariant: "Formula"
     _kids = ("goal", "invariant")
-
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _canon_coalition(self.coalition))
 
 
 @dataclass(frozen=True, repr=False)
@@ -152,7 +143,7 @@ class Knows(_Node):
 
 
 @dataclass(frozen=True, repr=False)
-class MutualKnows(_Node):
+class MutualKnows(_Coalitional):
     """Every coalition member knows `sub`."""
 
     coalition: tuple[str, ...]
@@ -160,10 +151,9 @@ class MutualKnows(_Node):
     _kids = ("sub",)
 
     def __post_init__(self):
-        coal = _canon_coalition(self.coalition)
-        if not coal:
+        super().__post_init__()
+        if not self.coalition:
             raise FormulaError("mutual knowledge needs a non-empty coalition")
-        object.__setattr__(self, "coalition", coal)
 
 
 @dataclass(frozen=True)

@@ -89,19 +89,15 @@ def random_formula(
     depth: int = 3,
     strategic_budget: int = 1,
     hartley: bool = True,
-    knows: bool = True,
     beta_max: int = 2,
-    log_thresholds_only: bool = False,
     coal_fg: bool = False,
 ) -> Formula:
     """A random formula over the given atoms and agents.
 
     `strategic_budget` bounds the number of coalition operators along any
-    branch; `log_thresholds_only` keeps every uncertainty threshold in
-    `log(k)` form (what the knowledge translation accepts directly);
-    `coal_fg` adds the reach-then-maintain pattern `<A> F (x & G y)` to the
-    coalition operators (off by default, so existing seeded streams keep
-    drawing the same formulas).
+    branch; `coal_fg` adds the reach-then-maintain pattern `<A> F (x & G y)`
+    to the coalition operators (off by default, so existing seeded streams
+    keep drawing the same formulas).
     """
     atoms = list(atoms)
     agents = list(agents)
@@ -117,16 +113,14 @@ def random_formula(
         return tuple(rng.sample(agents, size))
 
     def threshold():
-        if log_thresholds_only or rng.random() < 0.5:
+        if rng.random() < 0.5:
             return LogOfCount(rng.randint(1, 4))
         return Real(Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))))
 
     def build(d: int, budget: int) -> Formula:
         if d == 0:
             return leaf()
-        choices = ["not", "and", "or", "leaf"]
-        if knows:
-            choices += ["knows", "mutual"]
+        choices = ["not", "and", "or", "leaf", "knows", "mutual"]
         if hartley:
             choices.append("hartley")
         if budget > 0:

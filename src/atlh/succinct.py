@@ -527,33 +527,26 @@ def min_mel_formula(A, B, size_cap: int):
 # Experiment rows
 
 
-def succinctness_rows(
-    nmax: int,
-    exact_nmax: int = 2,
-    kmax: int | None = None,
-    beta_cap: int = 4,
-    node_cap: int = 10**6,
-    mel_cap: int = 40,
-):
-    """One experiment row per n: formula lengths plus (for small n) the two
-    engines' minimal knowledge-only sizes. Values that blow a cap are None."""
+def succinctness_rows(nmax: int, exact_nmax: int = 2, node_cap: int = 10**6):
+    """One experiment row per n: formula lengths plus (for n <= exact_nmax)
+    the two engines' minimal knowledge-only sizes, the enumerator searching up
+    to size 40 and the game up to its answer. Values that blow a cap are None."""
     rows = []
     for n in range(1, nmax + 1):
         started = time.perf_counter()
         f = phi_n(n)
         translated = None
         try:
-            translated = formula_length(h_to_k(f, beta_cap=beta_cap, node_cap=node_cap))
+            translated = formula_length(h_to_k(f, node_cap=node_cap))
         except TranslateError:
             pass
         fsg = mel = None
         if n <= exact_nmax:
             A, B = separation_instance(n)
-            found = min_mel_formula(A, B, mel_cap)
+            found = min_mel_formula(A, B, 40)
             if found is not None:
                 mel = found[1]
-            limit = kmax if kmax is not None else (mel if mel is not None else 2**n + 4)
-            fsg = fsg_min_win(A, B, limit)
+            fsg = fsg_min_win(A, B, mel if mel is not None else 2**n + 4)
         rows.append(
             {
                 "n": n,

@@ -184,16 +184,12 @@ class TranslationReport:
 
 
 def check_translation_equivalence(
-    samples: int = 100,
-    seed: int = 0,
-    max_states: int = 6,
-    max_agents: int = 3,
-    beta_max: int = 2,
-    opts: CheckOptions | None = None,
+    samples: int = 100, seed: int = 0, opts: CheckOptions | None = None
 ) -> TranslationReport:
     """Compare direct checking against both translations on random models.
 
-    Each sample draws a model and a formula from its own derived seed,
+    Each sample draws a model (at most 6 states and 3 agents) and a formula
+    (uncertainty sets of at most 2 members) from its own derived seed,
     translates the formula both ways, and verifies state-by-state agreement.
     """
     opts = opts or CheckOptions()
@@ -203,12 +199,10 @@ def check_translation_equivalence(
     mismatches = 0
     for s in seeds:
         rng = Random(s)
-        model = random_cegm(rng, max_states=max_states, max_agents=max_agents)
-        f = random_formula(
-            rng, model.props, model.agents, depth=3, strategic_budget=1, beta_max=beta_max
-        )
+        model = random_cegm(rng, max_states=6, max_agents=3)
+        f = random_formula(rng, model.props, model.agents, depth=3, strategic_budget=1, beta_max=2)
         verdict = "ok"
-        for translated in (h_to_k(f, beta_cap=beta_max), k_to_h(f)):
+        for translated in (h_to_k(f, beta_cap=2), k_to_h(f)):
             for q in model.states:
                 if check(model, q, f, opts) != check(model, q, translated, opts):
                     verdict = f"mismatch@{q}"

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -420,7 +421,7 @@ def test_experiment_threeballot_table(capsys):
     assert "Vote = ab, BS = {BB, FB, BF}" in text
     assert len([l for l in text.splitlines() if " | " in l]) == 21
 
-    assert main(["experiment", "threeballot-table", "--csv"]) == 0
+    assert main(["experiment", "threeballot-table", "--output", "csv"]) == 0
     assert capsys.readouterr().out.strip() == infoset_table_csv(threeballot_infosets())
 
 
@@ -465,3 +466,127 @@ def test_color_toggle(fig1_path, capsys, monkeypatch):
 
 def test_flag_validation(capsys):
     assert main(["translate", "--dir", "k2h", "--formula", "p", "--cap-nodes", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["experiment", "translation-equivalence", "--samples", "-3"], "--samples"),
+        (["experiment", "translation-equivalence", "--samples", "0"], "--samples"),
+        (["experiment", "succinctness", "--nmax", "0"], "--nmax"),
+        (["experiment", "succinctness", "--cap-nodes", "0"], "--cap-nodes"),
+        (["translate", "--dir", "k2h", "--formula", "p", "--cap-nodes", "-1"], "--cap-nodes"),
+    ],
+)
+def test_counts_below_one_are_rejected(argv, flag, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must be positive\n")
+
+
+# The flags that every command used to accept, with a value each would take.
+FORMER_COMMON = {
+    "--strategy-mode": "Ir",
+    "--scope": "subjective",
+    "--seed": "1",
+    "--cap-nodes": "5",
+    "--output": "csv",
+}
+
+# Every leaf command, an argv giving it every flag it reads (`{model}`,
+# `{formula}` and `{out}` are filled in per test), and the flags it reads
+# that the argv cannot also give: `--formula` excludes `--formula-file`.
+LEAVES = [
+    (
+        "check",
+        ["--model", "{model}", "--formula-file", "{formula}", "--state", "s0", "--dump-labels",
+         "--strategy-mode", "Ir", "--scope", "subjective", "--output", "json-lines"],
+        ["--formula"],
+    ),
+    (
+        "translate",
+        ["--dir", "k2h", "--formula-file", "{formula}", "--cap-nodes", "100", "--output", "csv"],
+        ["--formula"],
+    ),
+    ("gen fig1", ["--out", "{out}"], []),
+    ("gen m1", ["--out", "{out}"], []),
+    ("gen m2", ["--out", "{out}"], []),
+    ("gen threeballot", ["--out", "{out}"], []),
+    ("gen Mn", ["--n", "2", "--out", "{out}"], []),
+    ("gen Nnj", ["--n", "2", "--j", "1", "--out", "{out}"], []),
+    ("experiment succinctness", ["--nmax", "1", "--cap-nodes", "100"], []),
+    (
+        "experiment translation-equivalence",
+        ["--samples", "1", "--seed", "3", "--strategy-mode", "Ir", "--scope", "subjective"],
+        [],
+    ),
+    ("experiment threeballot-table", ["--output", "csv"], []),
+]
+
+
+def _leaf_flags(parser, words=()):
+    """(leaf command words, the long flags its parser declares), recursively."""
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        yield " ".join(words), {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        return
+    for name, sub in nested[0].choices.items():
+        yield from _leaf_flags(sub, (*words, name))
+
+
+class _Reads:
+    """Forwards attribute reads to a parsed namespace and records their names."""
+
+    def __init__(self, args):
+        self._args = args
+        self.seen = set()
+
+    def __getattr__(self, name):
+        self.seen.add(name)
+        return getattr(self._args, name)
+
+
+def _flags(argv, extra):
+    return {a for a in argv if a.startswith("--")} | set(extra)
+
+
+def test_leaf_table_lists_every_declared_flag():
+    declared = dict(_leaf_flags(cli._build_parser()))
+    assert declared == {leaf: _flags(argv, extra) for leaf, argv, extra in LEAVES}
+    assert sum(len(flags) for flags in declared.values()) == 29
+
+
+@pytest.mark.parametrize("leaf, argv, extra", LEAVES, ids=[row[0] for row in LEAVES])
+def test_each_command_reads_every_flag_it_accepts(tmp_path, capsys, fig1_path, leaf, argv, extra):
+    formula = tmp_path / "f.atlh"
+    formula.write_text("<v> X Voted", encoding="utf-8")
+    fill = {"{model}": fig1_path, "{formula}": str(formula), "{out}": str(tmp_path / "out.cegm")}
+    full = leaf.split() + [fill.get(a, a) for a in argv]
+    args = cli._build_parser().parse_args(full)
+    reads = _Reads(args)
+    assert args.run(reads) in (0, 1)
+    assert {f[2:].replace("-", "_") for f in _flags(argv, extra)} <= reads.seen
+    capsys.readouterr()
+
+    for flag in sorted(set(FORMER_COMMON) - _flags(argv, extra)):
+        with pytest.raises(SystemExit) as exc:
+            main(full + [flag, FORMER_COMMON[flag]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"error: unrecognized arguments: {flag} {FORMER_COMMON[flag]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "threeballot-table", "--csv"], "unrecognized arguments: --csv"),
+        (["experiment", "threeballot-table", "--output", "json-lines"], "invalid choice: 'json-lines'"),
+        (["gen", "--out", "m.cegm", "fig1"], "invalid choice: 'm.cegm'"),
+    ],
+)
+def test_removed_and_misplaced_flags_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "Traceback" not in err

@@ -59,6 +59,18 @@ def test_parse_coalition_operators():
 
 def test_coalitions_are_sorted_and_deduped():
     assert parse_formula("<b, a, b> X p") == CoalX(("a", "b"), Atom("p"))
+    p, q = Atom("p"), Atom("q")
+    for make, text in (
+        (lambda c: CoalX(c, p), "<a, b> X p"),
+        (lambda c: CoalG(c, p), "<a, b> G p"),
+        (lambda c: CoalU(c, p, q), "<a, b> (p U q)"),
+        (lambda c: CoalFG(c, p, q), "<a, b> F (p & G q)"),
+        (lambda c: MutualKnows(c, p), "E[a, b] p"),
+    ):
+        node = make(["b", "a", "b"])
+        assert node.coalition == ("a", "b")
+        assert node == make(("a", "b")) and hash(node) == hash(make(("a", "b")))
+        assert pretty_print(node) == text
 
 
 def test_parse_knowledge():
