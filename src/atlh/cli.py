@@ -79,11 +79,12 @@ def cmd_check(args) -> int:
     model = load_model(_read(args.model))
     f = parse_formula(_formula_text(args))
     state = args.state if args.state is not None else model.initial
-    masks, witness = label_masks(
+    table, masks, witness = label_masks(
         model, f, _options(args), state, exact=args.dump_labels, witness=True
     )
-    verdict = bool(masks[f] >> model.state_index[state] & 1)
-    text = pretty_print(f)
+    verdict = bool(masks[-1] >> model.state_index[state] & 1)
+    text = table[-1][1]
+    labels = zip(table, masks) if args.dump_labels else ()
 
     if args.output == "json-lines":
         out = [
@@ -106,25 +107,19 @@ def cmd_check(args) -> int:
                     sort_keys=True,
                 )
             )
-        if args.dump_labels:
-            for sub, mask in masks.items():
-                states = list(model.states_of(mask))
-                out.append(
-                    json.dumps(
-                        {"event": "label", "formula": pretty_print(sub), "states": states},
-                        sort_keys=True,
-                    )
-                )
+        for (_, sub, _), mask in labels:
+            states = list(model.states_of(mask))
+            out.append(
+                json.dumps({"event": "label", "formula": sub, "states": states}, sort_keys=True)
+            )
     elif args.output == "csv":
         out = ["state,formula,result", f"{state},{_csv_quote(text)},{str(verdict).lower()}"]
     else:
         out = [f"formula: {text}", f"state: {state}", f"result: {str(verdict).lower()}"]
         if witness is not None:
             out.append(f"witness: {witness}")
-        if args.dump_labels:
-            for sub, mask in masks.items():
-                states = " ".join(model.states_of(mask))
-                out.append(f"label {pretty_print(sub)}: {states}")
+        for (_, sub, _), mask in labels:
+            out.append(f"label {sub}: {' '.join(model.states_of(mask))}")
     print("\n".join(out))
     return 0 if verdict else 1
 

@@ -240,8 +240,10 @@ def _format_rational(value: Fraction) -> str:
     if den != 1:
         return f"{value.numerator}/{value.denominator}"
     digits = max(twos, fives)
-    scaled = value.numerator * 10**digits // value.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    try:
+        text = str(value.numerator * 10**digits // value.denominator).rjust(digits + 1, "0")
+    except ValueError:  # more digits than `str` converts
+        return f"{value.numerator}/{value.denominator}"
     if digits == 0:
         return text
     return f"{text[:-digits]}.{text[-digits:]}"
@@ -332,14 +334,15 @@ def formula_length(f: Formula) -> int:
     return fold(f, lambda g, kids: _own_length(g) + sum(kids))
 
 
-def subformulas_by_length(f: Formula) -> list[Formula]:
-    """All distinct subformulas, shortest first, ties by printed text.
+def subformula_table(f: Formula) -> list[tuple]:
+    """Each distinct subformula once, shortest first, ties by printed text,
+    as `(node, printed text, positions of its children in the table)`.
 
     Members of an uncertainty set count as subformulas of the operator.
-    Every proper subformula sorts strictly before its parent, so the list
-    doubles as an evaluation order; the final element is `f` itself.
+    Every proper subformula sorts strictly before its parent, so the table
+    doubles as an evaluation order; the final entry is `f` itself.
     """
-    first: dict = {}  # printed text -> ((length, text), node); printing is injective
+    first: dict = {}  # printed text -> (length, node, kid texts); printing is injective
 
     def step(g, kids):  # each kid's value is (length, text, precedence)
         parts = []
@@ -349,12 +352,19 @@ def subformulas_by_length(f: Formula) -> list[Formula]:
             else:
                 _, text, prec = kids[p[0]]
                 parts.append(text if prec >= p[1] else "(" + text + ")")
-        key = (_own_length(g) + sum(k[0] for k in kids), "".join(parts))
-        first.setdefault(key[1], (key, g))
-        return (*key, _PREC.get(type(g), _PREC_UNARY))
+        length, text = _own_length(g) + sum(k[0] for k in kids), "".join(parts)
+        first.setdefault(text, (length, g, [k[1] for k in kids]))
+        return length, text, _PREC.get(type(g), _PREC_UNARY)
 
     fold(f, step)
-    return [g for _, g in sorted(first.values())]
+    order = sorted(first, key=lambda text: (first[text][0], text))
+    at = {text: i for i, text in enumerate(order)}
+    return [(first[t][1], t, tuple(map(at.__getitem__, first[t][2]))) for t in order]
+
+
+def subformulas_by_length(f: Formula) -> list[Formula]:
+    """The nodes of `subformula_table(f)`: all distinct subformulas, in order."""
+    return [g for g, _, _ in subformula_table(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +478,13 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
@@ -672,23 +682,31 @@ class _Parser:
             raise self.error(str(exc), tok) from None
         return self.node(tok, f, *beta)
 
+    def numeral(self, tok: _Token) -> Fraction:
+        """The value of a number token."""
+        try:
+            return Fraction(tok.text)
+        except ValueError:  # more digits than `int` converts
+            raise self.error(f"numeral too long: {len(tok.text)} characters", tok) from None
+
     def parse_threshold(self) -> Threshold:
         tok = self.next()
         if tok.kind == "ident" and tok.text == "log":
             self.expect("(")
             num = self.next()
-            if num.kind != "number" or "." in num.text or int(num.text) < 1:
+            if num.kind != "number" or "." in num.text or self.numeral(num) < 1:
                 raise self.error("log threshold needs a positive integer", num)
             self.expect(")")
-            return LogOfCount(int(num.text))
+            return LogOfCount(self.numeral(num).numerator)
         if tok.kind == "number":
+            value = self.numeral(tok)
             if self.peek().text == "/" and "." not in tok.text:
                 self.next()
                 den = self.next()
-                if den.kind != "number" or "." in den.text or int(den.text) == 0:
+                if den.kind != "number" or "." in den.text or self.numeral(den) == 0:
                     raise self.error("fraction threshold needs a positive integer denominator", den)
-                return Real(Fraction(int(tok.text), int(den.text)))
-            return Real(Fraction(tok.text))
+                return Real(value / self.numeral(den))
+            return Real(value)
         raise self.error(f"expected a threshold, found {tok.text or 'end of input'!r}", tok)
 
 

@@ -59,7 +59,7 @@ from .formula import (
     Real,
     Threshold,
     TrueF,
-    subformulas_by_length,
+    subformula_table,
 )
 
 
@@ -577,8 +577,7 @@ def _knows_mask(model: Cegm, agent: str, sub: int) -> int:
     return out
 
 
-def _hartley_mask(model: Cegm, g: Hartley, lab: dict) -> int:
-    beta_masks = [lab[b] for b in g.beta]
+def _hartley_mask(model: Cegm, g: Hartley, beta_masks) -> int:
     out = 0
     for cls in model.epistemic_classes(g.agent):
         count = _class_count(cls, beta_masks, model.state_index)
@@ -587,13 +586,17 @@ def _hartley_mask(model: Cegm, g: Hartley, lab: dict) -> int:
     return out
 
 
+_KINDS = {CoalX: "X", CoalG: "G", CoalU: "U", CoalFG: "FG"}
+
+
 def label_masks(
     model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=True, witness=False
 ):
-    """Bitmask of every subformula of `f` (keyed shortest-first), and, with
-    `witness`, the witness at `state`: the first strategy, in enumeration
-    order, that validates a strategic root there (None if the root is not
-    strategic or is false there, and always None without `witness`).
+    """`subformula_table(f)`, the bitmask of each of its subformulas in table
+    order, and, with `witness`, the witness at `state`: the first strategy,
+    in enumeration order, that validates a strategic root there (None if the
+    root is not strategic or is false there, and always None without
+    `witness`).
 
     With `exact=False` the root's search stops once it validates `state`,
     so the root's mask is exact at `state` only. Every other mask is exact.
@@ -603,15 +606,15 @@ def label_masks(
         if state not in model.state_index:
             raise CheckError(f"unknown state {state}")
         at = model.state_index[state]
-    order = subformulas_by_length(f)
+    table = subformula_table(f)
     full = model.full_mask
     want = full if exact or at is None else 1 << at
     witness_at = at if witness else None
     engines: dict = {}
-    lab: dict = {}
+    masks: list[int] = []
     found = None
-    for g in order:
-        search = None
+    for g, _, kids in table:
+        args = [masks[k] for k in kids]
         match g:
             case Atom(name):
                 if name not in model.valuation:
@@ -621,60 +624,51 @@ def label_masks(
                 mask = full
             case FalseF():
                 mask = 0
-            case Not(sub):
-                mask = full & ~lab[sub]
-            case And(left, right):
-                mask = lab[left] & lab[right]
-            case Or(left, right):
-                mask = lab[left] | lab[right]
-            case Knows(agent, sub):
+            case Not():
+                mask = full & ~args[0]
+            case And():
+                mask = args[0] & args[1]
+            case Or():
+                mask = args[0] | args[1]
+            case Knows(agent):
                 _require_agents(model, (agent,))
-                mask = _knows_mask(model, agent, lab[sub])
-            case MutualKnows(coal, sub):
+                mask = _knows_mask(model, agent, args[0])
+            case MutualKnows(coal):
                 _require_agents(model, coal)
                 mask = full
                 for a in coal:
-                    mask &= _knows_mask(model, a, lab[sub])
+                    mask &= _knows_mask(model, a, args[0])
             case Hartley(agent):
                 _require_agents(model, (agent,))
-                mask = _hartley_mask(model, g, lab)
-            case CoalX(coal, sub):
-                search = coal, "X", [lab[sub]]
-            case CoalG(coal, sub):
-                search = coal, "G", [lab[sub]]
-            case CoalU(coal, hold, goal):
-                search = coal, "U", [lab[hold], lab[goal]]
-            case CoalFG(coal, goal, inv):
-                search = coal, "FG", [lab[goal], lab[inv]]
+                mask = _hartley_mask(model, g, args)
+            case CoalX(coal) | CoalG(coal) | CoalU(coal) | CoalFG(coal):
+                engine = engines.get(coal)
+                if engine is None:
+                    _require_agents(model, coal)
+                    engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
+                root = g is f
+                mask, choices = _search(
+                    engine, _KINDS[type(g)], args, opts.success_scope,
+                    want if root else full, witness_at if root else None,
+                )
+                if choices is not None:
+                    found = engine.strategy_from(choices)
             case _:
                 raise CheckError(f"cannot label {g!r}")
-        if search is not None:
-            coal, kind, args = search
-            engine = engines.get(coal)
-            if engine is None:
-                _require_agents(model, coal)
-                engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
-            root = g is f
-            mask, choices = _search(
-                engine, kind, args, opts.success_scope, want if root else full,
-                witness_at if root else None,
-            )
-            if choices is not None:
-                found = engine.strategy_from(choices)
-        lab[g] = mask
-    return lab, found
+        masks.append(mask)
+    return table, masks, found
 
 
 def label(model: Cegm, f: Formula, opts: CheckOptions | None = None) -> dict:
     """State sets for every subformula of `f`, keyed by subformula."""
-    masks, _ = label_masks(model, f, opts or CheckOptions())
-    return {g: frozenset(model.states_of(m)) for g, m in masks.items()}
+    table, masks, _ = label_masks(model, f, opts or CheckOptions())
+    return {g: frozenset(model.states_of(m)) for (g, _, _), m in zip(table, masks)}
 
 
 def check(model: Cegm, state: str, f: Formula, opts: CheckOptions | None = None) -> bool:
     """Does `f` hold at `state`?"""
-    masks, _ = label_masks(model, f, opts or CheckOptions(), state, exact=False)
-    return bool(masks[f] >> model.state_index[state] & 1)
+    _, masks, _ = label_masks(model, f, opts or CheckOptions(), state, exact=False)
+    return bool(masks[-1] >> model.state_index[state] & 1)
 
 
 def find_witness(model: Cegm, state: str, f: Formula, opts: CheckOptions | None = None):
@@ -685,5 +679,5 @@ def find_witness(model: Cegm, state: str, f: Formula, opts: CheckOptions | None 
     """
     if not isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
         return None
-    _, witness = label_masks(model, f, opts or CheckOptions(), state, exact=False, witness=True)
+    *_, witness = label_masks(model, f, opts or CheckOptions(), state, exact=False, witness=True)
     return witness

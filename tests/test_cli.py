@@ -14,6 +14,7 @@ import pytest
 import atlh
 from atlh import cli
 from atlh.cegm import load_model
+from atlh.formula import parse_formula
 from atlh.cli import main
 from atlh.mcheck import CheckOptions
 from atlh.scenarios import (
@@ -292,6 +293,45 @@ def test_deep_translation_within_the_cap_prints():
     assert run.returncode == 0
     assert "Traceback" not in run.stderr
     assert run.stdout.splitlines()[-2:] == ["input length: 5", "output length: 356719"]
+
+
+_NINES = "9" * 4301  # one digit over `int`'s default string-conversion limit
+_INT_LIMIT = hasattr(sys, "get_int_max_str_digits")  # 3.10 before 3.10.7 has none
+
+
+def _too_long(formula, col, numeral):
+    """A numeral over the limit is an error at its token; with no limit, it parses."""
+    if _INT_LIMIT:
+        return formula, 2, f"error: 1:{col}: numeral too long: {len(numeral)} characters\n", None
+    return formula, 1, "", None
+
+
+@pytest.mark.parametrize(
+    "formula, code, stderr, printed",
+    [
+        ("H[c] > log(²) {V_A}", 2, "error: 1:12: unexpected character '²'\n", None),
+        ("H[c] > ² {V_A}", 2, "error: 1:8: unexpected character '²'\n", None),
+        ("H[c] > 1/² {V_A}", 2, "error: 1:10: unexpected character '²'\n", None),
+        ("H[c] > log(١) {V_A}", 1, "", "H[c] > log(1) {V_A}"),
+        _too_long(f"H[c] > log({_NINES}) {{V_A}}", 12, _NINES),
+        _too_long(f"H[c] > {_NINES} {{V_A}}", 8, _NINES),
+        _too_long(f"H[c] > 1/{_NINES} {{V_A}}", 10, _NINES),
+        _too_long(f"H[c] > 0.{_NINES} {{V_A}}", 8, "0." + _NINES),
+        # 2^-13000 has a 13,000-digit decimal expansion
+        (f"H[c] > 1/{2**13000} {{V_A}}", 1, "", f"H[c] > 1/{2**13000} {{V_A}}" if _INT_LIMIT else None),
+    ],
+    ids=["log-superscript", "superscript", "denominator-superscript", "arabic-indic-one",
+         "long-log", "long-integer", "long-denominator", "long-decimal", "fraction-2^-13000"],
+)
+def test_threshold_numerals(fig1_path, formula, code, stderr, printed):
+    run = _run_cli("check", "--model", fig1_path, "--formula", formula)
+    assert (run.returncode, run.stderr) == (code, stderr)
+    if code != 2:
+        first = run.stdout.splitlines()[0]
+        assert first.startswith("formula: ")
+        assert parse_formula(first[len("formula: "):]) == parse_formula(formula)
+        if printed is not None:
+            assert first == f"formula: {printed}"
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from atlh.formula import (
     formula_length,
     parse_formula,
     pretty_print,
+    subformula_table,
     subformulas_by_length,
 )
 
@@ -366,3 +367,28 @@ def test_subformulas_include_self_last(f):
     subs = subformulas_by_length(f)
     assert subs[-1] == f
     assert len(set(subs)) == len(subs)
+
+
+@given(_formulas(3))
+def test_subformula_table_links_children_by_position(f):
+    table = subformula_table(f)
+    nodes = [g for g, _, _ in table]
+    assert nodes == subformulas_by_length(f)
+    walked, todo = [], [f]
+    while todo:
+        walked.append(todo.pop())
+        todo += _children(walked[-1])
+    distinct = {pretty_print(g): g for g in walked}
+    assert nodes == [distinct[t] for t in sorted(distinct, key=lambda t: (formula_length(distinct[t]), t))]
+    for i, (g, text, kids) in enumerate(table):
+        assert text == pretty_print(g)
+        assert [nodes[k] for k in kids] == list(_children(g))
+        assert all(k < i for k in kids)
+
+
+def test_numerals_are_decimal_digits():
+    assert parse_formula("p²") == Atom("p²")
+    assert parse_formula("H[a] = ١/٢ {p}").threshold == Real(Fraction(1, 2))
+    for text, col in (("H[a] = ² {p}", 8), ("H[a] = 1² {p}", 9), ("H[a] = 0.5² {p}", 11)):
+        with pytest.raises(FormulaError, match=f"1:{col}: unexpected character '²'"):
+            parse_formula(text)

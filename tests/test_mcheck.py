@@ -8,12 +8,14 @@ from random import Random
 
 import pytest
 
-from atlh.cegm import Cegm, load_model
+from atlh import cli, mcheck
+from atlh.cegm import Cegm, load_model, save_model
 from atlh.formula import (
     CoalFG,
     CoalG,
     CoalU,
     CoalX,
+    Formula,
     Hartley,
     LogOfCount,
     Real,
@@ -36,7 +38,12 @@ from atlh.mcheck import (
     label,
 )
 from atlh.sampling import random_cegm, random_formula
-from atlh.scenarios import gen_threeballot
+from atlh.scenarios import (
+    epistemic_coercion_property,
+    gen_threeballot,
+    hartley_coercion_property,
+    hartley_invariant_property,
+)
 
 from bruteforce import oracle_label, strategy_wins
 from conftest import within
@@ -834,3 +841,42 @@ def test_local_recompute_matches_from_scratch():
                     now = _from_scratch(engine, _restricted_succs(engine, fixes), kind, args, scope)
                     pending = []
     assert tried > 10000, tried
+
+
+def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
+    # label_masks reads each child's mask by its position in the subformula
+    # table; a dataclass hash would walk the whole subtree on every lookup
+    model = gen_threeballot()
+    path = tmp_path / "threeballot.cegm"
+    path.write_text(save_model(model), encoding="utf-8")
+    formulas = [
+        epistemic_coercion_property(),
+        hartley_invariant_property(),
+        hartley_coercion_property(),
+        parse_formula(
+            "<v, c> F (V1_eq_ab & K[c] V1_eq_ab) | E[v, c] !V1_eq_V2 | <w> X false"
+            " | <c> (true U V1_eq_V2) | <v> F (V1_eq_ab & G true)"
+        ),
+    ]
+    argv = ["check", "--model", str(path), "--dump-labels", "--output", "json-lines"]
+    argv += ["--formula", str(formulas[-1])]
+    verdicts = [check(model, model.initial, f) for f in formulas]
+    code = cli.main(argv)
+    dumped = capsys.readouterr().out
+    real = mcheck.label_masks
+
+    def no_hash(node):
+        raise AssertionError(f"hashed {type(node).__name__}")
+
+    def unhashed(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in (*Formula.__args__, LogOfCount, Real):
+                patch.setattr(cls, "__hash__", no_hash)
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcheck, "label_masks", unhashed)
+    monkeypatch.setattr(cli, "label_masks", unhashed)  # cli binds its own name
+    assert [check(model, model.initial, f) for f in formulas] == verdicts
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == dumped
+    assert dumped.count('"event": "label"') == 16
