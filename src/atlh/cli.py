@@ -64,8 +64,7 @@ def _formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
     if args.formula_file is not None:
-        with open(args.formula_file, encoding="utf-8") as handle:
-            return handle.read()
+        return _read(args.formula_file)
     raise FormulaError("no formula given; use --formula or --formula-file")
 
 
@@ -212,8 +211,11 @@ def cmd_threeballot_table(args) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _add_check_options(p: argparse.ArgumentParser) -> None:

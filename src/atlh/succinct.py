@@ -226,6 +226,14 @@ def _keeps_structure(image, structure) -> bool:
 # Formula-size game
 
 _INF = float("inf")
+# Rule (c) indexes a failure only under a stored side of at most this many
+# states: small sides are the ones later positions contain, and a cap keeps
+# the rows that a lookup scans short. At n = 2 the cap 4 leaves 20,207
+# `solve` calls (62,070 with 2, 27,034 with 3, 19,377 with 5 or more, 78,310
+# with no index); caps of 4 and more run about as fast there, and at n = 3
+# the rows of cap 4 hold at most 621 entries (861 with 5) while with no cap
+# the size-11 search runs over 200 s instead of about 45 s (2-core machine).
+_SUBSUMED_SIDE = 4
 
 
 class _FsgSearch:
@@ -243,7 +251,7 @@ class _FsgSearch:
     non-empty (C' <= C, D' <= D) at the same cost or less, move by move
     (the same atom closes it, negation swaps the sides, a knowledge move
     keeps only the picks of the classes D' touches, a split intersects
-    both halves with C'). Three exact pruning rules follow from it:
+    both halves with C'). Four exact pruning rules follow from it:
 
     (a) a move is tried only when its children's budget can hold a win:
         negation and knowledge need two nodes, a split three;
@@ -255,7 +263,13 @@ class _FsgSearch:
         win only if solve(x, D, bound - 2) = s(x) wins for every x; with
         top = max s, the half holding a top bit costs at least top, the
         other half at most bound - 1 - top, and bits with a larger s
-        ("heavy") must all go to the same half.
+        ("heavy") must all go to the same half;
+    (c) a failure answers every position that contains it: if no tree
+        smaller than `bound` wins (C0, D0), v(C, D) >= v(C0, D0) >= bound
+        for every (C >= C0, D >= D0). Failures whose other side has at
+        most `_SUBSUMED_SIDE` states are kept in two antichains, one per
+        exact side, and a position is looked up in them by a subset of its
+        other side before it is expanded.
 
     The game value is also invariant: if a permutation s of the state bits
     maps the set of atom masks and every agent's class partition onto
@@ -266,7 +280,8 @@ class _FsgSearch:
     of sC into the halves' images. So an exact value, and "no win <=
     budget", carries over to every image. An expansion's result is stored
     under the images of its key by the `maps` of `_atom_symmetries` too, a
-    lower bound as the max with the image's own; probes stay plain lookups.
+    lower bound as the max with the image's own and indexed for rule (c)
+    like the key's; probes stay plain lookups.
     """
 
     def __init__(self, atoms, classes, maps=()):
@@ -284,6 +299,10 @@ class _FsgSearch:
         self.tables = [_byte_tables(image) for image in maps]
         self.exact: dict = {}
         self.lb: dict = {}
+        # antichains of failures: right side D -> [(C0, bound)] and left
+        # side C -> [(D0, bound)], each meaning v(C0, D) or v(C, D0) >= bound
+        self.failed_by_right: dict = {}
+        self.failed_by_left: dict = {}
 
     def _images(self, C: int, D: int) -> list:
         """The image of the key (C, D) under every map."""
@@ -316,6 +335,10 @@ class _FsgSearch:
         if any(C & p == C and not D & p for p in self.atoms):
             self.exact[key] = 1
             return 1
+        subsumed = self._subsumed(C, D, budget)
+        if subsumed:
+            self.lb[key] = subsumed
+            return None
 
         best = None
         bound = budget
@@ -420,11 +443,54 @@ class _FsgSearch:
                 for k in self._images(C, D):
                     exact[k] = best
             return best
-        lb[key] = max(lb.get(key, 1), budget + 1)
+        self._record_failure(C, D, budget + 1)
         if self.tables:
-            for k in self._images(C, D):
-                lb[k] = max(lb.get(k, 1), budget + 1)
+            for c, d in self._images(C, D):
+                self._record_failure(c, d, budget + 1)
         return None
+
+    def _subsumed(self, C: int, D: int, budget: int) -> int:
+        """A stored lower bound above `budget` of some (C0 <= C, D) or
+        (C, D0 <= D), else 0."""
+        for c0, bound in self.failed_by_right.get(D, ()):
+            if bound <= budget:
+                break
+            if c0 & C == c0:
+                return bound
+        for d0, bound in self.failed_by_left.get(C, ()):
+            if bound <= budget:
+                break
+            if d0 & D == d0:
+                return bound
+        return 0
+
+    def _record_failure(self, C: int, D: int, bound: int) -> None:
+        """Raise the lower bound of (C, D) to at least `bound`, and index it."""
+        key = (C, D)
+        bound = max(self.lb.get(key, 1), bound)
+        self.lb[key] = bound
+        if C.bit_count() <= _SUBSUMED_SIDE:
+            _antichain_add(self.failed_by_right.setdefault(D, []), C, bound)
+        if D.bit_count() <= _SUBSUMED_SIDE:
+            _antichain_add(self.failed_by_left.setdefault(C, []), D, bound)
+
+
+def _antichain_add(row: list, mask: int, bound: int) -> None:
+    """Add (mask, bound) to `row`, kept in falling order of bound, unless an
+    entry with a subset mask and a bound as high is there; drop the entries
+    it makes redundant."""
+    higher = []
+    lower = []
+    for entry in row:
+        m, b = entry
+        if b >= bound and m & mask == m:
+            return
+        if b > bound:
+            higher.append(entry)
+        elif mask & m != mask:
+            lower.append(entry)
+    higher.append((mask, bound))
+    row[:] = higher + lower
 
 
 def _byte_tables(image) -> list[list[int]]:
@@ -530,7 +596,10 @@ def min_mel_formula(A, B, size_cap: int):
 def succinctness_rows(nmax: int, exact_nmax: int = 2, node_cap: int = 10**6):
     """One experiment row per n: formula lengths plus (for n <= exact_nmax)
     the two engines' minimal knowledge-only sizes, the enumerator searching up
-    to size 40 and the game up to its answer. Values that blow a cap are None."""
+    to size 40 and the game up to its answer. Values that blow a cap are None.
+    n runs up to 12, as in `gen_Mn`."""
+    if not 1 <= nmax <= 12:
+        raise SuccinctError(f"nmax must be between 1 and 12, got {nmax}")
     rows = []
     for n in range(1, nmax + 1):
         started = time.perf_counter()

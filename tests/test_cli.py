@@ -140,6 +140,22 @@ def test_check_error_paths(fig1_path, capsys):
     assert main(["check", "--model", fig1_path, "--formula", "true", "--state", "zz"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", "{bad}", "--formula", "true"],
+        ["check", "--model", "{model}", "--formula-file", "{bad}"],
+        ["translate", "--dir", "k2h", "--formula-file", "{bad}"],
+    ],
+)
+def test_non_utf8_input_is_a_usage_error(argv, fig1_path, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\x9f")
+    assert main([arg.format(bad=bad, model=fig1_path) for arg in argv]) == 2
+    err = f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)\n"
+    assert capsys.readouterr() == ("", err)
+
+
 def test_check_dump_labels(fig1_path, capsys):
     code = main(
         ["check", "--model", fig1_path, "--formula", "Voted | V_A", "--dump-labels"]
@@ -521,6 +537,11 @@ def test_flag_validation(capsys):
 def test_counts_below_one_are_rejected(argv, flag, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {flag} must be positive\n")
+
+
+def test_nmax_above_twelve_is_rejected(capsys):
+    assert main(["experiment", "succinctness", "--nmax", "13"]) == 2
+    assert capsys.readouterr() == ("", "error: nmax must be between 1 and 12, got 13\n")
 
 
 # The flags that every command used to accept, with a value each would take.

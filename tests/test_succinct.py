@@ -311,23 +311,59 @@ def test_symmetries_of_random_instances_keep_the_structure():
     assert kept >= 5 and unequal >= 100
 
 
+class _Unindexed(_FsgSearch):
+    """The search without rule (c): no failure answers another position."""
+
+    def _subsumed(self, C, D, budget):
+        return 0
+
+
 @pytest.mark.parametrize("n, kmax", [(2, 19), (3, 10)])
 def test_memo_entries_stored_under_images_hold(n, kmax):
     # every exact value and lower bound the search stored, under its own key
-    # or an image's, is what a search without maps finds on that key
+    # or an image's, and every failure it indexed, is what a search without
+    # maps and without rule (c) finds on that key
     a, b = separation_instance(n)
     total, side, atoms, classes = _bit_layout(a + b)
     maps = _atom_symmetries(total, atoms, classes)
     search = _FsgSearch(list(atoms.values()), classes.values(), maps)
     found = [search.solve(side(a), side(b), k) for k in range(1, kmax + 1)]
     assert found[-1] == (19 if n == 2 else None)
-    plain = _FsgSearch(list(atoms.values()), classes.values())
+    plain = _Unindexed(list(atoms.values()), classes.values())
     for (c, d), value in search.exact.items():
         if value != _INF:
             assert plain.solve(c, d, value) == value
             assert value == 1 or plain.solve(c, d, value - 1) is None
     for (c, d), bound in search.lb.items():
         assert plain.solve(c, d, bound - 1) is None
+    # each row is an antichain in falling order of bound: no entry has a
+    # subset mask and a bound as high as another's
+    for row in [*search.failed_by_right.values(), *search.failed_by_left.values()]:
+        bounds = [bound for _, bound in row]
+        assert bounds == sorted(bounds, reverse=True)
+        for i, (m, bound) in enumerate(row):
+            assert not any(j != i and b >= bound and x & m == x for j, (x, b) in enumerate(row))
+    indexed = [(c, d, bound) for d, row in search.failed_by_right.items() for c, bound in row]
+    indexed += [(c, d, bound) for c, row in search.failed_by_left.items() for d, bound in row]
+    assert len(indexed) > 100
+    for c, d, bound in indexed:
+        assert plain.solve(c, d, bound - 1) is None
+
+
+def test_subsumption_cuts_the_n2_search(monkeypatch):
+    # the count is deterministic; without rule (c) the search made 78,310
+    # calls
+    calls = 0
+    solve = _FsgSearch.solve
+
+    def counted(self, C, D, budget):
+        nonlocal calls
+        calls += 1
+        return solve(self, C, D, budget)
+
+    monkeypatch.setattr(_FsgSearch, "solve", counted)
+    assert fsg_min_win(*separation_instance(2), 19) == 19
+    assert calls <= 20_207
 
 
 def test_experiment_rows():
