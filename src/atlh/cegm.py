@@ -219,28 +219,6 @@ class Cegm:
         except KeyError:
             raise ModelError(f"unknown agent {agent}") from None
 
-    def successors(self, state: str, partial=None) -> frozenset:
-        """States reachable in one step when `partial` fixes some agents' actions.
-
-        Unassigned agents range over their available actions.
-        """
-        if state not in self.state_index:
-            raise ModelError(f"unknown state {state}")
-        partial = partial or {}
-        columns = []
-        for a in self.agents:
-            if a in partial:
-                x = partial[a]
-                if x not in self._avail[a, state]:
-                    raise ModelError(f"action {x} unavailable to agent {a} at state {state}")
-                columns.append((x,))
-            else:
-                columns.append(self._avail[a, state])
-        for a in partial:
-            if a not in self.actions:
-                raise ModelError(f"unknown agent {a}")
-        return frozenset(self.trans[state, profile] for profile in product(*columns))
-
     # -- bitmask helpers (state sets are ints with bit i = states[i]) -------
 
     def mask(self, states) -> int:

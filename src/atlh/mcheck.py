@@ -27,8 +27,10 @@ when the bound is not the union.
 
 Each labelling pass builds one coalition engine per coalition. An engine
 projects the model's move table (`Cegm.moves`) onto the coalition's
-columns, so building one costs one pass over the available joint actions.
-Engines point at their model and are never kept on it.
+columns once, in one pass over the available joint actions; every search
+reads that one table by state index, and every choice point carries its
+state indices and mask. Engines point at their model and are never kept
+on it.
 """
 
 from __future__ import annotations
@@ -173,20 +175,20 @@ def _log2_above(count: int, value: Fraction) -> bool:
 # Epistemic and uncertainty evaluation on bitmasks
 
 
-def _class_count(class_states, beta_masks, state_index) -> int:
-    vectors = set()
-    for q in class_states:
-        bit = 1 << state_index[q]
-        vectors.add(tuple(1 if mask & bit else 0 for mask in beta_masks))
-    return len(vectors)
+def _class_count(cls_mask: int, beta_masks) -> int:
+    """Number of distinct valuation patterns of `beta_masks` on the states of
+    `cls_mask`: the non-empty cells left after splitting it by each mask."""
+    cells = [cls_mask]
+    for m in beta_masks:
+        cells = [c for x in cells for c in (x & m, x & ~m) if c]
+    return len(cells)
 
 
 def hartley_classes(model: Cegm, agent: str, state: str, beta_labels) -> int:
     """Number of distinct valuation patterns of `beta_labels` inside the
     agent's epistemic class at `state`."""
     masks = [model.mask(labels) for labels in beta_labels]
-    cls = model.epistemic_class(agent, state)
-    return _class_count(cls, masks, model.state_index)
+    return _class_count(model.mask(model.epistemic_class(agent, state)), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +196,17 @@ def hartley_classes(model: Cegm, agent: str, state: str, beta_labels) -> int:
 
 
 class _CoalitionEngine:
-    """Choice points and successor buckets for one coalition on one model.
+    """Choice points and the projected move table for one coalition on one model.
 
     A strategy is a tuple of actions, one per choice point (an epistemic
-    class in `ir` mode, a single state in `Ir` mode, per coalition agent).
-    Buckets map each state and coalition-action tuple to the mask of states
-    reachable under any opponent response; they are the model's move table
-    with each profile projected onto the coalition's columns, in the
-    table's profile order.
+    class in `ir` mode, a single state in `Ir` mode, per coalition agent). A
+    choice point is `(agent, state indices ascending, actions, state mask)`.
+    `moves[i]` pairs each coalition-action tuple available at state i with
+    the mask of states reachable under any opponent response: the model's
+    move table (`Cegm.moves`) with each profile projected onto the
+    coalition's columns, in the table's profile order. `succs[i]` holds the
+    same masks in the same order. Both are built once; the searches read
+    them and never rebuild them.
     """
 
     def __init__(self, model: Cegm, coalition, mode: str):
@@ -215,16 +220,14 @@ class _CoalitionEngine:
         for a in self.coalition:
             if mode == "ir":
                 for cls in model.epistemic_classes(a):
-                    states = tuple(cls)
-                    if len(states) > 1:
-                        states = tuple(sorted(states, key=index.__getitem__))
-                    options = model.avail(a, states[0])
-                    if len(states) > 1 and len(options) > 1:
+                    idx = tuple(sorted(map(index.__getitem__, cls)))
+                    options = model.avail(a, model.states[idx[0]])
+                    if len(idx) > 1 and len(options) > 1:
                         self.per_state = False
-                    self.choice_points.append((a, states, options))
+                    self.choice_points.append((a, idx, options, model.mask(cls)))
             else:
-                for q in model.states:
-                    self.choice_points.append((a, (q,), model.avail(a, q)))
+                for i, q in enumerate(model.states):
+                    self.choice_points.append((a, (i,), model.avail(a, q), 1 << i))
         cols = [i for i, a in enumerate(model.agents) if a in members]
         if len(cols) > 1:
             project = itemgetter(*cols)
@@ -233,19 +236,16 @@ class _CoalitionEngine:
             project = lambda profile: (profile[col],)
         else:
             project = lambda profile: ()
-        self.buckets = []
-        for moves in model.moves:
-            bucket = {}
-            for profile, bit in moves:
+        self.moves = []
+        for row in model.moves:
+            merged = {}
+            for profile, bit in row:
                 key = project(profile)
-                bucket[key] = bucket.get(key, 0) | bit
-            self.buckets.append(bucket)
+                merged[key] = merged.get(key, 0) | bit
+            self.moves.append(tuple(merged.items()))
+        self.succs = [tuple(m for _, m in row) for row in self.moves]
         self._start_masks = None
         self._predecessors = None
-
-    def choice_tuples(self):
-        """All strategies, in choice-point-order by action-declaration order."""
-        return product(*(options for (_, _, options) in self.choice_points))
 
     def start_masks(self) -> list[int]:
         """Subjective start set per state: union of members' classes."""
@@ -263,10 +263,10 @@ class _CoalitionEngine:
     def predecessors(self) -> list[int]:
         """Per state, the states with some move that may lead to it."""
         if self._predecessors is None:
-            preds = [0] * len(self.buckets)
-            for i, bucket in enumerate(self.buckets):
+            preds = [0] * len(self.succs)
+            for i, row in enumerate(self.succs):
                 post = 0
-                for m in bucket.values():
+                for m in row:
                     post |= m
                 while post:
                     low = post & -post
@@ -276,15 +276,13 @@ class _CoalitionEngine:
         return self._predecessors
 
     def strategy_from(self, choices) -> Strategy:
-        actions: dict = {a: {} for a in self.coalition}
-        for (agent, states, _), chosen in zip(self.choice_points, choices):
-            for q in states:
-                actions[agent][q] = chosen
-        ordered = {
-            a: dict(sorted(actions[a].items(), key=lambda kv: self.model.state_index[kv[0]]))
-            for a in self.coalition
-        }
-        return Strategy(self.coalition, ordered)
+        states = self.model.states
+        rows = {a: [None] * len(states) for a in self.coalition}
+        for (agent, idx, _, _), chosen in zip(self.choice_points, choices):
+            row = rows[agent]
+            for i in idx:
+                row[i] = chosen
+        return Strategy(self.coalition, {a: dict(zip(states, rows[a])) for a in self.coalition})
 
 
 def _condition(succs, kind: str, args) -> tuple[int, int]:
@@ -431,8 +429,9 @@ def _reachable(succs, start: int) -> int:
 def _first_winner(
     engine: _CoalitionEngine, kind: str, args, scope: str, at: int, parts, exact: bool
 ):
-    """First choice tuple in `choice_tuples` order whose validated states
-    include state index `at`, with those states, or None if there is none.
+    """First choice tuple, in `enumerate_strategies` order, whose validated
+    states include state index `at`, with those states, or None if there is
+    none.
     `parts` is `_condition` with no choice fixed; its region must validate
     `at`.
 
@@ -462,10 +461,11 @@ def _first_winner(
     whether a strategy extending the prefix validates `at` does not depend
     on it, so the first winner, if any, plays its first action there.
     """
-    index = engine.model.state_index
     slot = {a: j for j, a in enumerate(engine.coalition)}
-    moves = [list(bucket.items()) for bucket in engine.buckets]
-    succs = [[m for _, m in items] for items in moves]
+    # fixing a choice point replaces its states' rows; backtracking puts
+    # the rows it replaced back
+    moves = list(engine.moves)
+    succs = list(engine.succs)
     points = engine.choice_points
     now = parts + (_validated(engine, parts[0], scope),)
     pending = 0  # states fixed, untested, since `now` was computed
@@ -474,18 +474,17 @@ def _first_winner(
         start = 1 << at if scope == "objective" else engine.start_masks()[at]
         reach = _reachable(succs, start)
     # per fixed choice point: action index, index to resume from on
-    # backtrack, replaced moves, and the search state before it
+    # backtrack, the rows it replaced, and the search state before it
     stack = []
     i = 0
     while len(stack) < len(points):
-        agent, states, options = points[len(stack)]
+        agent, idx, options, fixed = points[len(stack)]
         saved = now, pending, reach
         if len(options) == 1 and i == 0:
             stack.append((0, 1, (), saved))
             continue
         if i < len(options):
-            kept = [(q, moves[q], succs[q]) for q in map(index.__getitem__, states)]
-            fixed = engine.model.mask(states)
+            kept = [(q, moves[q], succs[q]) for q in idx]
             unreached = i == 0 and reach is not None and not fixed & reach
             stack.append((i, len(options) if unreached else i + 1, kept, saved))
             picked, last, i = options[i], i == len(options) - 1, 0
@@ -515,8 +514,9 @@ def _first_winner(
 
 def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at):
     """Union of the states each strategy validates, exact on `want`, and the
-    first strategy (a choice tuple, in `choice_tuples` order) whose validated
-    states include state index `at`; `at=None` asks for no strategy.
+    first strategy (a choice tuple, in `enumerate_strategies` order) whose
+    validated states include state index `at`; `at=None` asks for no
+    strategy.
 
     The bound is the region of the game in which each state may use any of
     its coalition moves: every strategy wins inside it. On a per-state
@@ -525,8 +525,7 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     in the bound that no winner found so far validates, and the union is
     that of the winners found.
     """
-    succs = [list(set(bucket.values())) for bucket in engine.buckets]
-    parts = _condition(succs, kind, args)
+    parts = _condition(engine.succs, kind, args)
     bound = _validated(engine, parts[0], scope)
     exact = engine.per_state and kind != "FG"
     first = None
@@ -554,7 +553,7 @@ def enumerate_strategies(model: Cegm, coalition, opts: CheckOptions | None = Non
     opts = opts or CheckOptions()
     _require_agents(model, coalition)
     engine = _CoalitionEngine(model, coalition, opts.strategy_mode)
-    for choices in engine.choice_tuples():
+    for choices in product(*(options for (_, _, options, _) in engine.choice_points)):
         yield engine.strategy_from(choices)
 
 
@@ -580,9 +579,9 @@ def _knows_mask(model: Cegm, agent: str, sub: int) -> int:
 def _hartley_mask(model: Cegm, g: Hartley, beta_masks) -> int:
     out = 0
     for cls in model.epistemic_classes(g.agent):
-        count = _class_count(cls, beta_masks, model.state_index)
-        if compare_log(count, g.cmp, g.threshold):
-            out |= model.mask(cls)
+        cm = model.mask(cls)
+        if compare_log(_class_count(cm, beta_masks), g.cmp, g.threshold):
+            out |= cm
     return out
 
 

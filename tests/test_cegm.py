@@ -60,18 +60,27 @@ def test_classes_partition_states(fig1):
             assert q in fig1.epistemic_class(a, q)
 
 
-def test_successors(fig1):
-    assert fig1.successors("s0", {"v": "voteA"}) == {"s1"}
-    assert fig1.successors("s0") == {"s0", "s1", "s2"}
-    assert fig1.successors("s1") == {"s1"}
-    assert fig1.successors("s0", {"v": "voteA", "c": "eps"}) == {"s1"}
+def test_moves_rows(fig1):
+    # per state, each available joint action in product order, with the
+    # bit of its target
+    assert fig1.moves == (
+        ((("voteA", "eps"), 0b010), (("voteNA", "eps"), 0b100), (("eps", "eps"), 0b001)),
+        ((("eps", "eps"), 0b010),),
+        ((("eps", "eps"), 0b100),),
+    )
 
 
-def test_successors_unavailable_action(fig1):
-    with pytest.raises(ModelError):
-        fig1.successors("s1", {"v": "voteA"})
-    with pytest.raises(ModelError):
-        fig1.successors("s0", {"x": "eps"})
+def test_queries_reject_unknown_names(fig1):
+    for query, args, message in [
+        (fig1.avail, ("x", "s0"), "unknown agent/state pair (x, s0)"),
+        (fig1.avail, ("v", "s9"), "unknown agent/state pair (v, s9)"),
+        (fig1.epistemic_class, ("x", "s0"), "unknown agent x or state s0"),
+        (fig1.epistemic_class, ("c", "s9"), "unknown agent c or state s9"),
+        (fig1.epistemic_classes, ("x",), "unknown agent x"),
+    ]:
+        with pytest.raises(ModelError) as exc:
+            query(*args)
+        assert str(exc.value) == message
 
 
 def test_obs_closure_is_transitive():
@@ -157,25 +166,70 @@ def test_save_load_round_trip(fig1):
             assert again.avail(a, q) == fig1.avail(a, q)
 
 
+# FIG1 as constructor arguments
+FIG1_ARGS = dict(
+    agents=["v", "c"],
+    states=["s0", "s1", "s2"],
+    initial="s0",
+    actions={"v": ["voteA", "voteNA", "eps"], "c": ["eps"]},
+    avail={("v", "s1"): ["eps"], ("v", "s2"): ["eps"]},
+    trans={
+        ("s0", ("voteA", "eps")): "s1",
+        ("s0", ("voteNA", "eps")): "s2",
+        ("s0", ("eps", "eps")): "s0",
+        ("s1", ("eps", "eps")): "s1",
+        ("s2", ("eps", "eps")): "s2",
+    },
+    obs=[("c", "s1", "s2")],
+    props=["Voted", "V_A"],
+    valuation={"Voted": ["s1", "s2"], "V_A": ["s1"]},
+)
+
+
 def test_constructor_matches_loader(fig1):
-    built = Cegm(
-        agents=["v", "c"],
-        states=["s0", "s1", "s2"],
-        initial="s0",
-        actions={"v": ["voteA", "voteNA", "eps"], "c": ["eps"]},
-        avail={("v", "s1"): ["eps"], ("v", "s2"): ["eps"]},
-        trans={
-            ("s0", ("voteA", "eps")): "s1",
-            ("s0", ("voteNA", "eps")): "s2",
-            ("s0", ("eps", "eps")): "s0",
-            ("s1", ("eps", "eps")): "s1",
-            ("s2", ("eps", "eps")): "s2",
-        },
-        obs=[("c", "s1", "s2")],
-        props=["Voted", "V_A"],
-        valuation={"Voted": ["s1", "s2"], "V_A": ["s1"]},
-    )
-    assert save_model(built) == save_model(fig1)
+    assert save_model(Cegm(**FIG1_ARGS)) == save_model(fig1)
+
+
+# (one changed constructor argument, the full ModelError message): faults
+# that `load_model` reports first with its own messages, so that only a
+# direct construction reaches these
+CONSTRUCTOR_ERRORS = [
+    ({"agents": []}, "a model needs at least one agent"),
+    ({"agents": ["v", "c", "v"]}, "duplicate agent name"),
+    ({"states": []}, "a model needs at least one state"),
+    ({"states": ["s0", "s1", "s2", "s1"]}, "duplicate state name"),
+    ({"initial": "s9"}, "initial state s9 is not a declared state"),
+    (
+        {"avail": {**FIG1_ARGS["avail"], ("x", "s0"): ["eps"]}},
+        "availability for unknown agent/state pair (x, s0)",
+    ),
+    (
+        {"trans": {**FIG1_ARGS["trans"], ("s9", ("eps", "eps")): "s0"}},
+        "transition from unknown state s9",
+    ),
+    (
+        {"trans": {**FIG1_ARGS["trans"], ("s1", ("eps", "eps")): "s9"}},
+        "transition to unknown state s9",
+    ),
+    (
+        {"trans": {**FIG1_ARGS["trans"], ("s1", ("eps",)): "s1"}},
+        "transition at s1 has 1 actions for 2 agents",
+    ),
+    ({"obs": [("x", "s1", "s2")]}, "observation link for unknown agent x"),
+    ({"obs": [("c", "s1", "s9")]}, "observation link s1 ~ s9 uses an unknown state"),
+    ({"props": ["Voted", "V_A", "Voted"]}, "duplicate proposition name"),
+    (
+        {"valuation": {"Voted": ["s1", "s9"], "V_A": ["s1"]}},
+        "proposition Voted declared at unknown state s9",
+    ),
+]
+
+
+@pytest.mark.parametrize("change, message", CONSTRUCTOR_ERRORS)
+def test_constructor_errors_are_pinned(change, message):
+    with pytest.raises(ModelError) as exc:
+        Cegm(**{**FIG1_ARGS, **change})
+    assert str(exc.value) == message
 
 
 def test_mask_helpers(fig1):
@@ -223,6 +277,7 @@ LOAD_ERRORS = [
     (_edit("obs c: s1 ~ s2", "obs c: s1 ~ s2 ~ s0"), "line 14: expected exactly one `~` in observation link"),
     (_edit("obs c: s1 ~ s2", "obs c: s1 s0 ~ s2"), "line 14: observation link needs one state on each side"),
     (_edit("obs c: s1 ~ s2", "obs x: s1 ~ s2"), "line 14: unknown agent x"),
+    (_edit("obs c: s1 ~ s2", "obs c d: s1 ~ s2"), "line 14: expected `obs <agent>: <state> ~ <state>`"),
     (_edit("prop V_A: s1", "prop V A: s1"), "line 16: expected `prop <name>: <states>`"),
     (_edit("prop V_A: s1", "prop V_A: s1 s1x"), "line 16: unknown state s1x"),
     (_edit("prop V_A: s1", "prop 1x: s1"), "line 16: bad proposition name '1x'"),
@@ -236,6 +291,7 @@ LOAD_ERRORS = [
     (FIG1 + "trans s1 ( eps ,eps ) -> s1\n", "line 17: duplicate transition at s1 for (eps, eps)"),
     ("states: s0\ninit: s0\n", "missing agents declaration"),
     ("agents: a\nstates: s0\n", "missing init declaration"),
+    ("agents: a\nactions a: go\n", "missing states declaration"),
     (_edit("actions c: eps\n", ""), "agent c has no actions"),
     (_edit("voteNA eps", "voteNA eps voteA"), "duplicate action for agent v"),
     (_edit("avail v s1: eps", "avail v s1:"), "empty availability for agent v at state s1"),

@@ -79,6 +79,8 @@ def test_gen_errors(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "j must be between 1 and 3" in err
+    assert main(["gen", "Nnj", "--n", "2"]) == 2
+    assert capsys.readouterr().err == "error: gen Nnj needs --n and --j\n"
 
 
 def test_check_verdict_and_witness(fig1_path, capsys):

@@ -115,6 +115,16 @@ def test_hartley_empty_set_is_error():
         parse_formula("H[a] = 1 {}")
 
 
+def test_hartley_constructor_rejects_bad_comparison_and_empty_set():
+    for args, message in [
+        (("!=", Real(1), (Atom("p"),)), "unknown comparison '!='"),
+        (("=", Real(1), ()), "empty formula set in uncertainty operator"),
+    ]:
+        with pytest.raises(FormulaError) as exc:
+            Hartley("a", *args)
+        assert str(exc.value) == message
+
+
 def test_hartley_duplicate_member_is_error():
     with pytest.raises(FormulaError):
         parse_formula("H[a] = 1 {p, p}")

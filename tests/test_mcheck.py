@@ -1,5 +1,6 @@
 """Model checker tests: labeling, knowledge, uncertainty, strategic operators."""
 
+import decimal
 import math
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from atlh.formula import (
 from atlh.mcheck import (
     CheckError,
     CheckOptions,
+    _class_count,
     _CoalitionEngine,
     _condition,
     _narrow,
@@ -182,6 +184,19 @@ def test_hartley_classes_counts(fig1, m1, m2):
     assert hartley_classes(fig1, "c", "s1", [{"s1"}]) == 2
 
 
+def test_class_count_matches_per_state_patterns():
+    # the cells of the class mask split by each member mask against the
+    # distinct membership patterns of the class's states; members are drawn
+    # empty, equal to the class, or at random
+    rng = Random(4241)
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        cls = rng.getrandbits(n) or 1
+        members = [rng.choice((0, cls, rng.getrandbits(n))) for _ in range(rng.randint(0, 4))]
+        patterns = {tuple(m >> i & 1 for m in members) for i in range(n) if cls >> i & 1}
+        assert _class_count(cls, members) == len(patterns), (cls, members)
+
+
 def test_compare_log_exact():
     assert compare_log(3, "=", LogOfCount(3))
     assert not compare_log(3, "=", LogOfCount(4))
@@ -195,6 +210,31 @@ def test_compare_log_exact():
     assert compare_log(1, "=", LogOfCount(1))
     with pytest.raises(CheckError):
         compare_log(0, "=", Real(0))
+
+
+def test_compare_log_doubles_precision_near_an_irrational_logarithm():
+    # thresholds within 10**-45 of log2(3) are closer than the first
+    # 40-digit `decimal` pass can separate, so only a doubled precision
+    # decides them
+    ctx = decimal.Context(prec=100)
+    log2 = ctx.divide(ctx.ln(3), ctx.ln(2))
+    below = Fraction(int(log2.scaleb(46, ctx)), 10**46)
+    above = below + Fraction(1, 10**46)
+    assert 0 < Fraction(log2) - below < Fraction(1, 10**45)
+    assert 0 < above - Fraction(log2) < Fraction(1, 10**45)
+    assert within(2, compare_log, 3, ">", Real(below))
+    assert not within(2, compare_log, 3, "<", Real(below))
+    assert within(2, compare_log, 3, "<", Real(above))
+    assert not within(2, compare_log, 3, ">", Real(above))
+
+
+def test_check_options_reject_unknown_mode_and_scope():
+    with pytest.raises(CheckError) as exc:
+        CheckOptions(strategy_mode="IR")
+    assert str(exc.value) == "unknown strategy mode 'IR'"
+    with pytest.raises(CheckError) as exc:
+        CheckOptions(success_scope="global")
+    assert str(exc.value) == "unknown success scope 'global'"
 
 
 def test_compare_log_matches_integer_comparison():
@@ -756,7 +796,7 @@ def test_uniformity_binding_models_match_oracle():
     """Labels and witnesses against the oracle on models where uniformity
     binds a coalition member, in all four mode/scope combinations: `ir`
     queries there run the pruned search over the engine's projected
-    buckets, which no bundled model reaches. Both single-state
+    move table, which no bundled model reaches. Both single-state
     queries (`check`, `find_witness`) and whole labels are compared. After
     24 plain draws, only draws whose `ir` and `Ir` labels differ are
     compared, until there are 10 of them."""
@@ -787,10 +827,9 @@ def _restricted_succs(engine, fixes):
     """Successor masks per state with each (choice point, action) in
     `fixes` played, the other choice points free."""
     slot = {a: j for j, a in enumerate(engine.coalition)}
-    moves = [list(bucket.items()) for bucket in engine.buckets]
-    for (agent, states, _), picked in fixes:
-        for q in states:
-            i = engine.model.state_index[q]
+    moves = list(engine.moves)
+    for (agent, idx, _, _), picked in fixes:
+        for i in idx:
             moves[i] = [m for m in moves[i] if m[0][slot[agent]] == picked]
     return [[m for _, m in items] for items in moves]
 
@@ -828,9 +867,9 @@ def test_local_recompute_matches_from_scratch():
             for point in engine.choice_points:
                 for picked in point[2]:
                     succs = _restricted_succs(engine, fixes + [(point, picked)])
-                    fixed = model.mask(point[1])
+                    fixed = point[3]
                     for p, _ in pending:
-                        fixed |= model.mask(p[1])
+                        fixed |= p[3]
                     got = _narrow(engine, succs, kind, args, scope, now, fixed)
                     assert got == _from_scratch(engine, succs, kind, args, scope), (kind, mode, scope)
                     tried += 1

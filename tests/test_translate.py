@@ -7,6 +7,8 @@ from random import Random
 
 import pytest
 
+from atlh import translate
+from atlh.cli import main
 from atlh.formula import (
     And,
     Atom,
@@ -252,6 +254,20 @@ def test_check_translation_equivalence_clean():
     pattern = re.compile(r"^seed=\d+ states=\d+ formula=.+ verdict=ok$")
     for line in report.lines:
         assert pattern.match(line), line
+
+
+def test_mismatches_are_counted_and_reported(monkeypatch, capsys):
+    # a translation that negates its result disagrees with the direct check
+    # at the first state of every sample
+    real = translate.h_to_k
+    monkeypatch.setattr(translate, "h_to_k", lambda f, **kwargs: Not(real(f, **kwargs)))
+    report = check_translation_equivalence(samples=3, seed=5)
+    assert report.mismatches == 3
+    assert len(report.lines) == 3
+    assert all(line.endswith(" verdict=mismatch@s0") for line in report.lines)
+    argv = ["experiment", "translation-equivalence", "--samples", "3", "--seed", "5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == report.lines + ["mismatches: 3"]
 
 
 def test_check_translation_equivalence_deterministic():
