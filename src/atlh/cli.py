@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .cegm import ModelError, load_model, save_model
@@ -47,10 +46,7 @@ _ERRORS = (
 
 
 def _fail(message: str) -> int:
-    prefix = "error:"
-    if os.environ.get("ATLH_MC_COLOR") == "1":
-        prefix = "\x1b[31merror:\x1b[0m"
-    print(f"{prefix} {message}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 

@@ -15,10 +15,16 @@ inside the G-region of `y`). For X, G and U on a per-state engine (all of
 scenario) the bound is the union. Otherwise a depth-first search over the
 choice points, pruned by the same region with the choices made so far
 fixed, looks for a winner from each wanted state the winners found so far
-miss. Fixing a choice point recomputes the region only on the states whose
-membership the lost moves can change (`_narrow`), over the engine's
-predecessor masks; a choice point the queried state's start set cannot
-reach keeps its first action untested.
+miss. A choice point the queried state's start set cannot reach keeps its
+first action untested, and an action whose rows repeat an earlier, failed
+action's is skipped.
+
+One routine, `_narrow`, computes every region, with worklist fixpoints
+over the engine's predecessor masks (`_shrink` for G, `_grow` for U) that
+test a state again only after one of its successors changes. From scratch
+it starts from the all-states triple with every state marked fixed; after
+a choice point is fixed, from the previous triple with only that point's
+states (and any left pending) marked.
 
 A witness is always the first strategy, in `enumerate_strategies` order,
 that validates the queried state: the first one that search reaches. It
@@ -205,7 +211,8 @@ class _CoalitionEngine:
     the mask of states reachable under any opponent response: the model's
     move table (`Cegm.moves`) with each profile projected onto the
     coalition's columns, in the table's profile order. `succs[i]` holds the
-    same masks in the same order. Both are built once; the searches read
+    same masks in the same order, and `preds[i]` the mask of states with a
+    move that may lead to state i. All are built once; the searches read
     them and never rebuild them.
     """
 
@@ -237,15 +244,18 @@ class _CoalitionEngine:
         else:
             project = lambda profile: ()
         self.moves = []
-        for row in model.moves:
+        # each joint action has one target, so one OR records its edge
+        self.preds = preds = [0] * len(model.moves)
+        for i, row in enumerate(model.moves):
             merged = {}
+            here = 1 << i
             for profile, bit in row:
                 key = project(profile)
                 merged[key] = merged.get(key, 0) | bit
+                preds[bit.bit_length() - 1] |= here
             self.moves.append(tuple(merged.items()))
         self.succs = [tuple(m for _, m in row) for row in self.moves]
         self._start_masks = None
-        self._predecessors = None
 
     def start_masks(self) -> list[int]:
         """Subjective start set per state: union of members' classes."""
@@ -260,21 +270,6 @@ class _CoalitionEngine:
             self._start_masks = masks
         return self._start_masks
 
-    def predecessors(self) -> list[int]:
-        """Per state, the states with some move that may lead to it."""
-        if self._predecessors is None:
-            preds = [0] * len(self.succs)
-            for i, row in enumerate(self.succs):
-                post = 0
-                for m in row:
-                    post |= m
-                while post:
-                    low = post & -post
-                    preds[low.bit_length() - 1] |= 1 << i
-                    post ^= low
-            self._predecessors = preds
-        return self._predecessors
-
     def strategy_from(self, choices) -> Strategy:
         states = self.model.states
         rows = {a: [None] * len(states) for a in self.coalition}
@@ -283,29 +278,6 @@ class _CoalitionEngine:
             for i in idx:
                 row[i] = chosen
         return Strategy(self.coalition, {a: dict(zip(states, rows[a])) for a in self.coalition})
-
-
-def _condition(succs, kind: str, args) -> tuple[int, int]:
-    """States from which the coalition, picking among the moves in `succs`,
-    makes every path meet the condition (with one move per state, the states
-    where that strategy wins), and for FG the G-region of the invariant
-    whose goal states they reach (0 for the other kinds)."""
-    if kind == "FG":
-        goal, inv = args
-        g = _region(succs, "G", [inv])
-        return _region(succs, "U", [(1 << len(succs)) - 1, goal & g]), g
-    return _region(succs, kind, args), 0
-
-
-def _validated(engine: _CoalitionEngine, w: int, scope: str) -> int:
-    """States whose whole start set lies inside the winning set `w`."""
-    if scope == "objective":
-        return w
-    v = 0
-    for i, sm in enumerate(engine.start_masks()):
-        if sm & ~w == 0:
-            v |= 1 << i
-    return v
 
 
 def _gather(table, mask: int) -> int:
@@ -332,32 +304,12 @@ def _cpre(succs, z: int, cand: int) -> int:
     return out
 
 
-def _region(succs, kind: str, args) -> int:
-    """Winning region of the game in which state i lets the coalition pick
-    any successor mask in `succs[i]`: X is one controllable-predecessor step,
-    G its greatest and U its least fixpoint."""
-    if kind == "X":
-        return _cpre(succs, args[0], (1 << len(succs)) - 1)
-    if kind == "G":
-        z = args[0]
-        while True:
-            nz = _cpre(succs, z, z)
-            if nz == z:
-                return z
-            z = nz
-    hold, goal = args
-    z = goal
-    while True:
-        nz = z | _cpre(succs, z, hold & ~z)
-        if nz == z:
-            return z
-        z = nz
-
-
 def _shrink(succs, pred, z: int, dirty: int) -> int:
-    """Greatest fixpoint of `_cpre` below `z`, which was one before the
-    states in `dirty` lost moves: only those states, and then the
-    predecessors of the states dropped, are tested again."""
+    """Greatest fixpoint of `_cpre` below `z`, where every state of `z`
+    outside `dirty` keeps a move into `z` (as when `z` was the fixpoint
+    before the states in `dirty` lost moves): only the states in `dirty`,
+    and then the predecessors of the states dropped, are tested again.
+    With `dirty` covering `z` it is the fixpoint from scratch."""
     dirty &= z
     while dirty:
         lost = dirty & ~_cpre(succs, z, dirty)
@@ -372,9 +324,10 @@ def _grow(succs, pred, hold: int, goal: int, z: int, seeds: int) -> int:
     outside the backward closure of the seeds inside `z` wins as before: it
     keeps all its moves, and none of its successors lies in the closure. So
     the fixpoint restarts from those states and the goal, and tests only
-    states in the closure."""
+    states in the closure. With `seeds` covering `z` it restarts from the
+    goal alone: the fixpoint from scratch."""
     cut = frontier = seeds & z
-    while frontier:
+    while frontier and cut != z:
         frontier = _gather(pred, frontier) & z & ~cut
         cut |= frontier
     z = (z & ~cut) | goal
@@ -387,22 +340,28 @@ def _grow(succs, pred, hold: int, goal: int, z: int, seeds: int) -> int:
 
 
 def _narrow(engine: _CoalitionEngine, succs, kind: str, args, scope: str, now, fixed: int):
-    """`now` is `(region, gpart, valid)`: `_condition` and `_validated` of the
-    moves before the states in `fixed` lost some of theirs. Returns the same
-    triple for `succs`, recomputed only on the states whose membership the
-    lost moves can change."""
+    """`now` is `(region, gpart, valid)`: the winning region, for FG the
+    G-region of the invariant whose goal states it reaches (0 for the other
+    kinds), and the states whose start set lies inside the region, all for
+    the moves before the states in `fixed` lost some of theirs. Returns the
+    same triple for `succs`, recomputed only on the states whose membership
+    the lost moves can change.
+
+    This is the one routine that computes a region: from the all-states
+    triple `(full, full, full)` with every state fixed it computes the
+    triple from scratch, with the same worklist fixpoints."""
     region, gpart, valid = now
+    pred = engine.preds
     if kind == "X":
         test = fixed & region
         w, g = region & ~(test & ~_cpre(succs, args[0], test)), 0
     elif kind == "G":
-        w, g = _shrink(succs, engine.predecessors(), region, fixed), 0
+        w, g = _shrink(succs, pred, region & args[0], fixed), 0
     elif kind == "U":
-        w, g = _grow(succs, engine.predecessors(), args[0], args[1], region, fixed), 0
+        w, g = _grow(succs, pred, args[0], args[1], region, fixed), 0
     else:
-        pred = engine.predecessors()
-        goal = args[0]
-        g = _shrink(succs, pred, gpart, fixed)
+        goal, inv = args
+        g = _shrink(succs, pred, gpart & inv, fixed)
         seeds = fixed | goal & gpart & ~g
         w = _grow(succs, pred, (1 << len(succs)) - 1, goal & g, region, seeds)
     if scope == "objective":
@@ -427,13 +386,13 @@ def _reachable(succs, start: int) -> int:
 
 
 def _first_winner(
-    engine: _CoalitionEngine, kind: str, args, scope: str, at: int, parts, exact: bool
+    engine: _CoalitionEngine, kind: str, args, scope: str, at: int, now, exact: bool
 ):
     """First choice tuple, in `enumerate_strategies` order, whose validated
     states include state index `at`, with those states, or None if there is
     none.
-    `parts` is `_condition` with no choice fixed; its region must validate
-    `at`.
+    `now` is `_narrow`'s triple with no choice fixed, the one `_search`
+    computed from scratch; it must validate `at`.
 
     A depth-first search fixes one choice point at a time, trying actions in
     declaration order. A prefix is pruned when the region with its choices
@@ -442,8 +401,16 @@ def _first_winner(
     per state, and every kind's region only shrinks as moves are removed.
     With every choice fixed the region is the strategy's own, so the first
     complete prefix is the winner. Only the fixed states' move lists change,
-    and `_narrow` recomputes the region only on the states whose membership
-    that can change; every other state keeps the parent prefix's value.
+    and `_narrow`, the routine that computed `now`, recomputes the region
+    only on the states whose membership that can change; every other state
+    keeps the parent prefix's value.
+
+    An action is skipped, untested, when at every state of the choice point
+    the rows it leaves hold the same successor masks as some earlier
+    action's. Backtracking reached it, so that earlier action's subtree
+    held no winner, and this one's subtree is the same search: each row is
+    a product of the members' actions left, so the other members' columns
+    line up row for row.
 
     With `exact` (a per-state engine, and X, G or U) the region of every
     prefix is exact, since one strategy wins on the whole region of a
@@ -467,28 +434,32 @@ def _first_winner(
     moves = list(engine.moves)
     succs = list(engine.succs)
     points = engine.choice_points
-    now = parts + (_validated(engine, parts[0], scope),)
     pending = 0  # states fixed, untested, since `now` was computed
     reach = None
     if not exact:
         start = 1 << at if scope == "objective" else engine.start_masks()[at]
         reach = _reachable(succs, start)
     # per fixed choice point: action index, index to resume from on
-    # backtrack, the rows it replaced, and the search state before it
+    # backtrack, the rows it replaced, the search state before it, and the
+    # successor masks each action tried there before it left
     stack = []
     i = 0
+    tried = []
     while len(stack) < len(points):
         agent, idx, options, fixed = points[len(stack)]
         saved = now, pending, reach
         if len(options) == 1 and i == 0:
-            stack.append((0, 1, (), saved))
+            stack.append((0, 1, (), saved, ()))
             continue
         if i < len(options):
+            picked, j = options[i], slot[agent]
+            if tried and [[m for key, m in moves[q] if key[j] == picked] for q in idx] in tried:
+                i += 1
+                continue
             kept = [(q, moves[q], succs[q]) for q in idx]
             unreached = i == 0 and reach is not None and not fixed & reach
-            stack.append((i, len(options) if unreached else i + 1, kept, saved))
-            picked, last, i = options[i], i == len(options) - 1, 0
-            j = slot[agent]
+            stack.append((i, len(options) if unreached else i + 1, kept, saved, tried))
+            last, i, tried = i == len(options) - 1, 0, []
             for q, km, _ in kept:
                 moves[q] = [m for m in km if m[0][j] == picked]
                 succs[q] = [m for _, m in moves[q]]
@@ -504,7 +475,8 @@ def _first_winner(
         # no action left here, or this one is pruned: undo the last choice
         if not stack:
             return None
-        _, i, kept, (now, pending, reach) = stack.pop()
+        _, i, kept, (now, pending, reach), tried = stack.pop()
+        tried = [*tried, [succs[q] for q, _, _ in kept]]
         for q, km, ks in kept:
             moves[q], succs[q] = km, ks
     if pending and not exact:
@@ -519,20 +491,23 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     strategy.
 
     The bound is the region of the game in which each state may use any of
-    its coalition moves: every strategy wins inside it. On a per-state
+    its coalition moves: every strategy wins inside it. `_narrow` computes
+    it from the all-states triple with every state fixed, the same routine
+    that recomputes it after each fix in `_first_winner`. On a per-state
     engine with X, G or U it is the union, since one strategy then wins on
     the whole region. Otherwise `_first_winner` runs from each wanted state
     in the bound that no winner found so far validates, and the union is
     that of the winners found.
     """
-    parts = _condition(engine.succs, kind, args)
-    bound = _validated(engine, parts[0], scope)
+    full = engine.model.full_mask
+    now = _narrow(engine, engine.succs, kind, args, scope, (full, full, full), full)
+    bound = now[2]
     exact = engine.per_state and kind != "FG"
     first = None
     union = 0
     todo = want & bound
     if at is not None and bound >> at & 1:
-        found = _first_winner(engine, kind, args, scope, at, parts, exact)
+        found = _first_winner(engine, kind, args, scope, at, now, exact)
         if found is not None:
             first, union = found
         todo &= ~(1 << at)
@@ -541,7 +516,7 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     todo &= ~union
     while todo:
         q = (todo & -todo).bit_length() - 1
-        found = _first_winner(engine, kind, args, scope, q, parts, False)
+        found = _first_winner(engine, kind, args, scope, q, now, False)
         if found is not None:
             union |= found[1]
         todo &= ~union & ~(1 << q)

@@ -331,6 +331,9 @@ def _too_long(formula, col, numeral):
         ("H[c] > ² {V_A}", 2, "error: 1:8: unexpected character '²'\n", None),
         ("H[c] > 1/² {V_A}", 2, "error: 1:10: unexpected character '²'\n", None),
         ("H[c] > log(١) {V_A}", 1, "", "H[c] > log(1) {V_A}"),
+        ("H[c] > 1/0 {V_A}", 2,
+         "error: 1:10: fraction threshold needs a positive integer denominator\n", None),
+        ("H[c] > foo {V_A}", 2, "error: 1:8: expected a threshold, found 'foo'\n", None),
         _too_long(f"H[c] > log({_NINES}) {{V_A}}", 12, _NINES),
         _too_long(f"H[c] > {_NINES} {{V_A}}", 8, _NINES),
         _too_long(f"H[c] > 1/{_NINES} {{V_A}}", 10, _NINES),
@@ -339,6 +342,7 @@ def _too_long(formula, col, numeral):
         (f"H[c] > 1/{2**13000} {{V_A}}", 1, "", f"H[c] > 1/{2**13000} {{V_A}}" if _INT_LIMIT else None),
     ],
     ids=["log-superscript", "superscript", "denominator-superscript", "arabic-indic-one",
+         "zero-denominator", "word",
          "long-log", "long-integer", "long-denominator", "long-decimal", "fraction-2^-13000"],
 )
 def test_threshold_numerals(fig1_path, formula, code, stderr, printed):
@@ -511,15 +515,6 @@ def test_experiment_translation_equivalence_passes_check_options(monkeypatch):
         (3, 5, CheckOptions("Ir", "subjective")),
         (3, 5, CheckOptions("ir", "objective")),
     ]
-
-
-def test_color_toggle(fig1_path, capsys, monkeypatch):
-    monkeypatch.setenv("ATLH_MC_COLOR", "1")
-    main(["check", "--model", fig1_path, "--formula", "p &"])
-    assert "\x1b[31m" in capsys.readouterr().err
-    monkeypatch.setenv("ATLH_MC_COLOR", "0")
-    main(["check", "--model", fig1_path, "--formula", "p &"])
-    assert "\x1b[" not in capsys.readouterr().err
 
 
 def test_flag_validation(capsys):

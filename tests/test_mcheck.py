@@ -29,9 +29,7 @@ from atlh.mcheck import (
     CheckOptions,
     _class_count,
     _CoalitionEngine,
-    _condition,
     _narrow,
-    _validated,
     check,
     compare_log,
     enumerate_strategies,
@@ -544,22 +542,28 @@ def test_uniform_and_per_state_verdicts_differ_and_match_oracle():
             _assert_matches_oracle(model, f, opts)
 
 
+def _around_fork(states, lines) -> str:
+    """FORK with `states` declared between its sinks (g, d) and its fork
+    (s0, s1), and `lines` (their transitions and links) before FORK's."""
+    head = [
+        "agents: a b",
+        "states: " + " ".join(["g", "d", *states, "s0", "s1"]),
+        "init: s0",
+        "actions a: x y",
+        "actions b: l r",
+    ]
+    tail = [line for line in FORK.splitlines() if line.startswith(("trans", "obs", "prop"))]
+    return "\n".join(head + lines + tail) + "\n"
+
+
 def _fork_gadget(k: int) -> str:
     """FORK with k two-state classes of a's self-loops declared between its
     sinks (g, d) and its fork (s0, s1). No FORK state reaches a loop, and
     from g the search fixes the loops and the fork after its last test."""
     loops = [f"l{i}{side}" for i in range(k) for side in "ab"]
-    lines = [
-        "agents: a b",
-        "states: " + " ".join(["g", "d", *loops, "s0", "s1"]),
-        "init: s0",
-        "actions a: x y",
-        "actions b: l r",
-    ]
-    lines += [f"trans {q} ({x}, {y}) -> {q}" for q in loops for x in "xy" for y in "lr"]
+    lines = [f"trans {q} ({x}, {y}) -> {q}" for q in loops for x in "xy" for y in "lr"]
     lines += [f"obs a: l{i}a ~ l{i}b" for i in range(k)]
-    lines += [line for line in FORK.splitlines() if line.startswith(("trans", "obs", "prop"))]
-    return "\n".join(lines) + "\n"
+    return _around_fork(loops, lines)
 
 
 def test_unreachable_choice_points_are_not_searched():
@@ -584,6 +588,41 @@ def test_fork_gadget_matches_oracle(k):
     for text in ("<a> F goal", "<a> G p", "<a> F (p & G p)")[: 3 if small else 1]:
         f = parse_formula(text)
         for opts in COMBOS if small else COMBOS[:2]:
+            _assert_matches_oracle(model, f, opts)
+
+
+def _chain_gadget(k: int) -> str:
+    """FORK with a chain c0 … c(k-1) declared between its sinks (g, d) and
+    its fork (s0, s1): each chain state leads, whatever is played, to the
+    next, and the last to s0. From c0 every chain state is reachable, and
+    its two actions leave the same rows."""
+    chain = [f"c{i}" for i in range(k)]
+    lines = [
+        f"trans {q} ({x}, {y}) -> {nxt}"
+        for q, nxt in zip(chain, chain[1:] + ["s0"])
+        for x in "xy"
+        for y in "lr"
+    ]
+    return _around_fork(chain, lines)
+
+
+def test_actions_with_repeated_rows_are_not_searched():
+    """An action whose rows equal an earlier, failed action's at every state
+    of its choice point fails too, so it is skipped: at k = 16 the search
+    does not try every one of the chain's 2**16 prefixes before the fork."""
+    model = load_model(_chain_gadget(16))
+    f = parse_formula("<a> F goal")
+    assert not within(2, check, model, "c0", f)
+    assert within(2, find_witness, model, "c0", f) is None
+    assert within(2, label, model, f)[f] == {"g", "s1"}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chain_gadget_matches_oracle(k):
+    model = load_model(_chain_gadget(k))
+    for text in ("<a> F goal", "<a> G p", "<a> F (p & G p)"):
+        f = parse_formula(text)
+        for opts in COMBOS:
             _assert_matches_oracle(model, f, opts)
 
 
@@ -834,19 +873,60 @@ def _restricted_succs(engine, fixes):
     return [[m for _, m in items] for items in moves]
 
 
+def _round_cpre(succs, z, cand):
+    out = 0
+    for i, row in enumerate(succs):
+        if cand >> i & 1 and any(not m & ~z for m in row):
+            out |= 1 << i
+    return out
+
+
+def _round_region(succs, kind, args):
+    """Winning region by rounds that re-test every candidate state until
+    nothing changes: X one step, G the greatest and U the least fixpoint."""
+    if kind == "X":
+        return _round_cpre(succs, args[0], (1 << len(succs)) - 1)
+    if kind == "G":
+        z = args[0]
+        while (nz := _round_cpre(succs, z, z)) != z:
+            z = nz
+        return z
+    hold, goal = args
+    z = goal
+    while (nz := z | _round_cpre(succs, z, hold & ~z)) != z:
+        z = nz
+    return z
+
+
 def _from_scratch(engine, succs, kind, args, scope):
-    w, g = _condition(succs, kind, args)
-    return w, g, _validated(engine, w, scope)
+    """`_narrow`'s triple computed independently: the region, FG's G-part
+    (the G-region of the invariant) and the states whose start set, the
+    union of the members' classes, lies inside the region."""
+    model = engine.model
+    if kind == "FG":
+        goal, inv = args
+        g = _round_region(succs, "G", [inv])
+        w = _round_region(succs, "U", [model.full_mask, goal & g])
+    else:
+        w, g = _round_region(succs, kind, args), 0
+    if scope == "objective":
+        return w, g, w
+    valid = 0
+    for i, q in enumerate(model.states):
+        if all(not model.mask(model.epistemic_class(a, q)) & ~w for a in engine.coalition):
+            valid |= 1 << i
+    return w, g, valid
 
 
 def test_local_recompute_matches_from_scratch():
     """`_narrow`, which recomputes a region only on the states a fixed
-    choice point can change, against `_condition` (with FG's G-part) and
-    `_validated` from scratch on the same restricted moves: X, G, U and FG,
-    both modes and scopes, random and uniformity-binding models. Along a
-    random prefix every action of every choice point is tried from the
-    prefix's state; about half the prefix's choices are left pending, so
-    one recompute often covers several fixed choice points."""
+    choice point can change, against round-based fixpoints from scratch on
+    the same restricted moves: X, G, U and FG, both modes and scopes,
+    random and uniformity-binding models. The search's bound, `_narrow`
+    from the all-states triple with every state fixed, is checked first.
+    Along a random prefix every action of every choice point is tried from
+    the prefix's state; about half the prefix's choices are left pending,
+    so one recompute often covers several fixed choice points."""
     rng = Random(6113)
     kinds = ("X", "G", "U", "FG")
     tried = 0
@@ -863,6 +943,8 @@ def test_local_recompute_matches_from_scratch():
             engine = _CoalitionEngine(model, coal, mode)
             fixes = []
             now = _from_scratch(engine, _restricted_succs(engine, []), kind, args, scope)
+            full = model.full_mask
+            assert _narrow(engine, engine.succs, kind, args, scope, (full,) * 3, full) == now
             pending = []  # fixes made since `now` was computed
             for point in engine.choice_points:
                 for picked in point[2]:
@@ -880,6 +962,47 @@ def test_local_recompute_matches_from_scratch():
                     now = _from_scratch(engine, _restricted_succs(engine, fixes), kind, args, scope)
                     pending = []
     assert tried > 10000, tried
+
+
+def _layered(n: int) -> Cegm:
+    """States s0 … s(n-1), coalition agent a0 with actions x, y and opponent
+    a1 with u, v everywhere, no epistemic links. Each joint action from s_i
+    goes 1 to 5 states ahead (capped at the last state), and p1 holds in
+    about one state in 20."""
+    rng = Random(n)
+    states = [f"s{i}" for i in range(n)]
+    trans = {
+        (q, profile): states[min(n - 1, i + rng.randint(1, 5))]
+        for i, q in enumerate(states)
+        for profile in product("xy", "uv")
+    }
+    valuation = {"p1": [q for q in states if rng.random() < 0.05]}
+    actions = {"a0": ["x", "y"], "a1": ["u", "v"]}
+    return Cegm(["a0", "a1"], states, "s0", actions, None, trans, (), ["p1"], valuation)
+
+
+def test_fixpoint_work_is_linear_in_the_model(monkeypatch):
+    """A fixpoint from scratch tests each state once, and again only after
+    one of its successors changes: at most n plus the number of predecessor
+    edges candidate tests per fixpoint. Rounds that re-test every candidate
+    until nothing changes need about 33 n for F on this model."""
+    n = 2000
+    model = _layered(n)
+    edges = sum(p.bit_count() for p in _CoalitionEngine(model, ("a0",), "Ir").preds)
+    real = mcheck._cpre
+    tested = 0
+
+    def counting(succs, z, cand):
+        nonlocal tested
+        tested += cand.bit_count()
+        return real(succs, z, cand)
+
+    monkeypatch.setattr(mcheck, "_cpre", counting)
+    opts = CheckOptions(strategy_mode="Ir")
+    for text in ("<a0> F p1", "<a0> G !p1", "<a0> X p1"):
+        tested = 0
+        label(model, parse_formula(text), opts)
+        assert 0 < tested <= n + edges, (text, tested, n + edges)
 
 
 def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
