@@ -7,13 +7,27 @@ agent, and a propositional valuation. Everything downstream (labeling,
 strategy enumeration, serialization) iterates in declaration order, which
 keeps runs deterministic.
 
-`Cegm.moves` is the transition function as plain data, built while the
-constructor checks that it is total: for each state, in state order, a tuple
-of (profile, target bit) pairs, one per available joint action, in the order
-of `itertools.product` over the agents' available actions (agents in
-declaration order, each agent's actions in its declaration order). The
-target bit is `1 << state_index[target]`. The checker projects its
-coalition moves from this table; it holds no reference to the model.
+The constructor builds, once, the tables the checker reads by state index
+(bit i of a state mask stands for `states[i]`):
+
+- `menus[i]`: the actions available at `states[i]`, one tuple per agent in
+  agent order, each in the agent's declaration order.
+- `moves[i]`: the transition function as plain data, built while the
+  constructor checks that it is total: a tuple of (profile, target bit)
+  pairs, one per available joint action, in the order of
+  `itertools.product(*menus[i])`. The target bit is
+  `1 << state_index[target]`.
+- `preds[i]`: the mask of the states with a joint action leading to
+  `states[i]`.
+- `class_masks[agent]`: the agent's epistemic classes in class order (by
+  first state), each as (state indices ascending, mask). The frozenset
+  views `epistemic_class` and `epistemic_classes` list the same classes.
+
+Each `trans` entry is checked on its own (known states, one available
+action per agent) only when the table cannot be built from the entries
+given, so that the first faulty entry is the one reported. The checker
+projects its coalition moves from these tables; they hold no reference to
+the model.
 """
 
 from __future__ import annotations
@@ -34,9 +48,9 @@ class ModelError(ValueError):
 class Cegm:
     """An explicit-state concurrent game model with epistemic relations.
 
-    Immutable after construction; all queries are read-only. `moves[i]` lists
-    the joint actions available at `states[i]` with their target bits (see
-    the module docstring for the order).
+    Immutable after construction; all queries are read-only. `menus`,
+    `moves`, `preds` and `class_masks` are the tables described in the
+    module docstring.
     """
 
     def __init__(
@@ -84,17 +98,19 @@ class Cegm:
             self.actions[a] = acts
 
         avail = dict(avail or {})
-        self._avail = {}
-        columns = [[] for _ in states]  # per state, each agent's available actions
+        rows = []  # per agent, each state's available actions
         for a in agents:
             declared = self.actions[a]
+            if not avail:  # every pair given is used up
+                rows.append([declared] * len(states))
+                continue
             order = {x: i for i, x in enumerate(declared)}
             normal = {}  # each distinct availability list, validated once
-            for q, column in zip(states, columns):
+            rows.append(row := [])
+            for q in states:
                 chosen = avail.pop((a, q), None)
                 if chosen is None:
-                    self._avail[a, q] = declared
-                    column.append(declared)
+                    row.append(declared)
                     continue
                 chosen = tuple(chosen)
                 acts = normal.get(chosen)
@@ -109,41 +125,27 @@ class Cegm:
                             f"duplicate available action for agent {a} at state {q}"
                         )
                     acts = normal[chosen] = tuple(sorted(chosen, key=order.__getitem__))
-                self._avail[a, q] = acts
-                column.append(acts)
+                row.append(acts)
         if avail:
             (a, q) = next(iter(avail))
             raise ModelError(f"availability for unknown agent/state pair ({a}, {q})")
+        self._agent_index = {a: j for j, a in enumerate(agents)}
+        self.menus = menus = tuple(zip(*rows))
 
-        self.trans = {}
-        for (q, profile), target in (trans or {}).items():
-            profile = tuple(profile)
-            if q not in index:
-                raise ModelError(f"transition from unknown state {q}")
-            if target not in index:
-                raise ModelError(f"transition to unknown state {target}")
-            if len(profile) != len(agents):
-                raise ModelError(
-                    f"transition at {q} has {len(profile)} actions for {len(agents)} agents"
-                )
-            for a, x, acts in zip(agents, profile, columns[index[q]]):
-                if x not in acts:
-                    raise ModelError(
-                        f"transition at {q} uses action {x} unavailable to agent {a}"
-                    )
-            self.trans[q, profile] = target
-        moves = []
-        for q, column in zip(states, columns):
-            row = []
-            for profile in product(*column):
-                target = self.trans.get((q, profile))
-                if target is None:
-                    raise ModelError(
-                        f"missing transition at {q} for profile ({', '.join(profile)})"
-                    )
-                row.append((profile, 1 << index[target]))
-            moves.append(tuple(row))
+        bits = [1 << i for i in range(len(states))]
+        trans = trans or {}
+        moves, preds, gap = _move_table(states, menus, trans, index, bits)
+        if gap or sum(map(len, moves)) != len(trans):
+            # a faulty or surplus entry, or a missing one: check every entry
+            # as given first, so that the first faulty entry is reported
+            trans = _checked_trans(agents, index, menus, trans)
+            moves, preds, gap = _move_table(states, menus, trans, index, bits)
+            if gap:
+                q, profile = gap
+                raise ModelError(f"missing transition at {q} for profile ({', '.join(profile)})")
+        self.trans = dict(trans)
         self.moves = tuple(moves)
+        self.preds = tuple(preds)
 
         # per agent, union-find over the states its links mention
         parents = {a: {} for a in agents}
@@ -161,29 +163,46 @@ class Cegm:
             parent = parents[a]
             parent[find(parent, q)] = find(parent, q2)
 
+        # every state's own class: each agent without links has only these,
+        # and the others share them at their unlinked states
+        singles = tuple(map(frozenset, zip(states)))
+        single_masks = tuple(zip(zip(range(len(states))), bits))
+        single_of = dict(zip(states, singles))
         self._class_of = {}
         self._classes = {}
-        singletons = None  # the classes of every agent without links, shared
-        for a in agents:
+        self.class_masks = {}
+        for a, row in zip(agents, rows):
             parent = parents[a]
             if not parent:
-                if singletons is None:
-                    singletons = tuple(frozenset((q,)) for q in states)
-                    singleton_of = dict(zip(states, singletons))
-                self._classes[a] = singletons
-                self._class_of[a] = singleton_of
+                self._classes[a] = singles
+                self._class_of[a] = single_of
+                self.class_masks[a] = single_masks
                 continue
-            groups = {}  # in order of each class's first state
-            for q in states:
-                groups.setdefault(find(parent, q) if q in parent else q, []).append(q)
-            self._classes[a] = classes = tuple(frozenset(c) for c in groups.values())
-            self._class_of[a] = {q: cls for cls in classes for q in cls}
-            for members in groups.values():
-                if len(members) > 1 and len({self._avail[a, q] for q in members}) > 1:
+            groups = {}  # each class's state indices, in order of its first state
+            for i, q in enumerate(states):
+                groups.setdefault(find(parent, q) if q in parent else q, []).append(i)
+            classes = []
+            masks = []
+            class_of = dict(single_of)
+            for idx in groups.values():
+                if len(idx) == 1:
+                    classes.append(singles[idx[0]])
+                    masks.append(single_masks[idx[0]])
+                    continue
+                names = list(map(states.__getitem__, idx))
+                if len(set(map(row.__getitem__, idx))) > 1:
                     raise ModelError(
                         f"agent {a} has differing availability inside class"
-                        f" {{{', '.join(members)}}}"
+                        f" {{{', '.join(names)}}}"
                     )
+                cls = frozenset(names)
+                class_of.update(dict.fromkeys(names, cls))
+                classes.append(cls)
+                # distinct bits: their sum is their union
+                masks.append((tuple(idx), sum(map(bits.__getitem__, idx))))
+            self._classes[a] = tuple(classes)
+            self._class_of[a] = class_of
+            self.class_masks[a] = tuple(masks)
 
         self.props = tuple(props)
         if len(set(self.props)) != len(self.props):
@@ -191,17 +210,17 @@ class Cegm:
         self.valuation = {}
         for p in self.props:
             extension = tuple((valuation or {}).get(p, ()))
-            for q in extension:
-                if q not in index:
-                    raise ModelError(f"proposition {p} declared at unknown state {q}")
-            self.valuation[p] = frozenset(extension)
+            self.valuation[p] = holds = frozenset(extension)
+            if not index.keys() >= holds:
+                q = next(q for q in extension if q not in index)
+                raise ModelError(f"proposition {p} declared at unknown state {q}")
 
     # -- queries ------------------------------------------------------------
 
     def avail(self, agent: str, state: str) -> tuple[str, ...]:
         """Available actions, in the agent's declaration order."""
         try:
-            return self._avail[agent, state]
+            return self.menus[self.state_index[state]][self._agent_index[agent]]
         except KeyError:
             raise ModelError(f"unknown agent/state pair ({agent}, {state})") from None
 
@@ -222,9 +241,13 @@ class Cegm:
     # -- bitmask helpers (state sets are ints with bit i = states[i]) -------
 
     def mask(self, states) -> int:
+        index = self.state_index
         m = 0
-        for q in states:
-            m |= 1 << self.state_index[q]
+        try:
+            for q in states:
+                m |= 1 << index[q]
+        except KeyError:
+            raise ModelError(f"unknown state {q}") from None
         return m
 
     def states_of(self, mask: int) -> tuple[str, ...]:
@@ -233,6 +256,48 @@ class Cegm:
     @property
     def full_mask(self) -> int:
         return (1 << len(self.states)) - 1
+
+
+def _move_table(states, menus, trans, index, bits):
+    """The move table and the predecessor masks, and None; or, at the first
+    joint action whose `trans` entry is missing or leads to an unknown
+    state, the rows before it, unfinished predecessor masks, and that
+    (state, profile)."""
+    get = trans.get
+    moves = []
+    preds = [0] * len(states)
+    for here, q, column in zip(bits, states, menus):
+        row = []
+        for profile in product(*column):
+            t = index.get(get((q, profile)))
+            if t is None:
+                return moves, preds, (q, profile)
+            row.append((profile, bits[t]))
+            preds[t] |= here
+        moves.append(tuple(row))
+    return moves, preds, None
+
+
+def _checked_trans(agents, index, menus, trans) -> dict:
+    """`trans` with each profile a tuple, after checking each entry in the
+    order given: a known source and target, one action per agent, each
+    available to its agent at the source."""
+    out = {}
+    for (q, profile), target in trans.items():
+        profile = tuple(profile)
+        if q not in index:
+            raise ModelError(f"transition from unknown state {q}")
+        if target not in index:
+            raise ModelError(f"transition to unknown state {target}")
+        if len(profile) != len(agents):
+            raise ModelError(
+                f"transition at {q} has {len(profile)} actions for {len(agents)} agents"
+            )
+        for a, x, acts in zip(agents, profile, menus[index[q]]):
+            if x not in acts:
+                raise ModelError(f"transition at {q} uses action {x} unavailable to agent {a}")
+        out[q, profile] = target
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +327,8 @@ def load_model(text: str) -> Cegm:
     valuation = {}
     known_agents: set = set()
     known_states: set = set()  # empty until the states line
-    profiles = {}  # profile text -> action tuple; models repeat a few profiles
+    # profile text -> action tuple, one per agent; models repeat a few profiles
+    profiles = {}
     menus = {}  # avail line tail -> its checked action names
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -270,13 +336,14 @@ def load_model(text: str) -> Cegm:
         if not line:
             continue
         if line.startswith("trans ") and ("->" in line or ":" in line):
-            rest = line[6:]
-            if "(" not in rest or ")" not in rest or "->" not in rest:
-                raise ModelError("expected `trans <state> (<actions>) -> <state>`", lineno)
-            src, _, rest = rest.partition("(")
+            body = line[6:]
+            src, _, rest = body.partition("(")
             profile_text, _, rest = rest.partition(")")
-            arrow, _, target = rest.partition("->")
-            if arrow.strip():
+            arrow, found, target = rest.partition("->")
+            if not found or arrow.strip():
+                # the partitions found no `->` right after the profile
+                if "(" not in body or ")" not in body or "->" not in body:
+                    raise ModelError("expected `trans <state> (<actions>) -> <state>`", lineno)
                 raise ModelError("expected `->` right after the action profile", lineno)
             src = src.strip()
             if src not in known_states:
@@ -286,12 +353,14 @@ def load_model(text: str) -> Cegm:
                 raise ModelError(f"unknown state {target}", lineno)
             profile = profiles.get(profile_text)
             if profile is None:
-                profile = profiles[profile_text] = tuple(map(str.strip, profile_text.split(",")))
-            if agents is None or len(profile) != len(agents):
-                raise ModelError("action profile length differs from agent count", lineno)
-            if (src, profile) in trans:
-                raise ModelError(f"duplicate transition at {src} for ({', '.join(profile)})", lineno)
+                profile = tuple(map(str.strip, profile_text.split(",")))
+                if agents is None or len(profile) != len(agents):
+                    raise ModelError("action profile length differs from agent count", lineno)
+                profiles[profile_text] = profile
+            size = len(trans)  # a duplicate key leaves the table's size as it was
             trans[src, profile] = target
+            if len(trans) == size:
+                raise ModelError(f"duplicate transition at {src} for ({', '.join(profile)})", lineno)
             continue
         head, colon, tail = line.partition(":")
         key = head.split()

@@ -31,12 +31,17 @@ that validates the queried state: the first one that search reaches. It
 is searched for only when asked for (`find_witness`, `atlh check`), or
 when the bound is not the union.
 
-Each labelling pass builds one coalition engine per coalition. An engine
-projects the model's move table (`Cegm.moves`) onto the coalition's
-columns once, in one pass over the available joint actions; every search
-reads that one table by state index, and every choice point carries its
-state indices and mask. Engines point at their model and are never kept
-on it.
+Each labelling pass builds one coalition engine per coalition, from what
+the model built once: its choice points are the model's class masks
+(`Cegm.class_masks`) in `ir` mode and single states in `Ir` mode, and its
+predecessor masks are the model's (`Cegm.preds`). It projects the model's
+move table (`Cegm.moves`) onto the coalition's columns once. Most rows hold
+one joint action, which keeps its target; all of them are projected in one
+pass of `map` and `zip`. The longer rows are merged one group at a time, the
+group of rows with the same menus (`Cegm.menus`): the coalition's choices
+come in product order, and each choice's mask is the union of its joint
+actions' targets, found by position. Every search reads that one table by
+state index. Engines point at their model and are never kept on it.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, product, repeat
+from operator import itemgetter, or_
 
 from .cegm import Cegm
 from .formula import (
@@ -206,67 +212,84 @@ class _CoalitionEngine:
 
     A strategy is a tuple of actions, one per choice point (an epistemic
     class in `ir` mode, a single state in `Ir` mode, per coalition agent). A
-    choice point is `(agent, state indices ascending, actions, state mask)`.
+    choice point is `(agent, state indices ascending, actions, state mask)`;
+    in `ir` mode the indices and mask are the model's (`Cegm.class_masks`).
     `moves[i]` pairs each coalition-action tuple available at state i with
     the mask of states reachable under any opponent response: the model's
     move table (`Cegm.moves`) with each profile projected onto the
-    coalition's columns, in the table's profile order. `succs[i]` holds the
-    same masks in the same order, and `preds[i]` the mask of states with a
-    move that may lead to state i. All are built once; the searches read
-    them and never rebuild them.
+    coalition's columns, in the table's profile order. A row with one joint
+    action keeps its one target. The longer rows are merged by their
+    menus (`Cegm.menus[i]`, the agents' available actions): a row is the
+    product of those menus, so the coalition's choices come in the product
+    order of its own menus, and all rows with the same menus merge the same
+    positions. `succs[i]` holds the same masks in the same order, and
+    `preds` is the model's (`Cegm.preds`). All are built once; the searches
+    read them and never rebuild them.
     """
 
     def __init__(self, model: Cegm, coalition, mode: str):
         self.model = model
         members = set(coalition)
         self.coalition = tuple(a for a in model.agents if a in members)
-        index = model.state_index
-        self.choice_points = []
+        cols = [j for j, a in enumerate(model.agents) if a in members]
+        menus = model.menus
+        n = len(menus)
+        self.choice_points = points = []
         # strategies are free per state: no uniformity constraint binds
         self.per_state = True
-        for a in self.coalition:
-            if mode == "ir":
-                for cls in model.epistemic_classes(a):
-                    idx = tuple(sorted(map(index.__getitem__, cls)))
-                    options = model.avail(a, model.states[idx[0]])
-                    if len(idx) > 1 and len(options) > 1:
-                        self.per_state = False
-                    self.choice_points.append((a, idx, options, model.mask(cls)))
+        for j in cols:
+            a = model.agents[j]
+            if mode == "Ir":
+                single = map((1).__lshift__, range(n))
+                points += zip(repeat(a), zip(range(n)), map(itemgetter(j), menus), single)
+                continue
+            for idx, mask in model.class_masks[a]:
+                options = menus[idx[0]][j]
+                if len(idx) > 1 and len(options) > 1:
+                    self.per_state = False
+                points.append((a, idx, options, mask))
+        rows = model.moves
+        # every row as if it held one joint action (most do), then each
+        # longer row again, one group of rows with the same menus at a time
+        firsts = list(map(itemgetter(0), rows))
+        bits = list(map(itemgetter(1), firsts))
+        self.moves = moves = list(zip(zip(_keys(cols, list(map(itemgetter(0), firsts))), bits)))
+        self.succs = succs = list(zip(bits))
+        groups = {}
+        for i in compress(range(n), map((1).__lt__, map(len, rows))):
+            groups.setdefault(menus[i], []).append(i)
+        for column, idxs in groups.items():
+            # the coalition's choices in product order, which is the order
+            # their first joint actions come in
+            keys = list(product(*map(column.__getitem__, cols)))
+            targets = [tuple(map(itemgetter(1), rows[i])) for i in idxs]
+            if len(keys) == 1:
+                merged = zip(map(reduce, repeat(or_), targets))
+            elif len(keys) == len(targets[0]):  # the opponents have one choice
+                merged = targets
             else:
-                for i, q in enumerate(model.states):
-                    self.choice_points.append((a, (i,), model.avail(a, q), 1 << i))
-        cols = [i for i, a in enumerate(model.agents) if a in members]
-        if len(cols) > 1:
-            project = itemgetter(*cols)
-        elif cols:
-            (col,) = cols
-            project = lambda profile: (profile[col],)
-        else:
-            project = lambda profile: ()
-        self.moves = []
-        # each joint action has one target, so one OR records its edge
-        self.preds = preds = [0] * len(model.moves)
-        for i, row in enumerate(model.moves):
-            merged = {}
-            here = 1 << i
-            for profile, bit in row:
-                key = project(profile)
-                merged[key] = merged.get(key, 0) | bit
-                preds[bit.bit_length() - 1] |= here
-            self.moves.append(tuple(merged.items()))
-        self.succs = [tuple(m for _, m in row) for row in self.moves]
+                # the positions of each choice's joint actions, two or more
+                slot = {key: k for k, key in enumerate(keys)}
+                spots = [[] for _ in keys]
+                for p, key in enumerate(_keys(cols, list(product(*column)))):
+                    spots[slot[key]].append(p)
+                merged = zip(
+                    *[map(reduce, repeat(or_), map(itemgetter(*ps), targets)) for ps in spots]
+                )
+            for i, masks in zip(idxs, merged):
+                succs[i] = masks
+                moves[i] = tuple(zip(keys, masks))
+        self.preds = model.preds
         self._start_masks = None
 
     def start_masks(self) -> list[int]:
         """Subjective start set per state: union of members' classes."""
         if self._start_masks is None:
-            model = self.model
-            masks = []
-            for q in model.states:
-                m = 0
-                for a in self.coalition:
-                    m |= model.mask(model.epistemic_class(a, q))
-                masks.append(m)
+            masks = [0] * len(self.model.states)
+            for a in self.coalition:
+                for idx, mask in self.model.class_masks[a]:
+                    for i in idx:
+                        masks[i] |= mask
             self._start_masks = masks
         return self._start_masks
 
@@ -278,6 +301,15 @@ class _CoalitionEngine:
             for i in idx:
                 row[i] = chosen
         return Strategy(self.coalition, {a: dict(zip(states, rows[a])) for a in self.coalition})
+
+
+def _keys(cols, profiles):
+    """Each joint action in `profiles` (a list) cut down to its `cols` entries."""
+    if len(cols) > 1:
+        return map(itemgetter(*cols), profiles)
+    if cols:
+        return zip(map(itemgetter(cols[0]), profiles))
+    return [()] * len(profiles)
 
 
 def _gather(table, mask: int) -> int:
@@ -544,8 +576,7 @@ def _require_agents(model: Cegm, agents) -> None:
 
 def _knows_mask(model: Cegm, agent: str, sub: int) -> int:
     out = 0
-    for cls in model.epistemic_classes(agent):
-        cm = model.mask(cls)
+    for _, cm in model.class_masks[agent]:
         if cm & ~sub == 0:
             out |= cm
     return out
@@ -553,8 +584,7 @@ def _knows_mask(model: Cegm, agent: str, sub: int) -> int:
 
 def _hartley_mask(model: Cegm, g: Hartley, beta_masks) -> int:
     out = 0
-    for cls in model.epistemic_classes(g.agent):
-        cm = model.mask(cls)
+    for _, cm in model.class_masks[g.agent]:
         if compare_log(_class_count(cm, beta_masks), g.cmp, g.threshold):
             out |= cm
     return out

@@ -138,7 +138,7 @@ def _bit_layout(pointed):
 
     atoms = {p: sum(m.mask(m.valuation[p]) << offsets[id(m)] for m in models) for p in props}
     classes = {
-        a: [m.mask(cls) << offsets[id(m)] for m in models for cls in m.epistemic_classes(a)]
+        a: [mask << offsets[id(m)] for m in models for _, mask in m.class_masks[a]]
         for a in agents
     }
     return total, side, atoms, classes

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from atlh.cegm import Cegm, ModelError, load_model, save_model
+from atlh.mcheck import hartley_classes
 from atlh.sampling import random_cegm
 
 FIG1 = """\
@@ -77,6 +78,8 @@ def test_queries_reject_unknown_names(fig1):
         (fig1.epistemic_class, ("x", "s0"), "unknown agent x or state s0"),
         (fig1.epistemic_class, ("c", "s9"), "unknown agent c or state s9"),
         (fig1.epistemic_classes, ("x",), "unknown agent x"),
+        (fig1.mask, (["s0", "zz"],), "unknown state zz"),
+        (hartley_classes, (fig1, "c", "s0", [["zz"]]), "unknown state zz"),
     ]:
         with pytest.raises(ModelError) as exc:
             query(*args)
@@ -190,6 +193,10 @@ def test_constructor_matches_loader(fig1):
     assert save_model(Cegm(**FIG1_ARGS)) == save_model(fig1)
 
 
+_WITHOUT_VOTE_NA = {
+    key: target for key, target in FIG1_ARGS["trans"].items() if key[1][0] != "voteNA"
+}
+
 # (one changed constructor argument, the full ModelError message): faults
 # that `load_model` reports first with its own messages, so that only a
 # direct construction reaches these
@@ -221,6 +228,16 @@ CONSTRUCTOR_ERRORS = [
     (
         {"valuation": {"Voted": ["s1", "s9"], "V_A": ["s1"]}},
         "proposition Voted declared at unknown state s9",
+    ),
+    # two faults each: a transition missing at s0 and a faulty entry at s1;
+    # the faulty entry is reported, though its state comes later
+    (
+        {"trans": {**_WITHOUT_VOTE_NA, ("s1", ("eps", "eps")): "s9"}},
+        "transition to unknown state s9",
+    ),
+    (
+        {"trans": {**_WITHOUT_VOTE_NA, ("s1", ("voteA", "eps")): "s1"}},
+        "transition at s1 uses action voteA unavailable to agent v",
     ),
 ]
 

@@ -4,7 +4,7 @@ import decimal
 import math
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -1003,6 +1003,79 @@ def test_fixpoint_work_is_linear_in_the_model(monkeypatch):
         tested = 0
         label(model, parse_formula(text), opts)
         assert 0 < tested <= n + edges, (text, tested, n + edges)
+
+
+def _reference_engine(model, coalition, mode):
+    """What `_CoalitionEngine` holds, built from `model.trans`, `model.avail`
+    and `model.mask` of each class, merging each state's joint actions one at
+    a time in product order into a dict keyed by the coalition's actions."""
+    index = model.state_index
+    members = set(coalition)
+    coal = [a for a in model.agents if a in members]
+    points, per_state = [], True
+    for a in coal:
+        if mode == "ir":
+            for cls in model.epistemic_classes(a):
+                idx = tuple(sorted(map(index.__getitem__, cls)))
+                options = model.avail(a, model.states[idx[0]])
+                per_state = per_state and not (len(idx) > 1 and len(options) > 1)
+                points.append((a, idx, options, model.mask(cls)))
+        else:
+            for i, q in enumerate(model.states):
+                points.append((a, (i,), model.avail(a, q), 1 << i))
+    cols = [j for j, a in enumerate(model.agents) if a in members]
+    moves, preds = [], [0] * len(model.states)
+    for i, q in enumerate(model.states):
+        merged = {}
+        for profile in product(*(model.avail(a, q) for a in model.agents)):
+            t = index[model.trans[q, profile]]
+            key = tuple(profile[j] for j in cols)
+            merged[key] = merged.get(key, 0) | 1 << t
+            preds[t] |= 1 << i
+        moves.append(tuple(merged.items()))
+    starts = [
+        model.mask(set().union(*(model.epistemic_class(a, q) for a in coal)))
+        for q in model.states
+    ]
+    return points, per_state, moves, [tuple(m for _, m in row) for row in moves], preds, starts
+
+
+def test_engine_matches_reference_projection(fig1, m1, m2):
+    """Every coalition, the empty one included, in both modes, on 300
+    random models (several choices on both sides of many states), the
+    bundled referendum models and ThreeBallot: the engine's choice points,
+    move table, successor and predecessor masks and start sets equal those
+    of the one-joint-action-at-a-time reference. Each agent's class masks
+    partition the states in `epistemic_classes` order."""
+    rng = Random(9151)
+    models = [random_cegm(rng, max_states=6, max_agents=3, max_actions=3) for _ in range(300)]
+    models += [fig1, m1, m2, gen_threeballot(), _layered(40)]
+    for model in models:
+        for a in model.agents:
+            classes = model.epistemic_classes(a)
+            entries = model.class_masks[a]
+            assert [m for _, m in entries] == [model.mask(cls) for cls in classes]
+            assert [idx for idx, _ in entries] == [
+                tuple(sorted(map(model.state_index.__getitem__, cls))) for cls in classes
+            ]
+            union = 0
+            for _, m in entries:
+                assert not union & m
+                union |= m
+            assert union == model.full_mask
+        for k in range(len(model.agents) + 1):
+            for coalition in combinations(model.agents, k):
+                for mode in ("ir", "Ir"):
+                    engine = _CoalitionEngine(model, coalition, mode)
+                    got = (
+                        engine.choice_points,
+                        engine.per_state,
+                        [tuple(row) for row in engine.moves],
+                        [tuple(row) for row in engine.succs],
+                        list(engine.preds),
+                        engine.start_masks(),
+                    )
+                    assert got == _reference_engine(model, coalition, mode), (coalition, mode)
 
 
 def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
