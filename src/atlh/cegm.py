@@ -20,8 +20,10 @@ The constructor builds, once, the tables the checker reads by state index
 - `preds[i]`: the mask of the states with a joint action leading to
   `states[i]`.
 - `class_masks[agent]`: the agent's epistemic classes in class order (by
-  first state), each as (state indices ascending, mask). The frozenset
-  views `epistemic_class` and `epistemic_classes` list the same classes.
+  first state), each as (state indices ascending, mask). This is the one
+  stored form of the epistemic relation: `class_entry`, and the frozenset
+  views `epistemic_class` and `epistemic_classes`, are read from it on each
+  call, so equal calls return equal, not identical, values.
 
 Each `trans` entry is checked on its own (known states, one available
 action per agent) only when the table cannot be built from the entries
@@ -50,7 +52,8 @@ class Cegm:
 
     Immutable after construction; all queries are read-only. `menus`,
     `moves`, `preds` and `class_masks` are the tables described in the
-    module docstring.
+    module docstring; `class_masks` is the only stored partition, and the
+    queries build their views from it per call.
     """
 
     def __init__(
@@ -129,7 +132,6 @@ class Cegm:
         if avail:
             (a, q) = next(iter(avail))
             raise ModelError(f"availability for unknown agent/state pair ({a}, {q})")
-        self._agent_index = {a: j for j, a in enumerate(agents)}
         self.menus = menus = tuple(zip(*rows))
 
         bits = [1 << i for i in range(len(states))]
@@ -165,43 +167,28 @@ class Cegm:
 
         # every state's own class: each agent without links has only these,
         # and the others share them at their unlinked states
-        singles = tuple(map(frozenset, zip(states)))
         single_masks = tuple(zip(zip(range(len(states))), bits))
-        single_of = dict(zip(states, singles))
-        self._class_of = {}
-        self._classes = {}
         self.class_masks = {}
         for a, row in zip(agents, rows):
             parent = parents[a]
             if not parent:
-                self._classes[a] = singles
-                self._class_of[a] = single_of
                 self.class_masks[a] = single_masks
                 continue
             groups = {}  # each class's state indices, in order of its first state
             for i, q in enumerate(states):
                 groups.setdefault(find(parent, q) if q in parent else q, []).append(i)
-            classes = []
             masks = []
-            class_of = dict(single_of)
             for idx in groups.values():
                 if len(idx) == 1:
-                    classes.append(singles[idx[0]])
                     masks.append(single_masks[idx[0]])
                     continue
-                names = list(map(states.__getitem__, idx))
                 if len(set(map(row.__getitem__, idx))) > 1:
                     raise ModelError(
                         f"agent {a} has differing availability inside class"
-                        f" {{{', '.join(names)}}}"
+                        f" {{{', '.join(map(states.__getitem__, idx))}}}"
                     )
-                cls = frozenset(names)
-                class_of.update(dict.fromkeys(names, cls))
-                classes.append(cls)
                 # distinct bits: their sum is their union
                 masks.append((tuple(idx), sum(map(bits.__getitem__, idx))))
-            self._classes[a] = tuple(classes)
-            self._class_of[a] = class_of
             self.class_masks[a] = tuple(masks)
 
         self.props = tuple(props)
@@ -220,23 +207,30 @@ class Cegm:
     def avail(self, agent: str, state: str) -> tuple[str, ...]:
         """Available actions, in the agent's declaration order."""
         try:
-            return self.menus[self.state_index[state]][self._agent_index[agent]]
-        except KeyError:
+            return self.menus[self.state_index[state]][self.agents.index(agent)]
+        except (KeyError, ValueError):
             raise ModelError(f"unknown agent/state pair ({agent}, {state})") from None
+
+    def class_entry(self, agent: str, state: str) -> tuple[tuple[int, ...], int]:
+        """The `class_masks` entry of the agent's class holding `state`."""
+        try:
+            i = self.state_index[state]
+            return next(entry for entry in self.class_masks[agent] if i in entry[0])
+        except KeyError:
+            raise ModelError(f"unknown agent {agent} or state {state}") from None
 
     def epistemic_class(self, agent: str, state: str) -> frozenset:
         """All states the agent cannot tell apart from `state` (including it)."""
-        try:
-            return self._class_of[agent][state]
-        except KeyError:
-            raise ModelError(f"unknown agent {agent} or state {state}") from None
+        return frozenset(map(self.states.__getitem__, self.class_entry(agent, state)[0]))
 
     def epistemic_classes(self, agent: str) -> tuple[frozenset, ...]:
         """The agent's partition of the state space, in state order."""
         try:
-            return self._classes[agent]
+            entries = self.class_masks[agent]
         except KeyError:
             raise ModelError(f"unknown agent {agent}") from None
+        name = self.states.__getitem__
+        return tuple(frozenset(map(name, idx)) for idx, _ in entries)
 
     # -- bitmask helpers (state sets are ints with bit i = states[i]) -------
 
@@ -472,20 +466,18 @@ def save_model(model: Cegm) -> str:
     out.append("init: " + model.initial)
     for a in model.agents:
         out.append(f"actions {a}: " + " ".join(model.actions[a]))
-    for a in model.agents:
-        for q in model.states:
-            chosen = model.avail(a, q)
-            if chosen != model.actions[a]:
-                out.append(f"avail {a} {q}: " + " ".join(chosen))
+    for j, a in enumerate(model.agents):
+        for q, column in zip(model.states, model.menus):
+            if column[j] != model.actions[a]:
+                out.append(f"avail {a} {q}: " + " ".join(column[j]))
     for q, row in zip(model.states, model.moves):
         for profile, bit in row:
             target = model.states[bit.bit_length() - 1]
             out.append(f"trans {q} ({', '.join(profile)}) -> {target}")
     for a in model.agents:
-        for cls in model.epistemic_classes(a):
-            members = sorted(cls, key=model.state_index.__getitem__)
-            for left, right in zip(members, members[1:]):
-                out.append(f"obs {a}: {left} ~ {right}")
+        for idx, _ in model.class_masks[a]:
+            for left, right in zip(idx, idx[1:]):
+                out.append(f"obs {a}: {model.states[left]} ~ {model.states[right]}")
     for p in model.props:
         members = sorted(model.valuation[p], key=model.state_index.__getitem__)
         out.append(f"prop {p}: " + " ".join(members))

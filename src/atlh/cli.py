@@ -74,12 +74,11 @@ def cmd_check(args) -> int:
     model = load_model(_read(args.model))
     f = parse_formula(_formula_text(args))
     state = args.state if args.state is not None else model.initial
-    table, masks, witness = label_masks(
-        model, f, _options(args), state, exact=args.dump_labels, witness=True
-    )
+    dump = args.dump_labels and args.output != "csv"  # csv prints no labels
+    table, masks, witness = label_masks(model, f, _options(args), state, exact=dump, witness=True)
     verdict = bool(masks[-1] >> model.state_index[state] & 1)
     text = table[-1][1]
-    labels = zip(table, masks) if args.dump_labels else ()
+    labels = zip(table, masks) if dump else ()
 
     if args.output == "json-lines":
         out = [

@@ -200,7 +200,7 @@ def hartley_classes(model: Cegm, agent: str, state: str, beta_labels) -> int:
     """Number of distinct valuation patterns of `beta_labels` inside the
     agent's epistemic class at `state`."""
     masks = [model.mask(labels) for labels in beta_labels]
-    return _class_count(model.mask(model.epistemic_class(agent, state)), masks)
+    return _class_count(model.class_entry(agent, state)[1], masks)
 
 
 # ---------------------------------------------------------------------------

@@ -593,8 +593,12 @@ def min_mel_formula(A, B, size_cap: int):
 # Experiment rows
 
 
-def succinctness_rows(nmax: int, exact_nmax: int = 2, node_cap: int = 10**6):
-    """One experiment row per n: formula lengths plus (for n <= exact_nmax)
+# the largest n whose row runs the two exact engines
+EXACT_NMAX = 2
+
+
+def succinctness_rows(nmax: int, node_cap: int = 10**6):
+    """One experiment row per n: formula lengths plus (for n <= EXACT_NMAX)
     the two engines' minimal knowledge-only sizes, the enumerator searching up
     to size 40 and the game up to its answer. Values that blow a cap are None.
     n runs up to 12, as in `gen_Mn`."""
@@ -610,7 +614,7 @@ def succinctness_rows(nmax: int, exact_nmax: int = 2, node_cap: int = 10**6):
         except TranslateError:
             pass
         fsg = mel = None
-        if n <= exact_nmax:
+        if n <= EXACT_NMAX:
             A, B = separation_instance(n)
             found = min_mel_formula(A, B, 40)
             if found is not None:

@@ -1,5 +1,6 @@
 """Model loading, validation and query tests."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -93,6 +94,68 @@ def test_obs_closure_is_transitive():
         + "obs a: s1 ~ s2\nobs a: s2 ~ s3\n"
     )
     assert m.epistemic_class("a", "s3") == {"s1", "s2", "s3"}
+
+    # random links (repeated, reversed and reflexive ones too) on 300 models,
+    # three agents each with class-uniform menus; the expected partition is
+    # the reflexive, symmetric, transitive closure of each agent's links
+    rng = Random(1807)
+    agents = ("a", "b", "c")
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        states = [f"s{i}" for i in range(n)]
+        links = [
+            (a, rng.choice(states), rng.choice(states))
+            for a in agents
+            if rng.random() < 0.7
+            for _ in range(rng.randint(1, 2 * n))
+        ]
+        expected = {}
+        for a in agents:
+            same = {(q, q) for q in states}
+            same |= {(q, q2) for b, q, q2 in links if b == a}
+            same |= {(q2, q) for q, q2 in same}
+            for k in states:
+                same |= {(q, q2) for q in states for q2 in states if {(q, k), (k, q2)} <= same}
+            expected[a] = {q: frozenset(q2 for q2 in states if (q, q2) in same) for q in states}
+        avail = {}
+        for a in agents:
+            for cls in dict.fromkeys(expected[a].values()):
+                menu = rng.choice([("x",), ("y",), ("x", "y")])
+                avail.update(((a, q), menu) for q in cls)
+
+        def build():
+            trans = {
+                (q, profile): rng.choice(states)
+                for q in states
+                for profile in product(*(avail[a, q] for a in agents))
+            }
+            actions = dict.fromkeys(agents, ("x", "y"))
+            return Cegm(agents, states, "s0", actions, avail, trans, links)
+
+        model = build()
+        for a in agents:
+            classes = tuple(dict.fromkeys(expected[a].values()))  # by first state
+            assert model.epistemic_classes(a) == classes
+            entries = []
+            for cls in classes:
+                idx = tuple(i for i, q in enumerate(states) if q in cls)
+                entries.append((idx, sum(1 << i for i in idx)))
+            assert model.class_masks[a] == tuple(entries)
+            for q in states:
+                assert model.epistemic_class(a, q) == expected[a][q]
+                assert model.class_entry(a, q) == entries[classes.index(expected[a][q])]
+        # the first class of more than one state, with its last state
+        # offering a different menu, is rejected by name
+        for a in agents:
+            wide = [cls for cls in dict.fromkeys(expected[a].values()) if len(cls) > 1]
+            if wide:
+                names = [q for q in states if q in wide[0]]
+                avail[a, names[-1]] = ("x", "y") if avail[a, names[0]] != ("x", "y") else ("y",)
+                with pytest.raises(ModelError) as exc:
+                    build()
+                message = f"agent {a} has differing availability inside class {{{', '.join(names)}}}"
+                assert str(exc.value) == message
+                break
 
 
 def test_missing_transition_rejected():

@@ -207,14 +207,28 @@ def test_check_json_lines(fig1_path, capsys):
     assert {"event": "label", "formula": "Voted", "states": ["s1", "s2"]} in labels
 
 
-def test_check_csv_output(fig1_path, capsys):
+def test_check_csv_output(fig1_path, capsys, monkeypatch):
     code = main(
         ["check", "--model", fig1_path, "--formula", "Voted", "--output", "csv"]
     )
     assert code == 1
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert lines[0] == "state,formula,result"
     assert lines[1] == "s0,Voted,false"
+    # csv prints no labels, so --dump-labels asks for no whole-model labels
+    exact, label_masks = [], cli.label_masks
+
+    def recording(*args, **kwargs):
+        exact.append(kwargs["exact"])
+        return label_masks(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "label_masks", recording)
+    argv = ["check", "--model", fig1_path, "--formula", "Voted", "--dump-labels"]
+    assert main(argv + ["--output", "csv"]) == 1
+    assert capsys.readouterr().out == out
+    assert main(argv) == 1
+    assert exact == [False, True]
 
 
 def test_check_strategy_flags(micro_path):
@@ -311,6 +325,17 @@ def test_deep_translation_within_the_cap_prints():
     assert run.returncode == 0
     assert "Traceback" not in run.stderr
     assert run.stdout.splitlines()[-2:] == ["input length: 5", "output length: 356719"]
+
+
+def test_translation_too_deep_to_hash_is_a_clean_error():
+    # the outer H's member is the inner H's 1,820-deep translation
+    run = _run_cli(
+        "translate", "--dir", "h2k", "--formula", "H[a] = 1 {H[b] = log(4) {p1, p2, p3, p4}, q}"
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
 
 
 _NINES = "9" * 4301  # one digit over `int`'s default string-conversion limit

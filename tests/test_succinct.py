@@ -379,7 +379,7 @@ def test_experiment_rows():
 
 
 def test_experiment_rows_cap_marks_absent():
-    rows = succinctness_rows(5, exact_nmax=0)
+    rows = succinctness_rows(5)
     assert rows[4]["len_translated"] is None
     assert rows[3]["len_translated"] is not None
 
