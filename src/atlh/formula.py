@@ -8,6 +8,7 @@ that compares the log-count of valuation classes against a threshold.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
@@ -439,7 +440,14 @@ def pretty_print(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-_PUNCT = ("<=", ">=", "!", "&", "|", "(", ")", "[", "]", "{", "}", "<", ">", "=", ",", "/")
+# One token per match, after any blanks: a newline, a comment, a number, an
+# identifier, punctuation, any other character (an error), or the end. Every
+# position matches, so `finditer` skips no text, and the end branch takes
+# trailing blanks in one match instead of a search from each of them.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(\n)|#[^\n]*|(\d+(?:\.\d+)?)|(\w+)|(<=|>=|[!&|()\[\]{}<>=,/])|(.)|\Z)"
+)
+_KINDS = (None, None, "number", "ident", "punct")
 
 
 @dataclass
@@ -451,54 +459,32 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Split formula text into tokens, each with its line and column.
+
+    Only space, tab and CR are blanks, one column each; a newline starts the
+    next line at column 1. `#` starts a comment up to the end of the line,
+    which advances no column: the end of input after a trailing comment is
+    reported at the `#`. A number is decimal digits (`str.isdecimal`),
+    optionally with a fraction part. An identifier starts with a letter
+    (`str.isalpha`) or `_` and goes on with `str.isalnum` characters or `_`.
+    Any other character is an error at its own position.
+    """
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # start: index of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind is None:  # a comment, or blanks up to the end
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        i = m.start(kind)
+        if kind == 1:
+            line, start = line + 1, i + 1
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
-                j += 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise FormulaError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        word = m.group(kind)
+        if kind == 5 or (kind == 3 and not (word[0].isalpha() or word[0] == "_")):
+            raise FormulaError(f"unexpected character {word[0]!r}", line, i - start + 1)
+        tokens.append(_Token(_KINDS[kind], word, line, i - start + 1))
+    end = text.find("#", start)
+    tokens.append(_Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return tokens
 
 
@@ -508,6 +494,7 @@ class _Parser:
         self.pos = 0
         self.open = 0  # parse_unary calls in progress: the parser's own recursion
         self.depths: dict = {}  # id(node) -> (tree depth, node kept alive)
+        self.bare = 0  # `_PathG` nodes made and not absorbed by an F
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -615,6 +602,7 @@ class _Parser:
             return self.parse_hartley(tok)
         if name == "G" and self._starts_unary():
             sub = self.parse_unary()
+            self.bare += 1
             return self.node(tok, _PathG(sub, tok.line, tok.col), sub)
         return Atom(name)
 
@@ -656,6 +644,7 @@ class _Parser:
             return CoalU(coalition, TrueF(), body)
         if len(path_parts) > 1:
             raise self.error("at most one G conjunct is supported under F", tok)
+        self.bare -= 1
         rest = [c for c in conjuncts if not isinstance(c, _PathG)]
         goal = reduce(And, rest) if rest else TrueF()
         return CoalFG(coalition, goal, path_parts[0].sub)
@@ -732,8 +721,8 @@ def parse_formula(text: str) -> Formula:
     tok = parser.peek()
     if tok.kind != "eof":
         raise parser.error(f"unexpected {tok.text!r} after formula", tok)
-    bare = fold(f, _first_bare_g)
-    if bare is not None:
+    if parser.bare:
+        bare = fold(f, _first_bare_g)
         raise FormulaError(
             "bare G is only supported as a conjunct inside <A> F (...)", bare.line, bare.col
         )

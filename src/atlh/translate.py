@@ -28,7 +28,6 @@ from .formula import (
     TrueF,
     _own_length,
     fold,
-    formula_length,
     pretty_print,
     rebuild,
 )
@@ -132,20 +131,36 @@ def _expansion_size(alpha_sizes, counts, n: int) -> int:
     return total + (len(counts) - 1)
 
 
+def _distinct_members(kids) -> list[tuple]:
+    """The `(formula, formula_length)` pairs of `kids` without repeats, first
+    seen first.
+
+    Two members are equal when they are one object, or have one length and
+    one printed text (printing is injective). Neither test recurses, unlike
+    the dataclass `__eq__` and `__hash__` of a deep member.
+    """
+    members: list[tuple] = []
+    for h, n in kids:
+        if not any(h is k or (n == m and pretty_print(h) == pretty_print(k)) for k, m in members):
+            members.append((h, n))
+    return members
+
+
 def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
     """Replace uncertainty by knowledge, innermost-first.
 
     Every threshold is first normalized to the set of class counts that
     satisfy it (counts range over 1..2^n); the result is false for an empty
     set, true for the full range, else the disjunction of count formulas.
-    The construction is exponential by design, hence the caps.
+    The construction is exponential by design, hence the caps. Equal members
+    of a rewritten uncertainty set are merged, as `rebuild` does, but no new
+    uncertainty node is built: its constructor would hash every member.
     """
 
-    def step(g: Formula, kids) -> Formula:
-        g = rebuild(g, kids)
+    def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
         if type(g) is not Hartley:
-            return g
-        members = g.beta
+            return rebuild(g, [h for h, _ in kids]), _own_length(g) + sum(n for _, n in kids)
+        members = _distinct_members(kids)
         n = len(members)
         if n > beta_cap:
             raise TranslateError(
@@ -154,18 +169,21 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
         size = 2**n
         counts = [c for c in range(1, size + 1) if compare_log(c, g.cmp, g.threshold)]
         if not counts:
-            return FalseF()
+            return FalseF(), 1
         if len(counts) == size:
-            return TrueF()
-        alphas = phi_beta(members, beta_cap)
-        nodes = _expansion_size([formula_length(a) for a in alphas], counts, n)
+            return TrueF(), 1
+        alphas = phi_beta([h for h, _ in members], beta_cap)
+        # a signed conjunction: every member, n - 1 &s, and one ! per minus sign
+        plain = sum(m for _, m in members) + n - 1
+        alpha_sizes = [plain + signs.count(0) for signs in product((1, 0), repeat=n)]
+        nodes = _expansion_size(alpha_sizes, counts, n)
         if nodes > node_cap:
             raise TranslateError(
                 f"translation would have {nodes} nodes, over the cap {node_cap}"
             )
-        return reduce(Or, [_count_formula(g.agent, alphas, m, n) for m in counts])
+        return reduce(Or, [_count_formula(g.agent, alphas, m, n) for m in counts]), nodes
 
-    return fold(f, step)
+    return fold(f, step)[0]
 
 
 # ---------------------------------------------------------------------------

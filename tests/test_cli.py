@@ -336,6 +336,7 @@ def test_translation_too_deep_to_hash_is_a_clean_error():
     assert run.stdout == ""
     assert run.stderr.startswith("error: ")
     assert "Traceback" not in run.stderr
+    assert run.stderr == "error: translation would have 8561411 nodes, over the cap 1000000\n"
 
 
 _NINES = "9" * 4301  # one digit over `int`'s default string-conversion limit

@@ -1,6 +1,7 @@
 """Parser, printer and length-metric tests."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,12 +24,15 @@ from atlh.formula import (
     Or,
     Real,
     TrueF,
+    _tokenize,
     formula_length,
     parse_formula,
     pretty_print,
     subformula_table,
     subformulas_by_length,
 )
+from atlh.sampling import random_formula
+from reftokenize import reference_tokenize
 
 
 def test_parse_atom():
@@ -220,10 +224,33 @@ def test_parse_error_positions():
     assert exc.value.line == 2
     assert exc.value.col == 3
     # the first bare G in printed order is reported
-    for text, col in (("G p & G q", 1), ("<a> F (G (G p & G q))", 11), ("H[a] = 1 {q, G p}", 14)):
+    for text, col in (
+        ("G p & G q", 1),
+        ("<a> F (G (G p & G q))", 11),
+        ("H[a] = 1 {q, G p}", 14),
+        ("<a> F (p & !G q) & r", 13),  # under a negation, not a conjunct of F
+        ("<a> F (p & G q) & G r", 19),  # the first G is absorbed, the second is not
+    ):
         with pytest.raises(FormulaError, match="bare G") as exc:
             parse_formula(text)
         assert (exc.value.line, exc.value.col) == (1, col), text
+    # a syntax error wins over a bare G before it
+    with pytest.raises(FormulaError) as exc:
+        parse_formula("G p &")
+    assert str(exc.value) == "1:6: expected a formula, found 'end of input'"
+
+
+def test_bare_g_walk_runs_only_when_a_g_is_left(monkeypatch):
+    from atlh import formula as fm
+
+    visited = []
+    step = fm._first_bare_g
+    monkeypatch.setattr(fm, "_first_bare_g", lambda g, kids: visited.append(g) or step(g, kids))
+    assert parse_formula("<a> F (p & G q) & <b> F G r & <c> G s") is not None
+    assert visited == []
+    with pytest.raises(FormulaError, match="^1:19: bare G"):
+        parse_formula("<a> F (p & G q) & G r")
+    assert visited
 
 
 def test_comments_are_skipped():
@@ -402,3 +429,73 @@ def test_numerals_are_decimal_digits():
     for text, col in (("H[a] = ² {p}", 8), ("H[a] = 1² {p}", 9), ("H[a] = 0.5² {p}", 11)):
         with pytest.raises(FormulaError, match=f"1:{col}: unexpected character '²'"):
             parse_formula(text)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except FormulaError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("p\t&\tq", [("ident", "p", 1, 1), ("punct", "&", 1, 3), ("ident", "q", 1, 5), ("eof", "", 1, 6)]),
+        ("p\r\n&\r\nq", [("ident", "p", 1, 1), ("punct", "&", 2, 1), ("ident", "q", 3, 1), ("eof", "", 3, 2)]),
+        ("p &\n  q |\n\tr", [
+            ("ident", "p", 1, 1), ("punct", "&", 1, 3), ("ident", "q", 2, 3), ("punct", "|", 2, 5),
+            ("ident", "r", 3, 2), ("eof", "", 3, 3),
+        ]),
+        ("  \n  ", [("eof", "", 2, 3)]),
+        ("", [("eof", "", 1, 1)]),
+        # a comment does not advance the column: end of input after it is at the '#'
+        ("p # c", [("ident", "p", 1, 1), ("eof", "", 1, 3)]),
+        ("p & # c", [("ident", "p", 1, 1), ("punct", "&", 1, 3), ("eof", "", 1, 5)]),
+        ("p # c\n", [("ident", "p", 1, 1), ("eof", "", 2, 1)]),
+        ("p # c\n& q", [("ident", "p", 1, 1), ("punct", "&", 2, 1), ("ident", "q", 2, 3), ("eof", "", 2, 4)]),
+        ("p&#c\nq", [("ident", "p", 1, 1), ("punct", "&", 1, 2), ("ident", "q", 2, 1), ("eof", "", 2, 2)]),
+        ("p²", [("ident", "p²", 1, 1), ("eof", "", 1, 3)]),
+        ("V_٣", [("ident", "V_٣", 1, 1), ("eof", "", 1, 4)]),
+        ("ş2", [("ident", "ş2", 1, 1), ("eof", "", 1, 3)]),
+        ("3abc", [("number", "3", 1, 1), ("ident", "abc", 1, 2), ("eof", "", 1, 5)]),
+        ("١٢", [("number", "١٢", 1, 1), ("eof", "", 1, 3)]),
+        ("0.25/3", [("number", "0.25", 1, 1), ("punct", "/", 1, 5), ("number", "3", 1, 6), ("eof", "", 1, 7)]),
+        ("<=", [("punct", "<=", 1, 1), ("eof", "", 1, 3)]),
+        ("=<", [("punct", "=", 1, 1), ("punct", "<", 1, 2), ("eof", "", 1, 3)]),
+        (">=>", [("punct", ">=", 1, 1), ("punct", ">", 1, 3), ("eof", "", 1, 4)]),
+        ("1.", ("1:2: unexpected character '.'", 1, 2)),
+        ("1.5.2", ("1:4: unexpected character '.'", 1, 4)),
+        ("²x", ("1:1: unexpected character '²'", 1, 1)),
+        ("½", ("1:1: unexpected character '½'", 1, 1)),
+        ("Ⅻ", ("1:1: unexpected character 'Ⅻ'", 1, 1)),
+        ("p\xa0q", ("1:2: unexpected character '\\xa0'", 1, 2)),
+        ("p\u3000q", ("1:2: unexpected character '\\u3000'", 1, 2)),
+        ("p\x0bq", ("1:2: unexpected character '\\x0b'", 1, 2)),
+        ("p\n \x0cq", ("2:2: unexpected character '\\x0c'", 2, 2)),
+    ],
+)
+def test_tokens_are_pinned(text, expected):
+    assert _tokens_or_error(_tokenize, text) == expected
+
+
+# one character of each class the tokenizer tells apart
+_ALPHABET = " \t\r\n#pqK_GHE09.١٣ş²½Ⅻ\xa0\u3000\x0b\x0c<>=!&|()[]{},/$"
+
+
+def test_tokenizer_matches_the_reference_loop():
+    rng = Random(20260419)
+    texts = []
+    for _ in range(1500):
+        f = random_formula(rng, ["p", "V_A", "ş2", "x٣"], ["a", "b"], depth=rng.randint(1, 4), beta_max=3)
+        chars = list(pretty_print(f))
+        for _ in range(rng.randint(0, 3)):
+            chars.insert(rng.randint(0, len(chars)), rng.choice(_ALPHABET))
+        texts.append("".join(chars))
+    texts += ["".join(rng.choices(_ALPHABET, k=rng.randint(0, 20))) for _ in range(1500)]
+    errors = 0
+    for text in texts:
+        expected = _tokens_or_error(reference_tokenize, text)
+        assert _tokens_or_error(_tokenize, text) == expected, repr(text)
+        errors += type(expected) is tuple
+    assert 300 < errors < len(texts) - 300  # both outcomes are well covered

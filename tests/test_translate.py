@@ -6,6 +6,7 @@ from functools import reduce
 from random import Random
 
 import pytest
+from conftest import within
 
 from atlh import translate
 from atlh.cli import main
@@ -195,6 +196,15 @@ def test_h_to_k_caps():
     # subformulas are translated left to right, so the left cap is hit first
     with pytest.raises(TranslateError, match="size 5 exceeds"):
         h_to_k(parse_formula(big + " & H[a] = log(7) {p, q, r, s}"))
+
+
+def test_h_to_k_deep_member_meets_the_node_cap():
+    # the inner H translates to a 1,820-deep disjunction; the outer H must
+    # reach its node cap without hashing or comparing that member as a tree
+    f = parse_formula("H[a] = 1 {H[b] = log(4) {p1, p2, p3, p4}, q}")
+    with pytest.raises(TranslateError) as exc:
+        within(3, h_to_k, f)
+    assert str(exc.value) == "translation would have 8561411 nodes, over the cap 1000000"
 
 
 def test_h_to_k_cap_is_the_exact_output_length():
