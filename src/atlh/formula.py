@@ -17,10 +17,11 @@ from operator import attrgetter, is_
 CMPS = ("<", "<=", ">", ">=", "=")
 
 # Deepest formula the parser accepts. The parser recurses up to four times per
-# parenthesis and the dataclass-generated `__eq__`/`__hash__` once per level,
-# so this stays far below Python's default recursion limit of 1000. Every
-# other walker keeps its own stack (`fold`, `pretty_print`), so translations
-# may build far deeper formulas.
+# parenthesis, and the dataclass-generated `__eq__`/`__hash__` once per level,
+# so this stays far below Python's default recursion limit of 1000. The parser
+# keys nodes by their children's identity, so it hashes a whole formula only
+# in an uncertainty set's duplicate check. Every other walker keeps its own
+# stack (`fold`, `pretty_print`), so translations may build far deeper formulas.
 MAX_DEPTH = 100
 
 
@@ -48,11 +49,16 @@ class _Node:
         return f"{type(self).__name__}({pretty_print(self)!r})"
 
 
+def _coalition(agents) -> tuple[str, ...]:
+    """A coalition as stored: sorted and without repeats."""
+    return tuple(sorted(set(agents)))
+
+
 class _Coalitional(_Node):
     """A node over a coalition, which is stored sorted and without repeats."""
 
     def __post_init__(self):
-        object.__setattr__(self, "coalition", tuple(sorted(set(self.coalition))))
+        object.__setattr__(self, "coalition", _coalition(self.coalition))
 
 
 @dataclass(frozen=True, repr=False)
@@ -220,11 +226,11 @@ Formula = (
 
 @dataclass(frozen=True, repr=False)
 class _PathG(_Node):
-    """Parse-time placeholder for a bare G inside `<A> F (...)`."""
+    """Parse-time placeholder for a bare G inside `<A> F (...)`, with the G's position."""
 
+    line: int = field(compare=False)
+    col: int = field(compare=False)
     sub: "Formula"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
     _kids = ("sub",)
 
 
@@ -493,7 +499,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0  # parse_unary calls in progress: the parser's own recursion
-        self.depths: dict = {}  # id(node) -> (tree depth, node kept alive)
+        self.nodes: dict = {}  # key -> node, see `make`; keeps every node alive
+        self.depths: dict = {}  # id(node) -> tree depth, as parsed
         self.bare = 0  # `_PathG` nodes made and not absorbed by an F
 
     def peek(self) -> _Token:
@@ -511,12 +518,34 @@ class _Parser:
     def too_deep(self, tok: _Token) -> FormulaError:
         return self.error(f"formula nested deeper than {MAX_DEPTH} levels", tok)
 
-    def node(self, tok: _Token, f: Formula, *kids: Formula) -> Formula:
-        """Record the tree depth of `f` built from `kids` at token `tok`."""
-        depth = 1 + max(self.depths.get(id(k), (1,))[0] for k in kids)
-        if depth > MAX_DEPTH:
-            raise self.too_deep(tok)
-        self.depths[id(f)] = (depth, f)
+    def make(self, tok: _Token, cls, own: tuple, *kids: Formula, depth: int = 0) -> Formula:
+        """The node `cls(*own, *kids)` read at token `tok`, built once per parse
+        (`Hartley` takes its members as one tuple).
+
+        The key is the class, the own fields (coalitions come normalised),
+        `depth` and the children's ids. Children come from `make` too, so
+        equal subformulas are one object and ids compare them in constant
+        time. The tree depth is one above the deepest child unless `depth`
+        gives it: a reach-then-maintain F counts one level above its body
+        as written, which `x` and `y` of `<A> F (x & G y)` do not determine.
+        A new node is built before its depth is checked, so an uncertainty
+        set's duplicate member is reported first.
+        """
+        key = (cls, own, depth, *map(id, kids))
+        f = self.nodes.get(key)
+        if f is None:
+            try:
+                f = cls(*own, kids) if cls is Hartley else cls(*own, *kids)
+            except FormulaError as exc:
+                raise self.error(str(exc), tok) from None
+            if not depth:  # one level above the deepest child
+                depth = 1
+                for i in key[3:]:
+                    depth = max(depth, 1 + self.depths[i])
+            if depth > MAX_DEPTH:
+                raise self.too_deep(tok)
+            self.nodes[key] = f
+            self.depths[id(f)] = depth
         return f
 
     def expect(self, text: str) -> _Token:
@@ -537,7 +566,7 @@ class _Parser:
         while self.peek().text == "|":
             tok = self.next()
             right = self.parse_conj()
-            f = self.node(tok, Or(f, right), f, right)
+            f = self.make(tok, Or, (), f, right)
         return f
 
     def parse_conj(self) -> Formula:
@@ -545,7 +574,7 @@ class _Parser:
         while self.peek().text == "&":
             tok = self.next()
             right = self.parse_unary()
-            f = self.node(tok, And(f, right), f, right)
+            f = self.make(tok, And, (), f, right)
         return f
 
     def parse_unary(self) -> Formula:
@@ -560,7 +589,7 @@ class _Parser:
         finally:
             self.open -= 1
         for tok in reversed(nots):
-            f = self.node(tok, Not(f), f)
+            f = self.make(tok, Not, (), f)
         return f
 
     def _starts_unary(self) -> bool:
@@ -580,15 +609,14 @@ class _Parser:
             raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
         name = tok.text
         if name == "true":
-            return TrueF()
+            return self.make(tok, TrueF, ())
         if name == "false":
-            return FalseF()
+            return self.make(tok, FalseF, ())
         if name == "K" and self.peek().text == "[":
             self.next()
             agent = self.expect_ident("agent name").text
             self.expect("]")
-            sub = self.parse_unary()
-            return self.node(tok, Knows(agent, sub), sub)
+            return self.make(tok, Knows, (agent,), self.parse_unary())
         if name == "E" and self.peek().text == "[":
             self.next()
             agents = [self.expect_ident("agent name").text]
@@ -596,15 +624,15 @@ class _Parser:
                 self.next()
                 agents.append(self.expect_ident("agent name").text)
             self.expect("]")
-            sub = self.parse_unary()
-            return self.node(tok, MutualKnows(tuple(agents), sub), sub)
+            return self.make(tok, MutualKnows, (_coalition(agents),), self.parse_unary())
         if name == "H" and self.peek().text == "[":
             return self.parse_hartley(tok)
         if name == "G" and self._starts_unary():
             sub = self.parse_unary()
             self.bare += 1
-            return self.node(tok, _PathG(sub, tok.line, tok.col), sub)
-        return Atom(name)
+            # its position is an own field, so no two bare Gs are one node
+            return self.make(tok, _PathG, (tok.line, tok.col), sub)
+        return self.make(tok, Atom, (name,))
 
     def parse_coalition_tail(self) -> tuple[str, ...]:
         if self.peek().text == ">":
@@ -615,25 +643,22 @@ class _Parser:
             self.next()
             agents.append(self.expect_ident("agent name").text)
         self.expect(">")
-        return tuple(agents)
+        return _coalition(agents)
 
     def parse_temporal(self, coalition: tuple[str, ...]) -> Formula:
         tok = self.next()
         if tok.text == "X":
-            sub = self.parse_unary()
-            return self.node(tok, CoalX(coalition, sub), sub)
+            return self.make(tok, CoalX, (coalition,), self.parse_unary())
         if tok.text == "G":
-            sub = self.parse_unary()
-            return self.node(tok, CoalG(coalition, sub), sub)
+            return self.make(tok, CoalG, (coalition,), self.parse_unary())
         if tok.text == "F":
-            body = self.parse_unary()
-            return self.node(tok, self.finish_finally(coalition, body, tok), body)
+            return self.finish_finally(coalition, self.parse_unary(), tok)
         if tok.text == "(":
             hold = self.parse_disj()
             self.expect("U")
             goal = self.parse_disj()
             self.expect(")")
-            return self.node(tok, CoalU(coalition, hold, goal), hold, goal)
+            return self.make(tok, CoalU, (coalition,), hold, goal)
         raise self.error(f"expected X, G, F or '(', found {tok.text or 'end of input'!r}", tok)
 
     def finish_finally(self, coalition, body, tok: _Token) -> Formula:
@@ -641,13 +666,17 @@ class _Parser:
         conjuncts = _flatten_and(body)
         path_parts = [c for c in conjuncts if isinstance(c, _PathG)]
         if not path_parts:
-            return CoalU(coalition, TrueF(), body)
+            return self.make(tok, CoalU, (coalition,), self.make(tok, TrueF, ()), body)
         if len(path_parts) > 1:
             raise self.error("at most one G conjunct is supported under F", tok)
         self.bare -= 1
         rest = [c for c in conjuncts if not isinstance(c, _PathG)]
-        goal = reduce(And, rest) if rest else TrueF()
-        return CoalFG(coalition, goal, path_parts[0].sub)
+        goal = (
+            reduce(lambda x, y: self.make(tok, And, (), x, y), rest)
+            if rest else self.make(tok, TrueF, ())
+        )
+        depth = 1 + self.depths[id(body)]
+        return self.make(tok, CoalFG, (coalition,), goal, path_parts[0].sub, depth=depth)
 
     def parse_hartley(self, tok: _Token) -> Formula:
         self.expect("[")
@@ -665,11 +694,7 @@ class _Parser:
             self.next()
             beta.append(self.parse_disj())
         self.expect("}")
-        try:
-            f = Hartley(agent, cmp_tok.text, threshold, tuple(beta))
-        except FormulaError as exc:
-            raise self.error(str(exc), tok) from None
-        return self.node(tok, f, *beta)
+        return self.make(tok, Hartley, (agent, cmp_tok.text, threshold), *beta)
 
     def numeral(self, tok: _Token) -> Fraction:
         """The value of a number token."""

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from atlh import scenarios
 from atlh.formula import (
     And,
     Atom,
@@ -25,6 +26,7 @@ from atlh.formula import (
     Real,
     TrueF,
     _tokenize,
+    fold,
     formula_length,
     parse_formula,
     pretty_print,
@@ -240,6 +242,39 @@ def test_parse_error_positions():
     assert str(exc.value) == "1:6: expected a formula, found 'end of input'"
 
 
+def test_parse_error_precedence():
+    deep = "!" * (MAX_DEPTH - 1) + "p"  # MAX_DEPTH levels: a set of it is one level too deep
+    for text, message in (
+        # the duplicate is found before the uncertainty node's depth is checked
+        (f"H[a] = 1 {{{deep}, {deep}}}", f"1:1: duplicate formula in uncertainty set: {deep}"),
+        ("H[a] = 1 {p & q, (p & q)}", "1:1: duplicate formula in uncertainty set: p & q"),
+        # of two equal bare Gs, the first in the text is reported
+        ("G p & G p", "1:1: bare G is only supported as a conjunct inside <A> F (...)"),
+        ("<a> F (G p) & G p", "1:15: bare G is only supported as a conjunct inside <A> F (...)"),
+    ):
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message, text
+
+
+def test_depth_counts_each_f_as_parsed():
+    # An F is one level above its body as written, so `<a> F (true & G x)`
+    # is one level deeper than the equal `<a> F G x`.
+    def outcome(text):
+        try:
+            return pretty_print(parse_formula(text))
+        except FormulaError as exc:
+            return str(exc)
+
+    too_deep = f"formula nested deeper than {MAX_DEPTH} levels"
+    x96, x97 = "!" * 96 + "p", "!" * 97 + "p"
+    assert outcome(f"<a> F G {x97}") == f"<a> F (G {x97})"
+    assert outcome(f"<a> F (true & G {x97})") == f"1:5: {too_deep}"
+    assert outcome(f"<a> F G {x97} & <a> F (true & G {x97})") == f"1:114: {too_deep}"
+    assert outcome(f"!<a> F G {x96} & !<a> F (true & G {x96})") == f"1:110: {too_deep}"
+    assert outcome(f"!<a> F (true & G {x96}) & !<a> F G {x96}") == f"1:1: {too_deep}"
+
+
 def test_bare_g_walk_runs_only_when_a_g_is_left(monkeypatch):
     from atlh import formula as fm
 
@@ -421,6 +456,63 @@ def test_subformula_table_links_children_by_position(f):
         assert text == pretty_print(g)
         assert [nodes[k] for k in kids] == list(_children(g))
         assert all(k < i for k in kids)
+
+
+def _distinct_nodes(f):
+    """The node objects `fold` visits: each distinct object once."""
+    visited = []
+    fold(f, lambda g, kids: visited.append(g))
+    return visited
+
+
+def test_parse_shares_equal_subformulas():
+    f = parse_formula("p & p")
+    assert f.left is f.right
+    f = parse_formula("<a, b> X p & <b, a, b> X p")  # coalitions are sets
+    assert f.left is f.right
+    f = parse_formula("<a> F (G q) & <a> F G q | <a> F (r & G q) & <a> F (r & G q)")
+    assert f.left.left is f.left.right
+    assert f.right.left is f.right.right
+    assert f.left.left.invariant is f.right.left.invariant
+    # criterion 2's property writes its never-knows clause four times: 87 nodes
+    assert len(_distinct_nodes(scenarios.referendum_double_property())) == 26
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        scenarios.referendum_single_property,
+        scenarios.referendum_double_property,
+        scenarios.referendum_hartley_property,
+        scenarios.epistemic_coercion_property,
+        scenarios.hartley_coercion_property,
+        scenarios.hartley_invariant_property,
+    ],
+)
+def test_parse_builds_each_distinct_subformula_once(build):
+    f = build()
+    assert len(_distinct_nodes(f)) == len(subformula_table(f))
+
+
+def test_shared_parse_matches_the_unshared_draw():
+    rng = Random(20261019)
+    for i in range(2000):
+        g = random_formula(
+            rng, ["p", "q", "r"], ["a", "b", "c"], depth=rng.randint(1, 5),
+            strategic_budget=2, beta_max=3, coal_fg=i % 2 == 1,
+        )
+        f = parse_formula(pretty_print(g))
+        assert f == g
+        rows = [(text, kids) for _, text, kids in subformula_table(f)]
+        assert rows == [(text, kids) for _, text, kids in subformula_table(g)]
+        assert len(_distinct_nodes(f)) == len(rows)
+
+
+def test_walkers_reject_a_non_formula():
+    for walk, value in ((formula_length, "p"), (pretty_print, 3)):
+        with pytest.raises(TypeError) as exc:
+            walk(value)
+        assert str(exc.value) == f"not a formula: {value!r}"
 
 
 def test_numerals_are_decimal_digits():
