@@ -15,7 +15,14 @@ import json
 import sys
 
 from .cegm import ModelError, load_model, save_model
-from .formula import FormulaError, formula_length, parse_formula, pretty_print
+from .formula import (
+    FormulaError,
+    formula_length,
+    parse_formula,
+    pretty_print,
+    printed_order,
+    row_texts,
+)
 from .mcheck import CheckError, CheckOptions, label_masks
 from .scenarios import (
     ScenarioError,
@@ -75,10 +82,11 @@ def cmd_check(args) -> int:
     f = parse_formula(_formula_text(args))
     state = args.state if args.state is not None else model.initial
     dump = args.dump_labels and args.output != "csv"  # csv prints no labels
-    table, masks, witness = label_masks(model, f, _options(args), state, exact=dump, witness=True)
+    rows, masks, witness = label_masks(model, f, _options(args), state, exact=dump, witness=True)
     verdict = bool(masks[-1] >> model.state_index[state] & 1)
-    text = table[-1][1]
-    labels = zip(table, masks) if dump else ()
+    texts = row_texts(rows)
+    text = texts[-1]
+    labels = [(texts[i], masks[i]) for i in printed_order(rows, texts)] if dump else ()
 
     if args.output == "json-lines":
         out = [
@@ -101,7 +109,7 @@ def cmd_check(args) -> int:
                     sort_keys=True,
                 )
             )
-        for (_, sub, _), mask in labels:
+        for sub, mask in labels:
             states = list(model.states_of(mask))
             out.append(
                 json.dumps({"event": "label", "formula": sub, "states": states}, sort_keys=True)
@@ -112,7 +120,7 @@ def cmd_check(args) -> int:
         out = [f"formula: {text}", f"state: {state}", f"result: {str(verdict).lower()}"]
         if witness is not None:
             out.append(f"witness: {witness}")
-        for (_, sub, _), mask in labels:
+        for sub, mask in labels:
             out.append(f"label {sub}: {' '.join(model.states_of(mask))}")
     print("\n".join(out))
     return 0 if verdict else 1

@@ -341,32 +341,89 @@ def formula_length(f: Formula) -> int:
     return fold(f, lambda g, kids: _own_length(g) + sum(kids))
 
 
-def subformula_table(f: Formula) -> list[tuple]:
-    """Each distinct subformula once, shortest first, ties by printed text,
-    as `(node, printed text, positions of its children in the table)`.
+def _threshold_key(t: Threshold) -> tuple:
+    """A threshold as a dedupe key: its type and value, no hash of its own."""
+    return (LogOfCount, t.count) if type(t) is LogOfCount else (Real, t.value)
 
-    Members of an uncertainty set count as subformulas of the operator.
-    Every proper subformula sorts strictly before its parent, so the table
-    doubles as an evaluation order; the final entry is `f` itself.
+
+# Per node class, the own fields that decide equality along with the
+# children, as a tuple that hashes no formula or threshold (a `_PathG`'s
+# position takes no part in equality).
+_KEYS = dict(_OTHER_FIELDS)
+_KEYS[Hartley] = lambda g: (g.agent, g.cmp, *_threshold_key(g.threshold))
+_KEYS[_PathG] = lambda g: ()
+
+
+def subformula_rows(f: Formula) -> list[tuple]:
+    """Each distinct subformula of `f` once, children before parents, as
+    `(node, row numbers of its children)`; the final row is `f` itself.
+
+    Rows come in `fold` order: a recursive post-order walk, children left
+    to right. Members of an uncertainty set count as subformulas of the
+    operator. Equal nodes share the row of the first one walked: the key is
+    the class, the node's own fields (a threshold by its type and value) and
+    its children's rows, so no formula is printed or hashed.
     """
-    first: dict = {}  # printed text -> (length, node, kid texts); printing is injective
+    rows: list[tuple] = []
+    row_of: dict = {}  # key -> row number
 
-    def step(g, kids):  # each kid's value is (length, text, precedence)
+    def step(g, kids):
+        key = (type(g), _KEYS[type(g)](g), tuple(kids))
+        i = row_of.get(key)
+        if i is None:
+            i = row_of[key] = len(rows)
+            rows.append((g, key[2]))
+        return i
+
+    fold(f, step)
+    return rows
+
+
+def row_texts(rows) -> list[str]:
+    """The printed text of each row of `subformula_rows`, made from its
+    children's texts: equal to `pretty_print` of the row's node."""
+    texts: list[str] = []
+    precs: list[int] = []
+    for g, kids in rows:
         parts = []
         for p in _TEMPLATES[type(g)](g):
             if type(p) is str:
                 parts.append(p)
             else:
-                _, text, prec = kids[p[0]]
-                parts.append(text if prec >= p[1] else "(" + text + ")")
-        length, text = _own_length(g) + sum(k[0] for k in kids), "".join(parts)
-        first.setdefault(text, (length, g, [k[1] for k in kids]))
-        return length, text, _PREC.get(type(g), _PREC_UNARY)
+                k = kids[p[0]]
+                parts.append(texts[k] if precs[k] >= p[1] else "(" + texts[k] + ")")
+        texts.append("".join(parts))
+        precs.append(_PREC.get(type(g), _PREC_UNARY))
+    return texts
 
-    fold(f, step)
-    order = sorted(first, key=lambda text: (first[text][0], text))
-    at = {text: i for i, text in enumerate(order)}
-    return [(first[t][1], t, tuple(map(at.__getitem__, first[t][2]))) for t in order]
+
+def printed_order(rows, texts) -> list[int]:
+    """The row numbers of `subformula_rows` in printed order: shortest first,
+    ties by printed text (`texts`, from `row_texts`).
+
+    Every proper subformula is shorter than its parent, so this order too
+    lists children first, and `f` itself last.
+    """
+    lengths: list[int] = []
+    for g, kids in rows:
+        lengths.append(_own_length(g) + sum(lengths[k] for k in kids))
+    return sorted(range(len(rows)), key=lambda i: (lengths[i], texts[i]))
+
+
+def subformula_table(f: Formula) -> list[tuple]:
+    """The rows of `subformula_rows(f)` in printed order, as
+    `(node, printed text, positions of its children in the table)`.
+
+    Every proper subformula sorts strictly before its parent, so the table
+    doubles as an evaluation order; the final entry is `f` itself.
+    """
+    rows = subformula_rows(f)
+    texts = row_texts(rows)
+    order = printed_order(rows, texts)
+    at = [0] * len(rows)
+    for pos, i in enumerate(order):
+        at[i] = pos
+    return [(rows[i][0], texts[i], tuple(at[k] for k in rows[i][1])) for i in order]
 
 
 def subformulas_by_length(f: Formula) -> list[Formula]:

@@ -1,11 +1,12 @@
 """Bottom-up labeling model checker for strategic-epistemic formulas.
 
-Subformulas are evaluated shortest-first, so every operator sees its
-arguments as already-computed state sets (bitmasks over the model's state
-order). A strategic operator's state set is the union, over the
-coalition's memoryless strategies, of the states each strategy validates;
-one search, `_search`, computes it for `label`, `check`, `find_witness`
-and `atlh check`.
+Subformulas are evaluated children first, in the order of
+`subformula_rows` (a post-order walk, each distinct subformula once), so
+every operator sees its arguments as already-computed state sets (bitmasks
+over the model's state order). A strategic operator's state set is the
+union, over the coalition's memoryless strategies, of the states each
+strategy validates; one search, `_search`, computes it for `label`,
+`check`, `find_witness` and `atlh check`.
 
 Its bound is the winning region of the game in which every state may use
 any of its coalition moves: a controllable-predecessor fixpoint (X one
@@ -73,7 +74,9 @@ from .formula import (
     Real,
     Threshold,
     TrueF,
-    subformula_table,
+    printed_order,
+    row_texts,
+    subformula_rows,
 )
 
 
@@ -593,36 +596,60 @@ def _hartley_mask(model: Cegm, g: Hartley, beta_masks) -> int:
 _KINDS = {CoalX: "X", CoalG: "G", CoalU: "U", CoalFG: "FG"}
 
 
+def _fault(model: Cegm, g: Formula) -> str | None:
+    """Why `g` cannot be labelled on `model`, its children aside, or None."""
+    match g:
+        case TrueF() | FalseF() | Not() | And() | Or():
+            return None
+        case Atom(name):
+            return None if name in model.valuation else f"unknown atom {name}"
+        case Knows(agent) | Hartley(agent):
+            agents = (agent,)
+        case MutualKnows(coal) | CoalX(coal) | CoalG(coal) | CoalU(coal) | CoalFG(coal):
+            agents = coal
+        case _:
+            return f"cannot label {g!r}"
+    return next((f"unknown agent {a}" for a in agents if a not in model.actions), None)
+
+
 def label_masks(
     model: Cegm, f: Formula, opts: CheckOptions, state=None, exact=True, witness=False
 ):
-    """`subformula_table(f)`, the bitmask of each of its subformulas in table
-    order, and, with `witness`, the witness at `state`: the first strategy,
-    in enumeration order, that validates a strategic root there (None if the
-    root is not strategic or is false there, and always None without
-    `witness`).
+    """`subformula_rows(f)`, the bitmask of each row's subformula, and, with
+    `witness`, the witness at `state`: the first strategy, in enumeration
+    order, that validates a strategic root there (None if the root is not
+    strategic or is false there, and always None without `witness`).
+
+    A row is `(node, row numbers of its children)`, children before parents
+    and `f` last, so the last mask is the root's. `row_texts` and
+    `printed_order` give the rows' texts and the order atlh prints them in.
 
     With `exact=False` the root's search stops once it validates `state`,
     so the root's mask is exact at `state` only. Every other mask is exact.
+
+    Every row is checked against the model before any is labelled. A
+    formula with several unknown names is reported by the first faulty
+    subformula in printed order.
     """
     at = None
     if state is not None:
         if state not in model.state_index:
             raise CheckError(f"unknown state {state}")
         at = model.state_index[state]
-    table = subformula_table(f)
+    rows = subformula_rows(f)
+    if any(_fault(model, g) for g, _ in rows):
+        faults = (_fault(model, rows[i][0]) for i in printed_order(rows, row_texts(rows)))
+        raise CheckError(next(filter(None, faults)))
     full = model.full_mask
     want = full if exact or at is None else 1 << at
     witness_at = at if witness else None
     engines: dict = {}
     masks: list[int] = []
     found = None
-    for g, _, kids in table:
+    for g, kids in rows:
         args = [masks[k] for k in kids]
         match g:
             case Atom(name):
-                if name not in model.valuation:
-                    raise CheckError(f"unknown atom {name}")
                 mask = model.mask(model.valuation[name])
             case TrueF():
                 mask = full
@@ -635,20 +662,16 @@ def label_masks(
             case Or():
                 mask = args[0] | args[1]
             case Knows(agent):
-                _require_agents(model, (agent,))
                 mask = _knows_mask(model, agent, args[0])
             case MutualKnows(coal):
-                _require_agents(model, coal)
                 mask = full
                 for a in coal:
                     mask &= _knows_mask(model, a, args[0])
-            case Hartley(agent):
-                _require_agents(model, (agent,))
+            case Hartley():
                 mask = _hartley_mask(model, g, args)
             case CoalX(coal) | CoalG(coal) | CoalU(coal) | CoalFG(coal):
                 engine = engines.get(coal)
                 if engine is None:
-                    _require_agents(model, coal)
                     engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
                 root = g is f
                 mask, choices = _search(
@@ -657,16 +680,15 @@ def label_masks(
                 )
                 if choices is not None:
                     found = engine.strategy_from(choices)
-            case _:
-                raise CheckError(f"cannot label {g!r}")
         masks.append(mask)
-    return table, masks, found
+    return rows, masks, found
 
 
 def label(model: Cegm, f: Formula, opts: CheckOptions | None = None) -> dict:
-    """State sets for every subformula of `f`, keyed by subformula."""
-    table, masks, _ = label_masks(model, f, opts or CheckOptions())
-    return {g: frozenset(model.states_of(m)) for (g, _, _), m in zip(table, masks)}
+    """State sets for every subformula of `f`, keyed by subformula, in the
+    order of `subformula_rows(f)`: children before parents, `f` last."""
+    rows, masks, _ = label_masks(model, f, opts or CheckOptions())
+    return {g: frozenset(model.states_of(m)) for (g, _), m in zip(rows, masks)}
 
 
 def check(model: Cegm, state: str, f: Formula, opts: CheckOptions | None = None) -> bool:

@@ -80,9 +80,10 @@ def phi_beta(beta, cap: int = 4) -> list[Formula]:
         raise TranslateError("empty formula set")
     if len(members) > cap:
         raise TranslateError(f"formula set of size {len(members)} exceeds cap {cap}")
+    signed = [(b, Not(b)) for b in members]  # each negation built once
     out = []
-    for signs in product((1, 0), repeat=len(members)):
-        out.append(reduce(And, [b if s else Not(b) for s, b in zip(signs, members)]))
+    for signs in product((0, 1), repeat=len(members)):
+        out.append(reduce(And, [pair[s] for s, pair in zip(signs, signed)]))
     return out
 
 
@@ -94,19 +95,27 @@ def t_nm(n: int, m: int) -> list[tuple[int, ...]]:
     return [t for t in product((0, 1), repeat=size) if sum(t) == size - m]
 
 
-def _count_formula(agent: str, alphas, m: int, n: int) -> Formula:
+def _literals(agent: str, alphas) -> list[tuple[Formula, Formula]]:
+    """Per signed combination, `(!K[agent] !alpha, K[agent] !alpha)`: it is
+    possible, or known to be impossible. Each is built once and shared by
+    every count formula over `alphas`."""
+    out = []
+    for alpha in alphas:
+        known = Knows(agent, Not(alpha))
+        out.append((Not(known), known))
+    return out
+
+
+def _count_formula(literals, m: int, n: int) -> Formula:
     """Exactly m of the 2^n signed combinations are epistemically possible.
 
     A combination is ruled out when the agent knows its negation; the tuples
-    select which combinations are known-impossible (1) versus possible (0).
+    select which combinations are known-impossible (1) versus possible (0),
+    and `literals` (from `_literals`) holds both readings of each.
     """
     disjuncts = []
     for t in reversed(t_nm(n, m)):
-        parts = []
-        for tj, alpha in zip(t, alphas):
-            lit: Formula = Knows(agent, Not(alpha))
-            parts.append(lit if tj else Not(lit))
-        disjuncts.append(reduce(And, parts))
+        disjuncts.append(reduce(And, [pair[tj] for tj, pair in zip(t, literals)]))
     return reduce(Or, disjuncts)
 
 
@@ -117,7 +126,7 @@ def h_eq_to_k(agent: str, beta, m: int, cap: int = 4) -> Formula:
     size = len(alphas)
     if not 1 <= m <= size:
         raise TranslateError(f"m must be between 1 and {size}, got {m}")
-    return _count_formula(agent, alphas, m, len(members))
+    return _count_formula(_literals(agent, alphas), m, len(members))
 
 
 def _expansion_size(alpha_sizes, counts, n: int) -> int:
@@ -181,7 +190,8 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
             raise TranslateError(
                 f"translation would have {nodes} nodes, over the cap {node_cap}"
             )
-        return reduce(Or, [_count_formula(g.agent, alphas, m, n) for m in counts]), nodes
+        literals = _literals(g.agent, alphas)
+        return reduce(Or, [_count_formula(literals, m, n) for m in counts]), nodes
 
     return fold(f, step)[0]
 

@@ -18,6 +18,7 @@ from atlh.formula import parse_formula
 from atlh.cli import main
 from atlh.mcheck import CheckOptions
 from atlh.scenarios import (
+    gen_referendum_double,
     gen_referendum_single,
     gen_threeballot,
     infoset_table_csv,
@@ -178,6 +179,105 @@ def test_check_dump_labels_keeps_witness(fig1_path, capsys):
     assert plain[3] == "witness: v: s0=voteA s1=eps s2=eps"
     assert dumped[:4] == plain
     assert dumped[-1] == f"label {formula}: s0 s1"
+
+
+# The full --dump-labels stdout of two formulas, byte for byte: labels print
+# shortest first, ties by printed text, whatever order the checker labels in.
+NEVER_KNOWS = "G !(K[c] V_A | K[c] !V_A | K[c] V_B | K[c] !V_B)"
+# criterion 2's clauses: a, b, c and d for the four vote pairs
+A, B, C, D = (
+    f"<v> F (Voted & {sa}V_A & {sb}V_B & {NEVER_KNOWS})"
+    for sa, sb in (("", ""), ("", "!"), ("!", ""), ("!", "!"))
+)
+DOUBLE = f"{A} & {B} & {C} & {D}"
+DOUBLE_LABELS = [
+    ("V_A", "s1 s3"),
+    ("V_B", "s2 s3"),
+    ("Voted", "s1 s2 s3 s4"),
+    ("!V_A", "s0 s2 s4"),
+    ("!V_B", "s0 s1 s4"),
+    ("K[c] V_A", ""),
+    ("K[c] V_B", ""),
+    ("K[c] !V_A", "s0"),
+    ("K[c] !V_B", "s0"),
+    ("Voted & V_A", "s1 s3"),
+    ("Voted & !V_A", "s2 s4"),
+    ("Voted & V_A & V_B", "s3"),
+    ("K[c] V_A | K[c] !V_A", "s0"),
+    ("Voted & !V_A & V_B", "s2"),
+    ("Voted & V_A & !V_B", "s1"),
+    ("Voted & !V_A & !V_B", "s4"),
+    ("K[c] V_A | K[c] !V_A | K[c] V_B", "s0"),
+    ("K[c] V_A | K[c] !V_A | K[c] V_B | K[c] !V_B", "s0"),
+    ("!(K[c] V_A | K[c] !V_A | K[c] V_B | K[c] !V_B)", "s1 s2 s3 s4"),
+    (A, "s0 s3"),
+    (C, "s0 s2"),
+    (B, "s0 s1"),
+    (D, "s0 s4"),
+    (f"{A} & {B}", "s0"),
+    (f"{A} & {B} & {C}", "s0"),
+    (DOUBLE, "s0"),
+]
+# length ties among the atoms, and between the two uncertainty operators
+TIES = "H[c] = log(4) {V_A, V_B} & !V1_eq_V2 | H[c] >= 2 {V_A, V_B} & V1_eq_ab"
+TIES_ORDER = [
+    "V1_eq_V2",
+    "V1_eq_ab",
+    "V_A",
+    "V_B",
+    "!V1_eq_V2",
+    "H[c] = log(4) {V_A, V_B}",
+    "H[c] >= 2 {V_A, V_B}",
+    "H[c] >= 2 {V_A, V_B} & V1_eq_ab",
+    "H[c] = log(4) {V_A, V_B} & !V1_eq_V2",
+    TIES,
+]
+DUMP_DIGESTS = {
+    ("m1", DOUBLE, "text"): "acdc6aa3eac955edec9af0664e4922f9b8760eeed19e87554bc436393266897d",
+    ("m1", DOUBLE, "json-lines"): "f68e969101f553eb6031c976648b957c1ec5cac0774c84cb563bc2f6b64b32b0",
+    ("tb", TIES, "text"): "13722b91aaaefe9c109cb7bf820fd022ed5024bc2e2d9869644a61e8120b9aeb",
+    ("tb", TIES, "json-lines"): "33355c879fefbb3433cb065792c9220fd47451eb4a4b1f1abffaadc225e6e288",
+}
+
+
+def test_check_dump_labels_bytes(tmp_path, capsys):
+    paths = {}
+    for name, model in (("m1", gen_referendum_double("M1")), ("tb", gen_threeballot())):
+        paths[name] = tmp_path / f"{name}.cegm"
+        paths[name].write_text(save_model(model), encoding="utf-8")
+    argv = ["check", "--model", str(paths["m1"]), "--formula", DOUBLE, "--dump-labels"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    head = [f"formula: {DOUBLE}", "state: s0", "result: true"]
+    assert text.splitlines() == head + [f"label {f}: {states}" for f, states in DOUBLE_LABELS]
+    assert main(argv + ["--output", "json-lines"]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(e["formula"], " ".join(e["states"])) for e in events[1:]] == DOUBLE_LABELS
+    for (name, formula, output), digest in DUMP_DIGESTS.items():
+        argv = ["check", "--model", str(paths[name]), "--formula", formula, "--dump-labels"]
+        assert main(argv + ["--output", output]) == (0 if name == "m1" else 1)
+        out = capsys.readouterr().out
+        if name == "tb" and output == "text":
+            labels = [line for line in out.splitlines() if line.startswith("label ")]
+            assert [line[6:].rpartition(":")[0] for line in labels] == TIES_ORDER
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, output)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("zz & aa", "unknown atom aa"),
+        ("K[y] Voted & aa", "unknown atom aa"),
+        ("<y> X Voted | K[b] Voted", "unknown agent b"),
+        ("<y> F zz | <b> X aa", "unknown atom aa"),
+        ("E[c, y] Voted & <b> X Voted", "unknown agent b"),
+    ],
+)
+def test_check_reports_first_fault_in_printed_order(fig1_path, capsys, text, message):
+    for output in ("text", "csv", "json-lines"):
+        argv = ["check", "--model", fig1_path, "--formula", text, "--dump-labels"]
+        assert main(argv + ["--output", output]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_check_json_lines(fig1_path, capsys):

@@ -30,6 +30,9 @@ from atlh.formula import (
     formula_length,
     parse_formula,
     pretty_print,
+    printed_order,
+    row_texts,
+    subformula_rows,
     subformula_table,
     subformulas_by_length,
 )
@@ -456,6 +459,51 @@ def test_subformula_table_links_children_by_position(f):
         assert text == pretty_print(g)
         assert [nodes[k] for k in kids] == list(_children(g))
         assert all(k < i for k in kids)
+
+
+@given(_formulas(3))
+def test_subformula_rows_walk_children_first(f):
+    rows = subformula_rows(f)
+    nodes = [g for g, _ in rows]
+    assert nodes[-1] is f
+    assert len(set(nodes)) == len(nodes)
+    assert set(nodes) == set(subformulas_by_length(f))
+    for i, (g, kids) in enumerate(rows):
+        assert [nodes[k] for k in kids] == list(_children(g))
+        assert all(k < i for k in kids)
+    texts = row_texts(rows)
+    assert texts == [pretty_print(g) for g in nodes]
+    table = subformula_table(f)
+    assert [(nodes[i], texts[i]) for i in printed_order(rows, texts)] == [
+        (g, text) for g, text, _ in table
+    ]
+
+
+def test_subformula_rows_key_by_structure():
+    # equal nodes share a row, objects or not; a threshold is keyed by its
+    # type and value, so `log(2)` and `1` and `2` are three rows
+    left, right = And(Atom("p"), Atom("q")), And(Atom("p"), Atom("q"))
+    rows = subformula_rows(Or(left, right))
+    assert [(g, kids) for g, kids in rows] == [
+        (Atom("p"), ()), (Atom("q"), ()), (left, (0, 1)), (Or(left, right), (2, 2))
+    ]
+    assert rows[0][0] is left.left and rows[2][0] is left
+    p = Atom("p")
+    h = [
+        Hartley("a", "=", LogOfCount(2), (p,)),
+        Hartley("a", "=", Real(1), (p,)),
+        Hartley("a", "=", Real(2), (p,)),
+        Hartley("a", "=", Real(Fraction(2, 2)), (Atom("p"),)),
+        Hartley("a", "=", LogOfCount(2), (Atom("p"),)),
+    ]
+    coalitions = [CoalX(("a", "b"), p), CoalX(("b", "a"), p), CoalX(("a",), p)]
+    rows = subformula_rows(And(Or(Or(Or(h[0], h[1]), h[2]), Or(h[3], h[4])),
+                               And(And(*coalitions[:2]), coalitions[2])))
+    nodes = [g for g, _ in rows]
+    assert nodes[:4] == [p, h[0], h[1], Or(h[0], h[1])]
+    assert all(any(g is x for g in nodes) for x in (h[0], h[1], h[2]))
+    assert not any(g is x for g in nodes for x in (h[3], h[4], coalitions[1]))
+    assert len(nodes) == 13
 
 
 def _distinct_nodes(f):

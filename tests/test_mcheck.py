@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from atlh import cli, mcheck
+from atlh import cli, formula, mcheck
 from atlh.cegm import Cegm, load_model, save_model
 from atlh.formula import (
     CoalFG,
@@ -22,6 +22,7 @@ from atlh.formula import (
     Real,
     TrueF,
     parse_formula,
+    subformula_rows,
     subformulas_by_length,
 )
 from atlh.mcheck import (
@@ -40,10 +41,16 @@ from atlh.mcheck import (
 from atlh.sampling import random_cegm, random_formula
 from atlh.scenarios import (
     epistemic_coercion_property,
+    gen_referendum_double,
+    gen_referendum_single,
     gen_threeballot,
     hartley_coercion_property,
     hartley_invariant_property,
+    referendum_double_property,
+    referendum_hartley_property,
+    referendum_single_property,
 )
+from atlh.translate import h_to_k
 
 from bruteforce import oracle_label, strategy_wins
 from conftest import within
@@ -366,6 +373,29 @@ def test_find_witness(fig1):
     assert witness.action("v", "s0") == "voteA"
     assert find_witness(fig1, "s0", parse_formula("Voted")) is None
     assert find_witness(fig1, "s0", parse_formula("<v> F (Voted & K[c] V_A)")) is None
+
+
+# Formulas with two or more unknown names, and the fault reported: the first
+# faulty subformula in printed order (shortest first, ties by text), not the
+# first one a children-first walk meets.
+FIRST_FAULTS = [
+    ("zz & aa", "unknown atom aa"),
+    ("K[y] Voted & aa", "unknown atom aa"),
+    ("<y> X aa | K[b] Voted", "unknown atom aa"),
+    ("<y> X Voted | K[b] Voted", "unknown agent b"),
+    ("<y> F zz | <b> X aa", "unknown atom aa"),
+    ("E[c, y] Voted & <b> X Voted", "unknown agent b"),
+    ("H[y] = 1 {Voted} | K[x] V_A", "unknown agent y"),
+]
+
+
+@pytest.mark.parametrize("text, message", FIRST_FAULTS)
+def test_first_fault_in_printed_order(fig1, text, message):
+    f = parse_formula(text)
+    for run in (lambda: check(fig1, "s0", f), lambda: label(fig1, f)):
+        with pytest.raises(CheckError) as exc:
+            run()
+        assert str(exc.value) == message
 
 
 def test_unknown_atom_and_agent(fig1):
@@ -1115,3 +1145,51 @@ def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
     assert cli.main(argv) == code
     assert capsys.readouterr().out == dumped
     assert dumped.count('"event": "label"') == 16
+
+
+def test_checking_prints_no_formula(monkeypatch):
+    # the labelling walk keys subformulas by structure; printing happens only
+    # for output and on the fault path
+    models = {
+        "fig1": gen_referendum_single(),
+        "m1": gen_referendum_double("M1"),
+        "m2": gen_referendum_double("M2"),
+        "tb": gen_threeballot(),
+    }
+    cases = [
+        ("fig1", referendum_single_property()),
+        ("m1", referendum_double_property()),
+        ("m2", referendum_double_property()),
+        ("m1", referendum_hartley_property()),
+        ("m2", referendum_hartley_property()),
+        ("m2", h_to_k(referendum_hartley_property())),
+        ("tb", epistemic_coercion_property()),
+        ("tb", hartley_coercion_property()),
+        ("tb", hartley_invariant_property()),
+    ]
+
+    def results():
+        out = []
+        for name, f in cases:
+            model = models[name]
+            strategic = [g for g, _ in subformula_rows(f) if isinstance(g, STRATEGIC)]
+            out.append((
+                label(model, f),
+                [check(model, q, f) for q in model.states],
+                [str(find_witness(model, model.initial, g)) for g in strategic],
+            ))
+        return out
+
+    expected = results()
+    assert [verdicts[0] for _, verdicts, _ in expected] == [
+        True, True, True, False, True, True, True, True, False
+    ]
+
+    class Unprintable(dict):
+        def __getitem__(self, cls):
+            raise AssertionError(f"printed a {cls.__name__}")
+
+    monkeypatch.setattr(formula, "_TEMPLATES", Unprintable())
+    with pytest.raises(AssertionError, match="printed a Atom"):
+        str(parse_formula("p"))
+    assert results() == expected

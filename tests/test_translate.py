@@ -21,9 +21,11 @@ from atlh.formula import (
     Not,
     Or,
     TrueF,
+    fold,
     formula_length,
     parse_formula,
     pretty_print,
+    subformula_rows,
 )
 from atlh.mcheck import check, label
 from atlh.sampling import random_cegm
@@ -175,6 +177,27 @@ def test_h_to_k_threshold_normalization():
     assert h_to_k(parse_formula("H[a] <= log(2) {p, q}")) == Or(
         h_eq_to_k("a", [p, q], 1), h_eq_to_k("a", [p, q], 2)
     )
+
+
+def test_h_to_k_builds_each_literal_once():
+    # one `!b` per member, and one `K[a] !alpha` and one `!K[a] !alpha` per
+    # signed combination, shared by every tuple: 43 node objects, where a
+    # fresh literal per tuple made 93
+    f = h_to_k(parse_formula("H[a] = 1 {p, q}"))
+    visited = []
+    fold(f, lambda g, kids: visited.append(g))
+    assert len(visited) == 43
+    assert len(subformula_rows(f)) == 41
+    assert formula_length(f) == 179
+    pos = {"p & q": "K[a] !(p & q)", "p & !q": "K[a] !(p & !q)",
+           "!p & q": "K[a] !(!p & q)", "!p & !q": "K[a] !(!p & !q)"}
+    rows = [
+        [pos[alpha] if known else "!" + pos[alpha] for alpha, known in zip(pos, t)]
+        for t in reversed(t_nm(2, 2))
+    ]
+    text = " | ".join(" & ".join(row) for row in rows)
+    assert pretty_print(f) == text
+    assert f == parse_formula(text)
 
 
 def test_h_to_k_degenerate_cases():
