@@ -557,10 +557,13 @@ def test_shared_parse_matches_the_unshared_draw():
 
 
 def test_walkers_reject_a_non_formula():
-    for walk, value in ((formula_length, "p"), (pretty_print, 3)):
+    # the non-formula at the root, or below a formula node
+    cases = [(formula_length, "p", "p"), (pretty_print, 3, 3), (subformula_rows, None, None)]
+    cases += [(formula_length, Not("q"), "q"), (subformula_rows, And(Atom("p"), "q"), "q")]
+    for walk, value, bad in cases:
         with pytest.raises(TypeError) as exc:
             walk(value)
-        assert str(exc.value) == f"not a formula: {value!r}"
+        assert str(exc.value) == f"not a formula: {bad!r}"
 
 
 def test_numerals_are_decimal_digits():

@@ -409,6 +409,44 @@ def test_unknown_atom_and_agent(fig1):
         check(fig1, "zz", parse_formula("Voted"))
 
 
+# one formula per node class, each on the bundled referendum models
+ONE_PER_CLASS = {
+    formula.Atom: "Voted",
+    formula.TrueF: "true",
+    formula.FalseF: "false",
+    formula.Not: "!V_A",
+    formula.And: "Voted & !V_A",
+    formula.Or: "V_A | !Voted",
+    CoalX: "<v> X V_A",
+    CoalG: "<c> G !V_A",
+    CoalU: "<v> (!Voted U V_A)",
+    CoalFG: "<v> F (Voted & G !K[c] V_A)",
+    formula.Knows: "K[c] Voted",
+    formula.MutualKnows: "E[v, c] Voted",
+    Hartley: "H[c] >= 1 {V_A}",
+}
+
+
+def test_every_formula_class_labels_as_the_oracle(fig1, m1, m2):
+    assert set(ONE_PER_CLASS) == set(Formula.__args__)
+    for cls, text in ONE_PER_CLASS.items():
+        f = parse_formula(text)
+        assert type(f) is cls
+        for model in (fig1, m1, m2):
+            for opts in COMBOS:
+                _assert_matches_oracle(model, f, opts)
+
+
+def test_a_node_outside_the_formula_classes_is_not_labelled(fig1):
+    # a parse-time placeholder never reaches the checker from the parser;
+    # built by hand it is a fault, not a strategic operator
+    f = formula.And(formula._PathG(1, 1, formula.Atom("Voted")), formula.Atom("Voted"))
+    for run in (lambda: label(fig1, f), lambda: check(fig1, "s0", f)):
+        with pytest.raises(CheckError) as exc:
+            run()
+        assert str(exc.value) == "cannot label _PathG('G Voted')"
+
+
 def test_reach_then_maintain_matches_oracle(fig1, m1, m2):
     f = parse_formula("<v> F (Voted & V_A & G !(K[c] V_A | K[c] !V_A))")
     for model in (fig1, m1, m2):

@@ -1,5 +1,6 @@
 """Knowledge/uncertainty translation tests."""
 
+import hashlib
 import re
 import sys
 from functools import reduce
@@ -131,6 +132,12 @@ def test_phi_beta_partitions_every_state():
             assert len(holds) == 1
 
 
+def test_phi_beta_rejects_an_empty_set():
+    with pytest.raises(TranslateError) as exc:
+        phi_beta([])
+    assert str(exc.value) == "empty formula set"
+
+
 def test_t_nm_examples():
     assert t_nm(1, 1) == [(0, 1), (1, 0)]
     assert t_nm(1, 2) == [(0, 0)]
@@ -154,6 +161,13 @@ def test_h_eq_to_k_pair_shape():
     first = _flatten(disjuncts[0], And)
     assert first[0] == Knows("a", Not(And(p, q)))
     assert first[1] == Not(Knows("a", Not(And(p, Not(q)))))
+
+
+def test_h_eq_to_k_rejects_a_count_out_of_range():
+    for m in (0, 3):
+        with pytest.raises(TranslateError) as exc:
+            h_eq_to_k("a", [p], m)
+        assert str(exc.value) == f"m must be between 1 and 2, got {m}"
 
 
 def _flatten(f, node):
@@ -301,6 +315,14 @@ def test_mismatches_are_counted_and_reported(monkeypatch, capsys):
     argv = ["experiment", "translation-equivalence", "--samples", "3", "--seed", "5"]
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines() == report.lines + ["mismatches: 3"]
+
+
+def test_criterion_7_report_bytes_are_pinned():
+    # every sample line of the acceptance run: seeds, model sizes, printed
+    # formulas and verdicts
+    report = check_translation_equivalence(samples=1000, seed=20260815)
+    digest = hashlib.sha256(str(report).encode("utf-8")).hexdigest()
+    assert digest == "48b6b2d43fe292620a64d7a324d29ef2045e341a4580a33bc3610e8a986efee6"
 
 
 def test_check_translation_equivalence_deterministic():
