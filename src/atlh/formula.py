@@ -363,19 +363,42 @@ def subformula_rows(f: Formula) -> list[tuple]:
     operator. Equal nodes share the row of the first one walked: the key is
     the class, the node's own fields (a threshold by its type and value) and
     its children's rows, so no formula is printed or hashed.
+
+    Every label pass runs this walk, so it has its own loop rather than a
+    `fold` step: each finished node leaves its row number on a value stack,
+    where its parent takes its children's rows from the top.
     """
     rows: list[tuple] = []
     row_of: dict = {}  # key -> row number
-
-    def step(g, kids):
-        key = (type(g), _KEYS[type(g)](g), tuple(kids))
+    done: dict = {}  # id(node) -> row number; every node stays alive under `f`
+    vals: list[int] = []  # row numbers of finished nodes not yet taken
+    stack: list[tuple] = [(f, None)]  # (node, None) to visit, (node, kids) to finish
+    while stack:
+        g, kids = stack.pop()
+        if kids is None:
+            i = done.get(id(g))
+            if i is not None:  # a node met again, as in And(x, x)
+                vals.append(i)
+                continue
+            kids = children(g)
+            stack.append((g, kids))
+            for k in reversed(kids):
+                stack.append((k, None))
+            continue
+        n = len(kids)
+        if n:  # not for a leaf: vals[-0:] is the whole list
+            kid_rows = tuple(vals[-n:])
+            del vals[-n:]
+        else:
+            kid_rows = ()
+        t = type(g)
+        key = (t, _KEYS[t](g), kid_rows)
         i = row_of.get(key)
         if i is None:
             i = row_of[key] = len(rows)
-            rows.append((g, key[2]))
-        return i
-
-    fold(f, step)
+            rows.append((g, kid_rows))
+        done[id(g)] = i
+        vals.append(i)
     return rows
 
 

@@ -596,20 +596,32 @@ def _hartley_mask(model: Cegm, g: Hartley, beta_masks) -> int:
 _KINDS = {CoalX: "X", CoalG: "G", CoalU: "U", CoalFG: "FG"}
 
 
-def _fault(model: Cegm, g: Formula) -> str | None:
-    """Why `g` cannot be labelled on `model`, its children aside, or None."""
-    match g:
-        case TrueF() | FalseF() | Not() | And() | Or():
-            return None
-        case Atom(name):
-            return None if name in model.valuation else f"unknown atom {name}"
-        case Knows(agent) | Hartley(agent):
-            agents = (agent,)
-        case MutualKnows(coal) | CoalX(coal) | CoalG(coal) | CoalU(coal) | CoalFG(coal):
-            agents = coal
-        case _:
+def _fault(model: Cegm, nodes) -> str | None:
+    """Why the first of `nodes` that cannot be labelled on `model`, its
+    children aside, cannot be; None if every one can.
+
+    One test of the node's class per node, the most frequent classes first.
+    A class outside `Formula` is a fault, so labelling may take every class
+    it does not name for a strategic operator.
+    """
+    valuation, actions = model.valuation, model.actions
+    for g in nodes:
+        t = type(g)
+        if t is And or t is Not or t is Or:
+            continue
+        if t is Atom:
+            if g.name not in valuation:
+                return f"unknown atom {g.name}"
+        elif t is Hartley or t is Knows:
+            if g.agent not in actions:
+                return f"unknown agent {g.agent}"
+        elif t is MutualKnows or t in _KINDS:
+            for a in g.coalition:
+                if a not in actions:
+                    return f"unknown agent {a}"
+        elif t is not TrueF and t is not FalseF:
             return f"cannot label {g!r}"
-    return next((f"unknown agent {a}" for a in agents if a not in model.actions), None)
+    return None
 
 
 def label_masks(
@@ -627,9 +639,11 @@ def label_masks(
     With `exact=False` the root's search stops once it validates `state`,
     so the root's mask is exact at `state` only. Every other mask is exact.
 
-    Every row is checked against the model before any is labelled. A
-    formula with several unknown names is reported by the first faulty
-    subformula in printed order.
+    Every row is checked against the model (`_fault`) before any is
+    labelled. A formula with several unknown names is reported by the first
+    faulty subformula in printed order; the rows are printed only then.
+    Each row is labelled after one test of its node's class, the most
+    frequent classes first, and reads its children's masks by row number.
     """
     at = None
     if state is not None:
@@ -637,9 +651,9 @@ def label_masks(
             raise CheckError(f"unknown state {state}")
         at = model.state_index[state]
     rows = subformula_rows(f)
-    if any(_fault(model, g) for g, _ in rows):
-        faults = (_fault(model, rows[i][0]) for i in printed_order(rows, row_texts(rows)))
-        raise CheckError(next(filter(None, faults)))
+    if _fault(model, map(itemgetter(0), rows)):
+        order = printed_order(rows, row_texts(rows))
+        raise CheckError(_fault(model, [rows[i][0] for i in order]))
     full = model.full_mask
     want = full if exact or at is None else 1 << at
     witness_at = at if witness else None
@@ -647,39 +661,39 @@ def label_masks(
     masks: list[int] = []
     found = None
     for g, kids in rows:
-        args = [masks[k] for k in kids]
-        match g:
-            case Atom(name):
-                mask = model.mask(model.valuation[name])
-            case TrueF():
-                mask = full
-            case FalseF():
-                mask = 0
-            case Not():
-                mask = full & ~args[0]
-            case And():
-                mask = args[0] & args[1]
-            case Or():
-                mask = args[0] | args[1]
-            case Knows(agent):
-                mask = _knows_mask(model, agent, args[0])
-            case MutualKnows(coal):
-                mask = full
-                for a in coal:
-                    mask &= _knows_mask(model, a, args[0])
-            case Hartley():
-                mask = _hartley_mask(model, g, args)
-            case CoalX(coal) | CoalG(coal) | CoalU(coal) | CoalFG(coal):
-                engine = engines.get(coal)
-                if engine is None:
-                    engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
-                root = g is f
-                mask, choices = _search(
-                    engine, _KINDS[type(g)], args, opts.success_scope,
-                    want if root else full, witness_at if root else None,
-                )
-                if choices is not None:
-                    found = engine.strategy_from(choices)
+        t = type(g)
+        if t is And:
+            mask = masks[kids[0]] & masks[kids[1]]
+        elif t is Atom:
+            mask = model.mask(model.valuation[g.name])
+        elif t is Not:
+            mask = full & ~masks[kids[0]]
+        elif t is Or:
+            mask = masks[kids[0]] | masks[kids[1]]
+        elif t is Hartley:
+            mask = _hartley_mask(model, g, [masks[k] for k in kids])
+        elif t is Knows:
+            mask = _knows_mask(model, g.agent, masks[kids[0]])
+        elif t is MutualKnows:
+            mask = full
+            for a in g.coalition:
+                mask &= _knows_mask(model, a, masks[kids[0]])
+        elif t is TrueF:
+            mask = full
+        elif t is FalseF:
+            mask = 0
+        else:  # a strategic operator: `_fault` passed no other class
+            coal = g.coalition
+            engine = engines.get(coal)
+            if engine is None:
+                engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
+            root = g is f
+            mask, choices = _search(
+                engine, _KINDS[t], [masks[k] for k in kids], opts.success_scope,
+                want if root else full, witness_at if root else None,
+            )
+            if choices is not None:
+                found = engine.strategy_from(choices)
         masks.append(mask)
     return rows, masks, found
 

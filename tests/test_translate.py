@@ -119,6 +119,9 @@ def test_phi_beta_count_and_cap():
     assert len(phi_beta(beta)) == 16
     with pytest.raises(TranslateError):
         phi_beta([Atom(f"x{i}") for i in range(5)])
+    with pytest.raises(TranslateError) as exc:
+        phi_beta([])
+    assert str(exc.value) == "empty formula set"
 
 
 def test_phi_beta_partitions_every_state():
@@ -130,12 +133,6 @@ def test_phi_beta_partitions_every_state():
         for state in model.states:
             holds = [m for m in members if check(model, state, m)]
             assert len(holds) == 1
-
-
-def test_phi_beta_rejects_an_empty_set():
-    with pytest.raises(TranslateError) as exc:
-        phi_beta([])
-    assert str(exc.value) == "empty formula set"
 
 
 def test_t_nm_examples():
