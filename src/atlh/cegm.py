@@ -13,10 +13,10 @@ The constructor builds, once, the tables the checker reads by state index
 - `menus[i]`: the actions available at `states[i]`, one tuple per agent in
   agent order, each in the agent's declaration order.
 - `moves[i]`: the transition function as plain data, built while the
-  constructor checks that it is total: a tuple of (profile, target bit)
-  pairs, one per available joint action, in the order of
-  `itertools.product(*menus[i])`. The target bit is
-  `1 << state_index[target]`.
+  constructor checks that it is total: a tuple of target bits
+  (`1 << state_index[target]`), one per available joint action, in the
+  order of `itertools.product(*menus[i])`. An entry's position is the one
+  record of its joint action.
 - `preds[i]`: the mask of the states with a joint action leading to
   `states[i]`.
 - `class_masks[agent]`: the agent's epistemic classes in class order (by
@@ -266,7 +266,7 @@ def _move_table(states, menus, trans, index, bits):
             t = index.get(get((q, profile)))
             if t is None:
                 return moves, preds, (q, profile)
-            row.append((profile, bits[t]))
+            row.append(bits[t])
             preds[t] |= here
         moves.append(tuple(row))
     return moves, preds, None
@@ -470,8 +470,8 @@ def save_model(model: Cegm) -> str:
         for q, column in zip(model.states, model.menus):
             if column[j] != model.actions[a]:
                 out.append(f"avail {a} {q}: " + " ".join(column[j]))
-    for q, row in zip(model.states, model.moves):
-        for profile, bit in row:
+    for q, column, row in zip(model.states, model.menus, model.moves):
+        for profile, bit in zip(product(*column), row):
             target = model.states[bit.bit_length() - 1]
             out.append(f"trans {q} ({', '.join(profile)}) -> {target}")
     for a in model.agents:

@@ -9,6 +9,7 @@ that compares the log-count of valuation classes against a threshold.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
@@ -170,6 +171,7 @@ class LogOfCount:
     count: int
 
     def __post_init__(self):
+        _printable(self)
         if self.count < 1:
             raise FormulaError(f"log threshold needs a positive count, got {self.count}")
 
@@ -185,6 +187,7 @@ class Real:
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
+        _printable(self)
         if self.value < 0:
             raise FormulaError(f"uncertainty threshold must be non-negative, got {self.value}")
 
@@ -193,6 +196,16 @@ class Real:
 
 
 Threshold = LogOfCount | Real
+
+
+def _printable(threshold) -> None:
+    """Refuse a threshold holding an int too long for `str`: its repr,
+    its error messages and maybe its str would raise ValueError."""
+    try:
+        repr(threshold)  # every int it holds
+    except ValueError:  # over `sys.get_int_max_str_digits()`
+        limit = sys.get_int_max_str_digits()
+        raise FormulaError(f"threshold has an integer of more than {limit} digits") from None
 
 
 @dataclass(frozen=True, repr=False)

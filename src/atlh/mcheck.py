@@ -35,14 +35,13 @@ when the bound is not the union.
 Each labelling pass builds one coalition engine per coalition, from what
 the model built once: its choice points are the model's class masks
 (`Cegm.class_masks`) in `ir` mode and single states in `Ir` mode, and its
-predecessor masks are the model's (`Cegm.preds`). It projects the model's
-move table (`Cegm.moves`) onto the coalition's columns once. Most rows hold
-one joint action, which keeps its target; all of them are projected in one
-pass of `map` and `zip`. The longer rows are merged one group at a time, the
-group of rows with the same menus (`Cegm.menus`): the coalition's choices
-come in product order, and each choice's mask is the union of its joint
-actions' targets, found by position. Every search reads that one table by
-state index. Engines point at their model and are never kept on it.
+predecessor masks are the model's (`Cegm.preds`). Its one table, the
+successor masks per state, starts as the model's move table (`Cegm.moves`,
+target bits in the product order of the agents' menus). Only the rows where
+the opponents have several choices are merged, one group of rows with the
+same menus (`Cegm.menus`) at a time. No row records an action: its position
+in product order is the action. Every search reads that table by state
+index. Engines point at their model and are never kept on it.
 """
 
 from __future__ import annotations
@@ -211,23 +210,19 @@ def hartley_classes(model: Cegm, agent: str, state: str, beta_labels) -> int:
 
 
 class _CoalitionEngine:
-    """Choice points and the projected move table for one coalition on one model.
+    """Choice points and the successor table for one coalition on one model.
 
     A strategy is a tuple of actions, one per choice point (an epistemic
     class in `ir` mode, a single state in `Ir` mode, per coalition agent). A
     choice point is `(agent, state indices ascending, actions, state mask)`;
-    in `ir` mode the indices and mask are the model's (`Cegm.class_masks`).
-    `moves[i]` pairs each coalition-action tuple available at state i with
-    the mask of states reachable under any opponent response: the model's
-    move table (`Cegm.moves`) with each profile projected onto the
-    coalition's columns, in the table's profile order. A row with one joint
-    action keeps its one target. The longer rows are merged by their
-    menus (`Cegm.menus[i]`, the agents' available actions): a row is the
-    product of those menus, so the coalition's choices come in the product
-    order of its own menus, and all rows with the same menus merge the same
-    positions. `succs[i]` holds the same masks in the same order, and
-    `preds` is the model's (`Cegm.preds`). All are built once; the searches
-    read them and never rebuild them.
+    in `ir` mode the indices and mask are the model's (`Cegm.class_masks`);
+    the points come in agent order. `succs[i]` holds, per coalition choice
+    at state i in the product order of the members' menus, the states
+    reachable under any opponent response: the model's row (`Cegm.moves`)
+    where the opponents have one choice, else its targets merged by
+    position, the same positions for all rows with the same menus
+    (`Cegm.menus[i]`). `preds` is the model's (`Cegm.preds`). Both are
+    built once; the searches read them and never rebuild them.
     """
 
     def __init__(self, model: Cegm, coalition, mode: str):
@@ -252,36 +247,30 @@ class _CoalitionEngine:
                     self.per_state = False
                 points.append((a, idx, options, mask))
         rows = model.moves
-        # every row as if it held one joint action (most do), then each
-        # longer row again, one group of rows with the same menus at a time
-        firsts = list(map(itemgetter(0), rows))
-        bits = list(map(itemgetter(1), firsts))
-        self.moves = moves = list(zip(zip(_keys(cols, list(map(itemgetter(0), firsts))), bits)))
-        self.succs = succs = list(zip(bits))
+        self.succs = succs = list(rows)
+        # merge the rows where the opponents have several choices, one
+        # group of rows with the same menus at a time
         groups = {}
         for i in compress(range(n), map((1).__lt__, map(len, rows))):
             groups.setdefault(menus[i], []).append(i)
         for column, idxs in groups.items():
-            # the coalition's choices in product order, which is the order
-            # their first joint actions come in
-            keys = list(product(*map(column.__getitem__, cols)))
-            targets = [tuple(map(itemgetter(1), rows[i])) for i in idxs]
-            if len(keys) == 1:
+            choices = math.prod(len(column[j]) for j in cols)
+            if choices == len(rows[idxs[0]]):
+                continue
+            targets = list(map(rows.__getitem__, idxs))
+            if choices == 1:
                 merged = zip(map(reduce, repeat(or_), targets))
-            elif len(keys) == len(targets[0]):  # the opponents have one choice
-                merged = targets
             else:
-                # the positions of each choice's joint actions, two or more
-                slot = {key: k for k, key in enumerate(keys)}
-                spots = [[] for _ in keys]
-                for p, key in enumerate(_keys(cols, list(product(*column)))):
-                    spots[slot[key]].append(p)
-                merged = zip(
-                    *[map(reduce, repeat(or_), map(itemgetter(*ps), targets)) for ps in spots]
-                )
+                # the positions of each choice's joint actions, two or more;
+                # the choices first appear in their own product order
+                pick = itemgetter(*cols)
+                spots = {}
+                for p, profile in enumerate(product(*column)):
+                    spots.setdefault(pick(profile), []).append(p)
+                gets = [itemgetter(*ps) for ps in spots.values()]
+                merged = zip(*[map(reduce, repeat(or_), map(get, targets)) for get in gets])
             for i, masks in zip(idxs, merged):
                 succs[i] = masks
-                moves[i] = tuple(zip(keys, masks))
         self.preds = model.preds
         self._start_masks = None
 
@@ -304,15 +293,6 @@ class _CoalitionEngine:
             for i in idx:
                 row[i] = chosen
         return Strategy(self.coalition, {a: dict(zip(states, rows[a])) for a in self.coalition})
-
-
-def _keys(cols, profiles):
-    """Each joint action in `profiles` (a list) cut down to its `cols` entries."""
-    if len(cols) > 1:
-        return map(itemgetter(*cols), profiles)
-    if cols:
-        return zip(map(itemgetter(cols[0]), profiles))
-    return [()] * len(profiles)
 
 
 def _gather(table, mask: int) -> int:
@@ -440,12 +420,17 @@ def _first_winner(
     only on the states whose membership that can change; every other state
     keeps the parent prefix's value.
 
+    Choice points are fixed in agent order, and each row lists the choices
+    in the product order of the members' menus, so at a member's choice
+    point a row is the product of that member's menu and the menus of the
+    members after it. Fixing the member to its `i`-th of `n` options keeps
+    the contiguous block `row[i * B:(i + 1) * B]`, `B = len(row) // n`.
+
     An action is skipped, untested, when at every state of the choice point
-    the rows it leaves hold the same successor masks as some earlier
-    action's. Backtracking reached it, so that earlier action's subtree
-    held no winner, and this one's subtree is the same search: each row is
-    a product of the members' actions left, so the other members' columns
-    line up row for row.
+    the block it leaves equals the block some earlier action left.
+    Backtracking reached it, so that earlier action's subtree held no
+    winner, and this one's subtree is the same search: both blocks are
+    products of the later members' menus, so they line up row for row.
 
     With `exact` (a per-state engine, and X, G or U) the region of every
     prefix is exact, since one strategy wins on the whole region of a
@@ -463,10 +448,8 @@ def _first_winner(
     whether a strategy extending the prefix validates `at` does not depend
     on it, so the first winner, if any, plays its first action there.
     """
-    slot = {a: j for j, a in enumerate(engine.coalition)}
     # fixing a choice point replaces its states' rows; backtracking puts
     # the rows it replaced back
-    moves = list(engine.moves)
     succs = list(engine.succs)
     points = engine.choice_points
     pending = 0  # states fixed, untested, since `now` was computed
@@ -476,28 +459,29 @@ def _first_winner(
         reach = _reachable(succs, start)
     # per fixed choice point: action index, index to resume from on
     # backtrack, the rows it replaced, the search state before it, and the
-    # successor masks each action tried there before it left
+    # rows each action tried there left before it
     stack = []
     i = 0
     tried = []
     while len(stack) < len(points):
-        agent, idx, options, fixed = points[len(stack)]
+        _, idx, options, fixed = points[len(stack)]
+        n = len(options)
         saved = now, pending, reach
-        if len(options) == 1 and i == 0:
+        if n == 1 and i == 0:
             stack.append((0, 1, (), saved, ()))
             continue
-        if i < len(options):
-            picked, j = options[i], slot[agent]
-            if tried and [[m for key, m in moves[q] if key[j] == picked] for q in idx] in tried:
+        if i < n:
+            kept = [(q, succs[q]) for q in idx]
+            # each row's block for the i-th option: i * B up to (i + 1) * B
+            left = [row[i * len(row) // n : (i + 1) * len(row) // n] for _, row in kept]
+            if left in tried:
                 i += 1
                 continue
-            kept = [(q, moves[q], succs[q]) for q in idx]
             unreached = i == 0 and reach is not None and not fixed & reach
-            stack.append((i, len(options) if unreached else i + 1, kept, saved, tried))
-            last, i, tried = i == len(options) - 1, 0, []
-            for q, km, _ in kept:
-                moves[q] = [m for m in km if m[0][j] == picked]
-                succs[q] = [m for _, m in moves[q]]
+            stack.append((i, n if unreached else i + 1, kept, saved, tried))
+            last, i, tried = i == n - 1, 0, []
+            for q, row in zip(idx, left):
+                succs[q] = row
             if unreached or exact and (last or not now[0] & fixed):
                 pending |= fixed
                 continue
@@ -511,9 +495,9 @@ def _first_winner(
         if not stack:
             return None
         _, i, kept, (now, pending, reach), tried = stack.pop()
-        tried = [*tried, [succs[q] for q, _, _ in kept]]
-        for q, km, ks in kept:
-            moves[q], succs[q] = km, ks
+        tried = [*tried, [succs[q] for q, _ in kept]]
+        for q, row in kept:
+            succs[q] = row
     if pending and not exact:
         now = _narrow(engine, succs, kind, args, scope, now, pending)
     return tuple(points[k][2][frame[0]] for k, frame in enumerate(stack)), now[2]

@@ -63,13 +63,17 @@ def test_classes_partition_states(fig1):
 
 
 def test_moves_rows(fig1):
-    # per state, each available joint action in product order, with the
-    # bit of its target
-    assert fig1.moves == (
-        ((("voteA", "eps"), 0b010), (("voteNA", "eps"), 0b100), (("eps", "eps"), 0b001)),
-        ((("eps", "eps"), 0b010),),
-        ((("eps", "eps"), 0b100),),
-    )
+    # per state, the bit of each available joint action's target, in the
+    # product order of the agents' menus: an entry's position is its profile
+    assert fig1.moves == ((0b010, 0b100, 0b001), (0b010,), (0b100,))
+    for q, column, row in zip(fig1.states, fig1.menus, fig1.moves):
+        targets = [fig1.trans[q, profile] for profile in product(*column)]
+        assert row == tuple(1 << fig1.state_index[t] for t in targets)
+    assert list(product(*fig1.menus[0])) == [
+        ("voteA", "eps"),
+        ("voteNA", "eps"),
+        ("eps", "eps"),
+    ]
 
 
 def test_queries_reject_unknown_names(fig1):

@@ -1,5 +1,6 @@
 """Parser, printer and length-metric tests."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -186,6 +187,52 @@ def test_log_threshold_must_be_positive():
 def test_negative_threshold_rejected():
     with pytest.raises(FormulaError):
         Real(Fraction(-1, 2))
+
+
+def test_threshold_errors_are_positioned():
+    for text, message in (
+        ("H[a] >= 1/0 {p}", "1:11: fraction threshold needs a positive integer denominator"),
+        ("H[a] >= x {p}", "1:9: expected a threshold, found 'x'"),
+    ):
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message, text
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_threshold_too_long_for_str_is_rejected():
+    # `str` of an int over the limit raises ValueError: a threshold holding
+    # one is refused when it is built, so no formula's str or repr fails
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        too_long = "threshold has an integer of more than 4300 digits"
+        with pytest.raises(FormulaError, match=too_long):
+            Hartley("a", ">=", LogOfCount(10**5000), (Atom("p"),))
+        with pytest.raises(FormulaError, match=too_long):
+            Real(Fraction(1, 2**20000))  # neither the decimal nor p/q prints
+        for value in (Fraction(1, 10**5000), Fraction(-1, 10**5000)):
+            with pytest.raises(FormulaError, match=too_long):
+                Real(value)  # its repr needs 10**5000 in full
+        # the decimal has 6,990 digits, so p/q is printed
+        assert str(Real(Fraction(1, 2**10000))) == f"1/{2**10000}"
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(f"H[a] >= {'9' * 5000} {{p}}")
+        assert str(exc.value) == "1:9: numeral too long: 5000 characters"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_thresholds_print_as_decimals_where_exact():
+    # a denominator of twos and fives prints as a decimal with as many
+    # places as the larger count
+    for value, text in (
+        (Fraction(1, 5), "0.2"),
+        (Fraction(3, 10), "0.3"),
+        (Fraction(3, 8), "0.375"),
+    ):
+        assert str(Real(value)) == text
+        assert pretty_print(parse_formula(f"H[a] = {text} {{p}}")) == f"H[a] = {text} {{p}}"
 
 
 def test_parse_reach_then_maintain():

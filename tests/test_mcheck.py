@@ -304,6 +304,9 @@ def test_enumerate_strategies_counts(fig1, m2):
     assert len(list(enumerate_strategies(fig1, ("v", "c")))) == 3
     assert len(list(enumerate_strategies(m2, ("v",)))) == 4
     assert len(list(enumerate_strategies(fig1, ()))) == 1
+    with pytest.raises(CheckError) as exc:
+        next(enumerate_strategies(fig1, ("zz",)))
+    assert str(exc.value) == "unknown agent zz"
 
 
 def test_enumerate_strategies_uniform_and_not():
@@ -930,11 +933,12 @@ def test_uniformity_binding_models_match_oracle():
     assert binding == 10, binding
 
 
-def _restricted_succs(engine, fixes):
+def _restricted_succs(engine, keyed, fixes):
     """Successor masks per state with each (choice point, action) in
-    `fixes` played, the other choice points free."""
+    `fixes` played, the other choice points free: `keyed`, the reference's
+    rows keyed by the coalition's actions, filtered by key."""
     slot = {a: j for j, a in enumerate(engine.coalition)}
-    moves = list(engine.moves)
+    moves = list(keyed)
     for (agent, idx, _, _), picked in fixes:
         for i in idx:
             moves[i] = [m for m in moves[i] if m[0][slot[agent]] == picked]
@@ -1007,16 +1011,18 @@ def test_local_recompute_matches_from_scratch():
         masks = [rng.getrandbits(len(model.states)) for _ in range(2)]
         kind = kinds[i % 4]
         args = masks[:1] if kind in ("X", "G") else masks
+        # the `Ir` reference's rows serve both modes: rows do not depend on it
+        keyed = _reference_engine(model, coal, "Ir")[2]
         for mode, scope in product(("ir", "Ir"), ("objective", "subjective")):
             engine = _CoalitionEngine(model, coal, mode)
             fixes = []
-            now = _from_scratch(engine, _restricted_succs(engine, []), kind, args, scope)
+            now = _from_scratch(engine, _restricted_succs(engine, keyed, []), kind, args, scope)
             full = model.full_mask
             assert _narrow(engine, engine.succs, kind, args, scope, (full,) * 3, full) == now
             pending = []  # fixes made since `now` was computed
             for point in engine.choice_points:
                 for picked in point[2]:
-                    succs = _restricted_succs(engine, fixes + [(point, picked)])
+                    succs = _restricted_succs(engine, keyed, fixes + [(point, picked)])
                     fixed = point[3]
                     for p, _ in pending:
                         fixed |= p[3]
@@ -1027,7 +1033,8 @@ def test_local_recompute_matches_from_scratch():
                 fixes.append(fix)
                 pending.append(fix)
                 if rng.random() < 0.5:
-                    now = _from_scratch(engine, _restricted_succs(engine, fixes), kind, args, scope)
+                    succs = _restricted_succs(engine, keyed, fixes)
+                    now = _from_scratch(engine, succs, kind, args, scope)
                     pending = []
     assert tried > 10000, tried
 
@@ -1076,7 +1083,8 @@ def test_fixpoint_work_is_linear_in_the_model(monkeypatch):
 def _reference_engine(model, coalition, mode):
     """What `_CoalitionEngine` holds, built from `model.trans`, `model.avail`
     and `model.mask` of each class, merging each state's joint actions one at
-    a time in product order into a dict keyed by the coalition's actions."""
+    a time in product order into a dict keyed by the coalition's actions.
+    The keyed rows come third; the engine keeps only their masks."""
     index = model.state_index
     members = set(coalition)
     coal = [a for a in model.agents if a in members]
@@ -1112,9 +1120,11 @@ def test_engine_matches_reference_projection(fig1, m1, m2):
     """Every coalition, the empty one included, in both modes, on 300
     random models (several choices on both sides of many states), the
     bundled referendum models and ThreeBallot: the engine's choice points,
-    move table, successor and predecessor masks and start sets equal those
-    of the one-joint-action-at-a-time reference. Each agent's class masks
-    partition the states in `epistemic_classes` order."""
+    successor and predecessor masks and start sets equal those of the
+    one-joint-action-at-a-time reference. The reference's rows hold the
+    coalition's choices in the product order of the members' menus, which
+    `_first_winner`'s slicing relies on. Each agent's class masks partition
+    the states in `epistemic_classes` order."""
     rng = Random(9151)
     models = [random_cegm(rng, max_states=6, max_agents=3, max_actions=3) for _ in range(300)]
     models += [fig1, m1, m2, gen_threeballot(), _layered(40)]
@@ -1138,12 +1148,16 @@ def test_engine_matches_reference_projection(fig1, m1, m2):
                     got = (
                         engine.choice_points,
                         engine.per_state,
-                        [tuple(row) for row in engine.moves],
-                        [tuple(row) for row in engine.succs],
+                        engine.succs,
                         list(engine.preds),
                         engine.start_masks(),
                     )
-                    assert got == _reference_engine(model, coalition, mode), (coalition, mode)
+                    points, per_state, keyed, *want = _reference_engine(model, coalition, mode)
+                    assert got == (points, per_state, *want), (coalition, mode)
+                    members = [a for a in model.agents if a in coalition]
+                    for q, row in zip(model.states, keyed):
+                        menus = [model.avail(a, q) for a in members]
+                        assert [key for key, _ in row] == list(product(*menus))
 
 
 def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
