@@ -128,10 +128,7 @@ def cmd_check(args) -> int:
 
 def cmd_translate(args) -> int:
     f = parse_formula(_formula_text(args))
-    if args.dir == "h2k":
-        result = h_to_k(f, node_cap=args.cap_nodes)
-    else:
-        result = k_to_h(f, node_cap=args.cap_nodes)
+    result = h_to_k(f, node_cap=args.cap_nodes) if args.dir == "h2k" else k_to_h(f)
     sizes = (formula_length(f), formula_length(result))
     if sizes[1] > args.cap_nodes:
         raise TranslateError(f"translation has {sizes[1]} nodes, over the cap {args.cap_nodes}")

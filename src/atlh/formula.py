@@ -19,10 +19,11 @@ CMPS = ("<", "<=", ">", ">=", "=")
 
 # Deepest formula the parser accepts. The parser recurses up to four times per
 # parenthesis, and the dataclass-generated `__eq__`/`__hash__` once per level,
-# so this stays far below Python's default recursion limit of 1000. The parser
-# keys nodes by their children's identity, so it hashes a whole formula only
-# in an uncertainty set's duplicate check. Every other walker keeps its own
-# stack (`fold`, `pretty_print`), so translations may build far deeper formulas.
+# so this stays far below Python's default recursion limit of 1000. The library
+# itself neither hashes nor compares a formula as a tree: the parser keys nodes
+# by their children's identity, uncertainty-set members are compared by their
+# `member_rows`, and every walker keeps its own stack (`fold`, `pretty_print`,
+# `subformula_rows`), so translations may build far deeper formulas.
 MAX_DEPTH = 100
 
 
@@ -224,11 +225,12 @@ class Hartley(_Node):
             raise FormulaError(f"unknown comparison {self.cmp!r}")
         if not self.beta:
             raise FormulaError("empty formula set in uncertainty operator")
-        seen = set()
-        for b in self.beta if len(self.beta) > 1 else ():  # a hash walks all of b
-            if b in seen:
-                raise FormulaError(f"duplicate formula in uncertainty set: {pretty_print(b)}")
-            seen.add(b)
+        if len(self.beta) > 1:  # one member cannot repeat
+            seen = set()
+            for b, row in zip(self.beta, member_rows(self.beta)):
+                if row in seen:
+                    raise FormulaError(f"duplicate formula in uncertainty set: {pretty_print(b)}")
+                seen.add(row)
 
 
 Formula = (
@@ -309,11 +311,7 @@ def rebuild(f: Formula, kids) -> Formula:
     if all(map(is_, kids, children(f))):
         return f
     if type(f) is Hartley:
-        beta = []
-        for k in kids:
-            if k not in beta:
-                beta.append(k)
-        kids = (tuple(beta),)
+        kids = (tuple(distinct_members(kids)),)
     return type(f)(*_OTHER_FIELDS[type(f)](f), *kids)
 
 
@@ -365,6 +363,14 @@ def _threshold_key(t: Threshold) -> tuple:
 _KEYS = dict(_OTHER_FIELDS)
 _KEYS[Hartley] = lambda g: (g.agent, g.cmp, *_threshold_key(g.threshold))
 _KEYS[_PathG] = lambda g: ()
+
+
+class _Members(tuple):
+    """Pseudo-node whose children are the formulas `member_rows` walks."""
+
+
+_CHILDREN[_Members] = lambda g: g
+_KEYS[_Members] = lambda g: ()
 
 
 def subformula_rows(f: Formula) -> list[tuple]:
@@ -446,25 +452,26 @@ def printed_order(rows, texts) -> list[int]:
     return sorted(range(len(rows)), key=lambda i: (lengths[i], texts[i]))
 
 
-def subformula_table(f: Formula) -> list[tuple]:
-    """The rows of `subformula_rows(f)` in printed order, as
-    `(node, printed text, positions of its children in the table)`.
-
-    Every proper subformula sorts strictly before its parent, so the table
-    doubles as an evaluation order; the final entry is `f` itself.
-    """
-    rows = subformula_rows(f)
-    texts = row_texts(rows)
-    order = printed_order(rows, texts)
-    at = [0] * len(rows)
-    for pos, i in enumerate(order):
-        at[i] = pos
-    return [(rows[i][0], texts[i], tuple(at[k] for k in rows[i][1])) for i in order]
-
-
 def subformulas_by_length(f: Formula) -> list[Formula]:
-    """The nodes of `subformula_table(f)`: all distinct subformulas, in order."""
-    return [g for g, _, _ in subformula_table(f)]
+    """The nodes of `subformula_rows(f)` in `printed_order`: all distinct
+    subformulas, shortest first with ties by printed text, `f` last."""
+    rows = subformula_rows(f)
+    return [rows[i][0] for i in printed_order(rows, row_texts(rows))]
+
+
+def member_rows(formulas) -> tuple[int, ...]:
+    """Each of `formulas`' row in one `subformula_rows` walk over all of them:
+    two formulas get one row exactly when they are equal."""
+    return subformula_rows(_Members(formulas))[-1][1]
+
+
+def distinct_members(formulas) -> list[Formula]:
+    """The first of each group of equal `formulas`, in order."""
+    formulas = tuple(formulas)
+    first: dict = {}  # row -> formula
+    for g, row in zip(formulas, member_rows(formulas)):
+        first.setdefault(row, g)
+    return list(first.values())
 
 
 # ---------------------------------------------------------------------------

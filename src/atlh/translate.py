@@ -27,6 +27,7 @@ from .formula import (
     Or,
     TrueF,
     _own_length,
+    distinct_members,
     fold,
     pretty_print,
     rebuild,
@@ -39,34 +40,25 @@ class TranslateError(ValueError):
     """Raised when a translation exceeds its size caps or gets bad arguments."""
 
 
-def k_to_h(f: Formula, node_cap: int = 10**6) -> Formula:
+def k_to_h(f: Formula) -> Formula:
     """Replace knowledge by uncertainty, innermost-first.
 
     `K[a] x` becomes `x & H[a] = log(1) {x}`; mutual knowledge expands to the
     conjunction of the members' rewritten knowledge. Each level of `K`
-    doubles the printed length, so an uncertainty set whose rewritten
-    members total more than `node_cap` nodes raises before it is built:
-    building it hashes every member as a tree.
+    doubles the printed length but adds only a few nodes to the result's
+    DAG. Members of an uncertainty set are compared by one walk of that DAG
+    (`member_rows`), never as printed trees, so a deep nest of `K` is
+    rewritten in time linear in its depth however long it prints.
     """
 
-    def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
-        size = sum(n for _, n in kids)
+    def step(g: Formula, kids):
         if type(g) in (Knows, MutualKnows):
             agents = (g.agent,) if type(g) is Knows else g.coalition
-            x = kids[0][0]
-            rewritten = [And(x, Hartley(a, "=", LogOfCount(1), (x,))) for a in agents]
-            return reduce(And, rewritten), len(agents) * (2 * size + 3) - 1
-        if type(g) is not Hartley or len(kids) < 2:
-            return rebuild(g, [h for h, _ in kids]), _own_length(g) + size
-        if size > node_cap:
-            raise TranslateError(
-                f"uncertainty set members total {size} nodes, over the cap {node_cap}"
-            )
-        h = rebuild(g, [h for h, _ in kids])
-        length = {id(m): n for m, n in kids}
-        return h, 1 + sum(length[id(m)] for m in h.beta)
+            x = kids[0]
+            return reduce(And, [And(x, Hartley(a, "=", LogOfCount(1), (x,))) for a in agents])
+        return rebuild(g, kids)
 
-    return fold(f, step)[0]
+    return fold(f, step)
 
 
 def phi_beta(beta, cap: int = 4) -> list[Formula]:
@@ -140,21 +132,6 @@ def _expansion_size(alpha_sizes, counts, n: int) -> int:
     return total + (len(counts) - 1)
 
 
-def _distinct_members(kids) -> list[tuple]:
-    """The `(formula, formula_length)` pairs of `kids` without repeats, first
-    seen first.
-
-    Two members are equal when they are one object, or have one length and
-    one printed text (printing is injective). Neither test recurses, unlike
-    the dataclass `__eq__` and `__hash__` of a deep member.
-    """
-    members: list[tuple] = []
-    for h, n in kids:
-        if not any(h is k or (n == m and pretty_print(h) == pretty_print(k)) for k, m in members):
-            members.append((h, n))
-    return members
-
-
 def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
     """Replace uncertainty by knowledge, innermost-first.
 
@@ -162,14 +139,14 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
     satisfy it (counts range over 1..2^n); the result is false for an empty
     set, true for the full range, else the disjunction of count formulas.
     The construction is exponential by design, hence the caps. Equal members
-    of a rewritten uncertainty set are merged, as `rebuild` does, but no new
-    uncertainty node is built: its constructor would hash every member.
+    of a rewritten uncertainty set are merged by `distinct_members`, as
+    `rebuild` does, and no new uncertainty node is built.
     """
 
     def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
         if type(g) is not Hartley:
             return rebuild(g, [h for h, _ in kids]), _own_length(g) + sum(n for _, n in kids)
-        members = _distinct_members(kids)
+        members = distinct_members([h for h, _ in kids])
         n = len(members)
         if n > beta_cap:
             raise TranslateError(
@@ -181,9 +158,10 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
             return FalseF(), 1
         if len(counts) == size:
             return TrueF(), 1
-        alphas = phi_beta([h for h, _ in members], beta_cap)
+        alphas = phi_beta(members, beta_cap)
+        length = {id(h): m for h, m in kids}
         # a signed conjunction: every member, n - 1 &s, and one ! per minus sign
-        plain = sum(m for _, m in members) + n - 1
+        plain = sum(length[id(h)] for h in members) + n - 1
         alpha_sizes = [plain + signs.count(0) for signs in product((1, 0), repeat=n)]
         nodes = _expansion_size(alpha_sizes, counts, n)
         if nodes > node_cap:

@@ -490,8 +490,10 @@ def test_threshold_numerals(fig1_path, formula, code, stderr, printed):
         ("k2h", "K[a] " * 19 + "p", 1572862, 60),
         # each expansion is under the cap, the three together are not
         ("h2k", " & ".join(["H[a] = log(4) {p1, p2, p3, p4}"] * 3), 1070159, 60),
+        # the set is built in time linear in its DAG, then measured
+        ("k2h", "H[b] = 1 {" + "K[a] " * 40 + "p, q}", 3 * 2**40, 2),
     ],
-    ids=["k2h-40", "k2h-19", "h2k-3x"],
+    ids=["k2h-40", "k2h-19", "h2k-3x", "k2h-set-40"],
 )
 def test_cap_nodes_bounds_the_output_in_both_directions(direction, text, size, seconds):
     start = time.perf_counter()
@@ -502,14 +504,32 @@ def test_cap_nodes_bounds_the_output_in_both_directions(direction, text, size, s
     assert run.stdout == ""
 
 
-def test_cap_nodes_stops_k2h_before_building_an_uncertainty_set():
-    start = time.perf_counter()
-    run = _run_cli("translate", "--dir", "k2h", "--formula", "H[b] = 1 {" + "K[a] " * 40 + "p, q}")
-    assert time.perf_counter() - start < 2
-    assert run.returncode == 2
-    assert run.stderr.startswith("error: ") and "over the cap 1000000" in run.stderr
-    assert "Traceback" not in run.stderr
-    assert run.stdout == ""
+def test_k2h_cap_bounds_the_whole_output(capsys):
+    # K nested 6 deep rewrites to 3 * 2^6 - 2 nodes, so the set prints as 192
+    argv = ["translate", "--dir", "k2h", "--formula", "H[b] = 1 {" + "K[a] " * 6 + "p, q}"]
+    assert main([*argv, "--cap-nodes", "192"]) == 0
+    assert capsys.readouterr().out.endswith("output length: 192\n")
+    assert main([*argv, "--cap-nodes", "190"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: translation has 192 nodes, over the cap 190\n"
+    argv = ["translate", "--dir", "k2h", "--formula", "H[b] = 1 {" + "K[a] " * 40 + "p, q}"]
+    assert within(2, main, argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: translation has 3298534883328 nodes, over the cap 1000000\n"
+
+
+def test_k2h_cap_counts_merged_members_once(capsys):
+    # the members rewrite to one formula (8 nodes together, 4 merged), so
+    # the output fits a cap below their total
+    argv = ["translate", "--dir", "k2h", "--cap-nodes", "7"]
+    assert main([*argv, "--formula", "H[a] >= 1 {K[b] p, p & H[b] = log(1) {p}}"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "H[a] >= 1 {p & H[b] = log(1) {p}}", "input length: 7", "output length: 5"
+    ]
+    assert err == ""
 
 
 def test_back_to_back_calls_match_single_calls(fig1_path, capsys):

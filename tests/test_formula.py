@@ -27,14 +27,15 @@ from atlh.formula import (
     Real,
     TrueF,
     _tokenize,
+    distinct_members,
     fold,
     formula_length,
+    member_rows,
     parse_formula,
     pretty_print,
     printed_order,
     row_texts,
     subformula_rows,
-    subformula_table,
     subformulas_by_length,
 )
 from atlh.sampling import random_formula
@@ -492,20 +493,17 @@ def test_subformulas_include_self_last(f):
 
 
 @given(_formulas(3))
-def test_subformula_table_links_children_by_position(f):
-    table = subformula_table(f)
-    nodes = [g for g, _, _ in table]
-    assert nodes == subformulas_by_length(f)
+def test_subformulas_by_length_is_printed_order(f):
+    nodes = subformulas_by_length(f)
     walked, todo = [], [f]
     while todo:
         walked.append(todo.pop())
         todo += _children(walked[-1])
     distinct = {pretty_print(g): g for g in walked}
     assert nodes == [distinct[t] for t in sorted(distinct, key=lambda t: (formula_length(distinct[t]), t))]
-    for i, (g, text, kids) in enumerate(table):
-        assert text == pretty_print(g)
-        assert [nodes[k] for k in kids] == list(_children(g))
-        assert all(k < i for k in kids)
+    at = {pretty_print(g): i for i, g in enumerate(nodes)}
+    for i, g in enumerate(nodes):
+        assert all(at[pretty_print(k)] < i for k in _children(g))
 
 
 @given(_formulas(3))
@@ -520,9 +518,8 @@ def test_subformula_rows_walk_children_first(f):
         assert all(k < i for k in kids)
     texts = row_texts(rows)
     assert texts == [pretty_print(g) for g in nodes]
-    table = subformula_table(f)
     assert [(nodes[i], texts[i]) for i in printed_order(rows, texts)] == [
-        (g, text) for g, text, _ in table
+        (g, pretty_print(g)) for g in subformulas_by_length(f)
     ]
 
 
@@ -551,6 +548,16 @@ def test_subformula_rows_key_by_structure():
     assert all(any(g is x for g in nodes) for x in (h[0], h[1], h[2]))
     assert not any(g is x for g in nodes for x in (h[3], h[4], coalitions[1]))
     assert len(nodes) == 13
+    # member_rows: one walk over several formulas, one row per equal group
+    assert member_rows([left, right, left.left, Atom("p"), left.right]) == (2, 2, 0, 0, 1)
+    assert member_rows(h) == (1, 2, 3, 2, 1)
+    assert member_rows(coalitions) == (1, 1, 2)
+    assert distinct_members(h) == h[:3]
+    assert [g is x for g, x in zip(distinct_members(h), h)] == [True] * 3
+    assert distinct_members([h[3], h[1]]) == [h[3]]
+    assert distinct_members([h[3], h[1]])[0] is h[3]
+    with pytest.raises(FormulaError, match="duplicate formula in uncertainty set: p & q"):
+        Hartley("a", "=", Real(1), (left, Atom("r"), right))
 
 
 def _distinct_nodes(f):
@@ -586,7 +593,7 @@ def test_parse_shares_equal_subformulas():
 )
 def test_parse_builds_each_distinct_subformula_once(build):
     f = build()
-    assert len(_distinct_nodes(f)) == len(subformula_table(f))
+    assert len(_distinct_nodes(f)) == len(subformula_rows(f))
 
 
 def test_shared_parse_matches_the_unshared_draw():
@@ -598,9 +605,13 @@ def test_shared_parse_matches_the_unshared_draw():
         )
         f = parse_formula(pretty_print(g))
         assert f == g
-        rows = [(text, kids) for _, text, kids in subformula_table(f)]
-        assert rows == [(text, kids) for _, text, kids in subformula_table(g)]
-        assert len(_distinct_nodes(f)) == len(rows)
+        tables = []
+        for x in (f, g):
+            rows = subformula_rows(x)
+            texts = row_texts(rows)
+            tables.append(([kids for _, kids in rows], texts, printed_order(rows, texts)))
+        assert tables[0] == tables[1]
+        assert len(_distinct_nodes(f)) == len(tables[0][0])
 
 
 def test_walkers_reject_a_non_formula():

@@ -16,16 +16,19 @@ from atlh.formula import (
     Atom,
     CoalX,
     FalseF,
+    Formula,
     Hartley,
     Knows,
     LogOfCount,
     Not,
     Or,
+    Real,
     TrueF,
     fold,
     formula_length,
     parse_formula,
     pretty_print,
+    rebuild,
     subformula_rows,
 )
 from atlh.mcheck import check, label
@@ -78,22 +81,46 @@ def test_k_to_h_merges_colliding_members():
     assert k_to_h(f) == parse_formula("H[a] >= 1 {p & H[b] = log(1) {p}}")
 
 
-def test_k_to_h_caps_an_uncertainty_set_before_building_it():
-    # K nested k deep rewrites to 3 * 2^k - 2 nodes, so the set below totals
-    # 3 * 2^k - 1; building it would hash that many nodes
-    def nest(k):
-        return parse_formula("H[b] = 1 {" + "K[a] " * k + "p, q}")
-
-    out = k_to_h(nest(6), node_cap=3 * 2**6 - 1)
-    assert formula_length(out) == 3 * 2**6
-    with pytest.raises(TranslateError, match="total 191 nodes, over the cap 190"):
-        k_to_h(nest(6), node_cap=3 * 2**6 - 2)
-    with pytest.raises(TranslateError, match="over the cap 1000000"):
-        k_to_h(nest(40))
+def test_k_to_h_merges_before_measuring_an_uncertainty_set():
     # the inner set's two members (4 nodes each) merge into one, so the
     # outer set's members total 6 nodes, not 10
-    merged = k_to_h(parse_formula("H[c] = 1 {H[a] >= 1 {K[b] p, p & H[b] = log(1) {p}}, q}"), node_cap=9)
+    merged = k_to_h(parse_formula("H[c] = 1 {H[a] >= 1 {K[b] p, p & H[b] = log(1) {p}}, q}"))
     assert formula_length(merged) == 7
+
+
+def test_member_equality_is_linear_in_the_dag():
+    # two K nests 30 deep, built separately: each prints as 3 * 2^30 - 2
+    # nodes, so comparing them as trees would never finish. No deep formula
+    # is an argument or an asserted operand: pytest would print it.
+    a, b = (k_to_h(parse_formula("K[a] " * 30 + "p")) for _ in range(2))
+
+    def merge():
+        return rebuild(Hartley("c", "=", Real(1), (p, q)), [a, b])
+
+    def build():
+        return Hartley("c", "=", Real(1), (a, And(a, p)))
+
+    assert [m is a for m in within(2, merge).beta] == [True]
+    assert [m is a for m in within(2, build).beta] == [True, False]
+
+
+def test_member_equality_hashes_no_formula():
+    k_in = parse_formula("H[a] >= 1 {K[b] p, p & H[b] = log(1) {p}}")
+    h_in = parse_formula("H[a] = log(1) {H[b] >= 0 {p}, H[b] <= 9 {q}}")
+    two = Hartley("c", "=", Real(1), (p, q))
+    equal = [And(p, Not(q)), And(Atom("p"), Not(Atom("q")))]
+    expected = [k_to_h(k_in), h_to_k(h_in), rebuild(two, equal)]
+
+    def refuse(node, *args):
+        raise AssertionError(f"hashed or compared {type(node).__name__}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (*Formula.__args__, LogOfCount, Real):
+            patch.setattr(cls, "__hash__", refuse)
+            patch.setattr(cls, "__eq__", refuse)
+        got = [k_to_h(k_in), h_to_k(h_in), rebuild(two, equal)]
+    assert got == expected
+    assert len(got[2].beta) == 1 and got[2].beta[0] is equal[0]
 
 
 def test_h_to_k_merges_colliding_members():
