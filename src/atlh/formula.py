@@ -38,6 +38,10 @@ class FormulaError(ValueError):
         super().__init__(message)
 
 
+# the longest formula, by `formula_length`, that `repr` prints in full
+_REPR_MAX_LENGTH = 10_000
+
+
 class _Node:
     """Shared behaviour for all formula nodes."""
 
@@ -48,6 +52,10 @@ class _Node:
         return pretty_print(self)
 
     def __repr__(self) -> str:
+        # a shared DAG can print exponentially long; past the cap, say how long
+        length = formula_length(self)
+        if length > _REPR_MAX_LENGTH:
+            return f"{type(self).__name__}(<{length} nodes>)"
         return f"{type(self).__name__}({pretty_print(self)!r})"
 
 

@@ -228,11 +228,12 @@ def _keeps_structure(image, structure) -> bool:
 _INF = float("inf")
 # Rule (c) indexes a failure only under a stored side of at most this many
 # states: small sides are the ones later positions contain, and a cap keeps
-# the rows that a lookup scans short. At n = 2 the cap 4 leaves 20,207
-# `solve` calls (62,070 with 2, 27,034 with 3, 19,377 with 5 or more, 78,310
-# with no index); caps of 4 and more run about as fast there, and at n = 3
-# the rows of cap 4 hold at most 621 entries (861 with 5) while with no cap
-# the size-11 search runs over 200 s instead of about 45 s (2-core machine).
+# the rows that a lookup scans short. At n = 2 the cap 4 leaves 5,484
+# `solve` calls (8,923 with 2, 5,511 with 3, 5,461 with 5, 5,460 with 6 or
+# more, 14,460 with no index); caps of 4 and more run about as fast there,
+# and at n = 3 the rows of cap 4 hold at most 621 entries (861 with 5)
+# while with no cap the size-11 search runs over 200 s instead of about
+# 43 s (2-core machine).
 _SUBSUMED_SIDE = 4
 
 
@@ -245,7 +246,9 @@ class _FsgSearch:
     Moves: close by atom (one node), negate (swap sides), split the left
     side over two children, or pick an epistemic successor for every right
     element while the left side expands to all successors. Results are
-    memoized on (left, right) as exact costs or lower bounds.
+    memoized on (left, right) as exact costs or lower bounds. Every move
+    probes its children's entries inline and calls `solve` only on a miss:
+    most children are settled already.
 
     The game value is monotone: a win on (C, D) also wins on every
     non-empty (C' <= C, D' <= D) at the same cost or less, move by move
@@ -332,9 +335,10 @@ class _FsgSearch:
             self.exact[key] = _INF
             return None
 
-        if any(C & p == C and not D & p for p in self.atoms):
-            self.exact[key] = 1
-            return 1
+        for p in self.atoms:
+            if C & p == C and not D & p:
+                self.exact[key] = 1
+                return 1
         subsumed = self._subsumed(C, D, budget)
         if subsumed:
             self.lb[key] = subsumed
@@ -342,18 +346,22 @@ class _FsgSearch:
 
         best = None
         bound = budget
+        exact, lb = self.exact, self.lb
 
         # negation: swap sides
         if bound >= 2:
-            sub = self.solve(D, C, bound - 1)
+            sub = exact.get((D, C))
+            if sub is None:
+                if lb.get((D, C), 1) <= bound - 1:
+                    sub = self.solve(D, C, bound - 1)
+            elif sub > bound - 1:
+                sub = None
             if sub is not None:
                 best = 1 + sub
                 bound = best - 1
 
         # knowledge: left expands to whole classes, right picks one per class;
-        # classes are disjoint, so no two picks give the same right side.
-        # Cached children are probed inline: most of them are.
-        exact, lb = self.exact, self.lb
+        # classes are disjoint, so no two picks give the same right side
         for class_of in self.classes:
             if bound < 2:
                 break
@@ -403,7 +411,12 @@ class _FsgSearch:
             bits = C
             while bits:
                 bit = bits & -bits
-                s = self.solve(bit, D, bound - 2)
+                s = exact.get((bit, D))
+                if s is None:
+                    if lb.get((bit, D), 1) <= bound - 2:
+                        s = self.solve(bit, D, bound - 2)
+                elif s > bound - 2:
+                    s = None
                 if s is None:
                     break
                 costs.append((bit, s))
@@ -429,7 +442,13 @@ class _FsgSearch:
                             elif sub1 > bound - 2:
                                 sub1 = None
                             if sub1 is not None:
-                                sub2 = self.solve(rest ^ picked, D, bound - 1 - sub1)
+                                other, cap = rest ^ picked, bound - 1 - sub1
+                                sub2 = exact.get((other, D))
+                                if sub2 is None:
+                                    if lb.get((other, D), 1) <= cap:
+                                        sub2 = self.solve(other, D, cap)
+                                elif sub2 > cap:
+                                    sub2 = None
                                 if sub2 is not None and (best is None or 1 + sub1 + sub2 < best):
                                     best = 1 + sub1 + sub2
                                     bound = best - 1
@@ -445,8 +464,9 @@ class _FsgSearch:
             return best
         self._record_failure(C, D, budget + 1)
         if self.tables:
-            for c, d in self._images(C, D):
-                self._record_failure(c, d, budget + 1)
+            for image in self._images(C, D):
+                if image != key:
+                    self._record_failure(*image, budget + 1)
         return None
 
     def _subsumed(self, C: int, D: int, budget: int) -> int:

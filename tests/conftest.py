@@ -7,6 +7,18 @@ acceptance criterion so the gate can be read off the terminal directly.
 
 import re
 import signal
+import warnings
+
+# hypothesis imports this module while it reports a failing example, and on
+# import it raises a DeprecationWarning (from mypy_extensions) that
+# `filterwarnings = error` turns into an INTERNALERROR ending the session;
+# imported once here, it is cached before any test runs
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 CRITERIA = {
     1: "single-referendum coercion resistance holds at the start state",

@@ -614,6 +614,23 @@ def test_shared_parse_matches_the_unshared_draw():
         assert len(_distinct_nodes(f)) == len(tables[0][0])
 
 
+def test_repr_prints_the_formula_up_to_a_length_cap():
+    # up to the cap: the class name and the printed text
+    assert repr(Not(Not(Atom("p")))) == "Not('!!p')"
+    f = parse_formula("<a, b> F (p & H[c] >= log(2) {p, q})")
+    assert repr(f) == "CoalU('<a, b> F (p & H[c] >= log(2) {p, q})')"
+    rng = Random(20261019)
+    for _ in range(300):
+        g = random_formula(rng, ["p", "q"], ["a", "b"], depth=rng.randint(1, 5), strategic_budget=2, beta_max=3)
+        assert repr(g) == f"{type(g).__name__}({pretty_print(g)!r})"
+    # length 10,000 prints in full, 10,001 as its length
+    g = Atom("p")
+    for _ in range(9_999):
+        g = Not(g)
+    assert repr(g) == f"Not('{'!' * 9_999}p')"
+    assert repr(Not(g)) == "Not(<10001 nodes>)"
+
+
 def test_walkers_reject_a_non_formula():
     # the non-formula at the root, or below a formula node
     cases = [(formula_length, "p", "p"), (pretty_print, 3, 3), (subformula_rows, None, None)]

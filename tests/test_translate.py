@@ -104,6 +104,15 @@ def test_member_equality_is_linear_in_the_dag():
     assert [m is a for m in within(2, build).beta] == [True, False]
 
 
+def test_repr_of_a_deep_translation_names_its_length():
+    # a 24-deep K nest translates to a DAG of a few nodes per level that
+    # prints as 50,331,646 nodes; repr names that length instead
+    f = k_to_h(parse_formula("K[a] " * 24 + "p"))
+    text = within(2, repr, f)
+    assert text == "And(<50331646 nodes>)"
+    assert formula_length(f) == 50_331_646
+
+
 def test_member_equality_hashes_no_formula():
     k_in = parse_formula("H[a] >= 1 {K[b] p, p & H[b] = log(1) {p}}")
     h_in = parse_formula("H[a] = log(1) {H[b] >= 0 {p}, H[b] <= 9 {q}}")
