@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from .formula import _is_name
+
 
 class ModelError(ValueError):
     """Raised for malformed model text or inconsistent model data."""
@@ -299,11 +301,10 @@ def _checked_trans(agents, index, menus, trans) -> dict:
 
 
 def _names(text: str, line: int, what: str) -> list[str]:
-    """Whitespace-separated names: a letter or `_`, then letters, digits or
-    `_` (in the sense of `str.isalpha` and `str.isalnum`)."""
+    """Whitespace-separated names, each passing `_is_name`."""
     names = text.split()
     for n in names:
-        if not ((n[0].isalpha() or n[0] == "_") and n.replace("_", "a").isalnum()):
+        if not _is_name(n):
             raise ModelError(f"bad {what} name {n!r}", line)
     return names
 

@@ -22,8 +22,8 @@ CMPS = ("<", "<=", ">", ">=", "=")
 # so this stays far below Python's default recursion limit of 1000. The library
 # itself neither hashes nor compares a formula as a tree: the parser keys nodes
 # by their children's identity, uncertainty-set members are compared by their
-# `member_rows`, and every walker keeps its own stack (`fold`, `pretty_print`,
-# `subformula_rows`), so translations may build far deeper formulas.
+# `member_rows`, and the walkers keep their own stacks (`subformula_rows`, which
+# `fold` runs on, and `pretty_print`), so translations may build far deeper ones.
 MAX_DEPTH = 100
 
 
@@ -59,6 +59,11 @@ class _Node:
         return f"{type(self).__name__}({pretty_print(self)!r})"
 
 
+def _is_name(text: str) -> bool:
+    """A letter or `_`, then letters, digits or `_` (`str.isalpha`, `str.isalnum`)."""
+    return (text[:1].isalpha() or text[:1] == "_") and text.replace("_", "a").isalnum()
+
+
 def _coalition(agents) -> tuple[str, ...]:
     """A coalition as stored: sorted and without repeats."""
     return tuple(sorted(set(agents)))
@@ -73,9 +78,13 @@ class _Coalitional(_Node):
 
 @dataclass(frozen=True, repr=False)
 class Atom(_Node):
-    """A named atomic proposition."""
+    """A named atomic proposition; its name prints back as itself."""
 
     name: str
+
+    def __post_init__(self):
+        if not _is_name(self.name) or self.name in ("true", "false"):
+            raise FormulaError(f"bad atom name {self.name!r}")
 
 
 @dataclass(frozen=True, repr=False)
@@ -181,8 +190,8 @@ class LogOfCount:
 
     def __post_init__(self):
         _printable(self)
-        if self.count < 1:
-            raise FormulaError(f"log threshold needs a positive count, got {self.count}")
+        if type(self.count) is not int or self.count < 1:  # `log(True)` would not parse
+            raise FormulaError(f"log threshold needs a positive int count, got {self.count!r}")
 
     def __str__(self) -> str:
         return f"log({self.count})"
@@ -324,40 +333,35 @@ def rebuild(f: Formula, kids) -> Formula:
 
 
 def fold(f: Formula, step):
-    """`step(node, values of its children)` for `f`, computed bottom-up.
-
-    Children are done left to right before their parent, as in a recursive
-    post-order walk, and each distinct node object once: a sub-DAG shared
-    by several parents is walked once.
-    """
-    done: dict = {}  # id(node) -> value; every node stays alive under `f`
-    stack = [(f, children(f))]
-    while stack:
-        g, kids = stack[-1]
-        top = len(stack)
-        for k in reversed(kids):
-            if id(k) not in done:
-                stack.append((k, children(k)))
-        if len(stack) == top:
-            stack.pop()
-            if id(g) not in done:  # else pushed twice, as in And(x, x)
-                done[id(g)] = step(g, [done[id(k)] for k in kids])
-    return done[id(f)]
+    """`step(node, values of its children)` for `f`, computed bottom-up once
+    per row of `subformula_rows(f)`: a subformula that occurs several times,
+    shared object or not, is done once, for the first of its nodes walked."""
+    return _row_values(subformula_rows(f), step)[-1]
 
 
-def _own_length(g: Formula) -> int:
-    """Length of `g` without its children: the connective and any coalition."""
+def _row_values(rows, step) -> list:
+    """`step(node, values of its child rows)` for each of `rows`, in order."""
+    values: list = []
+    for g, kids in rows:
+        values.append(step(g, [values[k] for k in kids]))
+    return values
+
+
+def _length(g: Formula, kids) -> int:
+    """A `fold` step: `g`'s own length (connective, coalition) plus `kids`'."""
     t = type(g)
     if t is MutualKnows:
-        return len(g.coalition)
-    if t is CoalFG:  # 2 for F, 1 for G, 1 for &; a `true` goal and its & count 0
-        return len(g.coalition) + (2 if type(g.goal) is TrueF else 4)
-    return len(g.coalition) + 1 if t in (CoalX, CoalG, CoalU) else 1
+        own = len(g.coalition)
+    elif t is CoalFG:  # 2 for F, 1 for G, 1 for &; a `true` goal and its & count 0
+        own = len(g.coalition) + (2 if type(g.goal) is TrueF else 4)
+    else:
+        own = len(g.coalition) + 1 if t in (CoalX, CoalG, CoalU) else 1
+    return own + sum(kids)
 
 
 def formula_length(f: Formula) -> int:
     """Node-count length: atoms cost 1, each connective 1, a coalition |A|."""
-    return fold(f, lambda g, kids: _own_length(g) + sum(kids))
+    return fold(f, _length)
 
 
 def _threshold_key(t: Threshold) -> tuple:
@@ -385,15 +389,11 @@ def subformula_rows(f: Formula) -> list[tuple]:
     """Each distinct subformula of `f` once, children before parents, as
     `(node, row numbers of its children)`; the final row is `f` itself.
 
-    Rows come in `fold` order: a recursive post-order walk, children left
+    Rows come in the order of a recursive post-order walk, children left
     to right. Members of an uncertainty set count as subformulas of the
     operator. Equal nodes share the row of the first one walked: the key is
     the class, the node's own fields (a threshold by its type and value) and
     its children's rows, so no formula is printed or hashed.
-
-    Every label pass runs this walk, so it has its own loop rather than a
-    `fold` step: each finished node leaves its row number on a value stack,
-    where its parent takes its children's rows from the top.
     """
     rows: list[tuple] = []
     row_of: dict = {}  # key -> row number
@@ -454,9 +454,7 @@ def printed_order(rows, texts) -> list[int]:
     Every proper subformula is shorter than its parent, so this order too
     lists children first, and `f` itself last.
     """
-    lengths: list[int] = []
-    for g, kids in rows:
-        lengths.append(_own_length(g) + sum(lengths[k] for k in kids))
+    lengths = _row_values(rows, _length)
     return sorted(range(len(rows)), key=lambda i: (lengths[i], texts[i]))
 
 
@@ -843,7 +841,7 @@ def _flatten_and(f: Formula) -> list[Formula]:
 
 
 def _first_bare_g(g, kids):
-    """The first `_PathG` under `g` in printed order, or None."""
+    """The first `_PathG` under `g` in printed order (equal ones share a row), or None."""
     return g if type(g) is _PathG else next(filter(None, kids), None)
 
 

@@ -26,7 +26,7 @@ from .formula import (
     Not,
     Or,
     TrueF,
-    _own_length,
+    _length,
     distinct_members,
     fold,
     pretty_print,
@@ -145,7 +145,7 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
 
     def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
         if type(g) is not Hartley:
-            return rebuild(g, [h for h, _ in kids]), _own_length(g) + sum(n for _, n in kids)
+            return rebuild(g, [h for h, _ in kids]), _length(g, [n for _, n in kids])
         members = distinct_members([h for h, _ in kids])
         n = len(members)
         if n > beta_cap:

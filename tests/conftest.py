@@ -2,12 +2,15 @@
 
 After a run that included the acceptance suite, prints one verdict line per
 acceptance criterion so the gate can be read off the terminal directly.
-`within` enforces a test's time bound while the call runs.
+`within` enforces a test's time bound while the call runs, and
+`node_objects` counts a formula's node objects.
 """
 
 import re
 import signal
 import warnings
+
+from atlh.formula import children
 
 # hypothesis imports this module while it reports a failing example, and on
 # import it raises a DeprecationWarning (from mypy_extensions) that
@@ -65,6 +68,20 @@ def within(seconds: float, fn, *args, **kwargs):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def node_objects(f) -> list:
+    """The distinct node objects of formula `f`, each once however many
+    parents share it: an id-keyed walk of its own, so it counts objects
+    where `fold` and `subformula_rows` count structurally distinct rows."""
+    seen: dict = {}  # id(node) -> node; every node stays alive under `f`
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack.extend(children(g))
+    return list(seen.values())
 
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

@@ -38,7 +38,9 @@ from atlh.formula import (
     subformula_rows,
     subformulas_by_length,
 )
-from atlh.sampling import random_formula
+from atlh.sampling import random_cegm, random_formula
+from atlh.succinct import gen_Mn, gen_Nnj, phi_n
+from conftest import node_objects
 from reftokenize import reference_tokenize
 
 
@@ -181,8 +183,12 @@ def test_nesting_past_the_bound_is_a_positioned_error(text, col):
 def test_log_threshold_must_be_positive():
     with pytest.raises(FormulaError):
         parse_formula("H[a] = log(0) {p}")
-    with pytest.raises(FormulaError):
-        LogOfCount(0)
+    # a count that is not an `int` would print as text the parser rejects
+    for count in (0, 2.5, 3.0, True):
+        with pytest.raises(FormulaError, match="log threshold needs a positive int count"):
+            LogOfCount(count)
+    f = Hartley("a", "=", LogOfCount(3), (Atom("p"), Atom("q")))
+    assert parse_formula(pretty_print(f)) == f
 
 
 def test_negative_threshold_rejected():
@@ -293,6 +299,27 @@ def test_parse_error_positions():
     assert str(exc.value) == "1:6: expected a formula, found 'end of input'"
 
 
+def test_atom_name_must_print_back_as_itself():
+    # `true` would parse as the constant, the others not at all
+    for name in ("true", "false", "", "p q", "1x", "V-A", "²p"):
+        with pytest.raises(FormulaError, match="bad atom name"):
+            Atom(name)
+    for name in ("p", "_x", "V1_eq_ab", "p²", "ş2", "True"):
+        assert parse_formula(pretty_print(Atom(name))) == Atom(name)
+    # the bundled models' propositions, the family formula and random draws
+    models = [scenarios.gen_referendum_single(), scenarios.gen_referendum_double("M1"),
+              scenarios.gen_threeballot(), gen_Mn(3), gen_Nnj(3, 2)]
+    for model in models:
+        for p in model.props:
+            assert parse_formula(p) == Atom(p)
+    assert parse_formula(pretty_print(phi_n(3))) == phi_n(3)
+    rng = Random(7)
+    for _ in range(100):
+        model = random_cegm(rng, max_states=6, max_agents=3)
+        g = random_formula(rng, model.props, model.agents, depth=3, beta_max=2)
+        assert parse_formula(pretty_print(g)) == g
+
+
 def test_parse_error_precedence():
     deep = "!" * (MAX_DEPTH - 1) + "p"  # MAX_DEPTH levels: a set of it is one level too deep
     for text, message in (
@@ -324,6 +351,13 @@ def test_depth_counts_each_f_as_parsed():
     assert outcome(f"<a> F G {x97} & <a> F (true & G {x97})") == f"1:114: {too_deep}"
     assert outcome(f"!<a> F G {x96} & !<a> F (true & G {x96})") == f"1:110: {too_deep}"
     assert outcome(f"!<a> F (true & G {x96}) & !<a> F G {x96}") == f"1:1: {too_deep}"
+    # the F's depth is kept per occurrence: the equal `<a> F G x95` after
+    # `<a> F (true & G x95)` is one level shallower, whichever comes first
+    x95 = "!" * 95 + "p"
+    fg = f"<a> F (G {x95})"
+    assert outcome(f"<a> F (true & G {x95}) & !<a> F G {x95}") == f"{fg} & !{fg}"
+    assert outcome(f"!<a> F G {x95} & <a> F (true & G {x95})") == f"!{fg} & {fg}"
+    assert outcome(f"<a> F (true & G {x95}) & !!<a> F G {x95}") == f"1:115: {too_deep}"
 
 
 def test_bare_g_walk_runs_only_when_a_g_is_left(monkeypatch):
@@ -560,11 +594,15 @@ def test_subformula_rows_key_by_structure():
         Hartley("a", "=", Real(1), (left, Atom("r"), right))
 
 
-def _distinct_nodes(f):
-    """The node objects `fold` visits: each distinct object once."""
-    visited = []
-    fold(f, lambda g, kids: visited.append(g))
-    return visited
+def test_fold_calls_step_once_per_distinct_subformula():
+    # two equal `Atom` objects share one row: `p`, then the `And`
+    left, right = Atom("p"), Atom("p")
+    f = And(left, right)
+    calls = []
+    fold(f, lambda g, kids: calls.append((g, kids)) or len(calls))
+    assert calls == [(left, []), (f, [1, 1])]
+    assert calls[0][0] is left
+    assert formula_length(f) == 3  # still per occurrence
 
 
 def test_parse_shares_equal_subformulas():
@@ -577,7 +615,7 @@ def test_parse_shares_equal_subformulas():
     assert f.right.left is f.right.right
     assert f.left.left.invariant is f.right.left.invariant
     # criterion 2's property writes its never-knows clause four times: 87 nodes
-    assert len(_distinct_nodes(scenarios.referendum_double_property())) == 26
+    assert len(node_objects(scenarios.referendum_double_property())) == 26
 
 
 @pytest.mark.parametrize(
@@ -593,7 +631,7 @@ def test_parse_shares_equal_subformulas():
 )
 def test_parse_builds_each_distinct_subformula_once(build):
     f = build()
-    assert len(_distinct_nodes(f)) == len(subformula_rows(f))
+    assert len(node_objects(f)) == len(subformula_rows(f))
 
 
 def test_shared_parse_matches_the_unshared_draw():
@@ -611,7 +649,7 @@ def test_shared_parse_matches_the_unshared_draw():
             texts = row_texts(rows)
             tables.append(([kids for _, kids in rows], texts, printed_order(rows, texts)))
         assert tables[0] == tables[1]
-        assert len(_distinct_nodes(f)) == len(tables[0][0])
+        assert len(node_objects(f)) == len(tables[0][0])
 
 
 def test_repr_prints_the_formula_up_to_a_length_cap():

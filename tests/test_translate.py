@@ -7,7 +7,7 @@ from functools import reduce
 from random import Random
 
 import pytest
-from conftest import within
+from conftest import node_objects, within
 
 from atlh import translate
 from atlh.cli import main
@@ -24,7 +24,6 @@ from atlh.formula import (
     Or,
     Real,
     TrueF,
-    fold,
     formula_length,
     parse_formula,
     pretty_print,
@@ -231,9 +230,7 @@ def test_h_to_k_builds_each_literal_once():
     # signed combination, shared by every tuple: 43 node objects, where a
     # fresh literal per tuple made 93
     f = h_to_k(parse_formula("H[a] = 1 {p, q}"))
-    visited = []
-    fold(f, lambda g, kids: visited.append(g))
-    assert len(visited) == 43
+    assert len(node_objects(f)) == 43
     assert len(subformula_rows(f)) == 41
     assert formula_length(f) == 179
     pos = {"p & q": "K[a] !(p & q)", "p & !q": "K[a] !(p & !q)",
