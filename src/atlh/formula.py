@@ -487,6 +487,7 @@ _PREC_OR = 1
 _PREC_AND = 2
 _PREC_UNARY = 3
 _PREC = {Or: _PREC_OR, And: _PREC_AND}  # every other node binds as tightly as unary
+_PREC_WRAP = _PREC_UNARY + 1  # no node binds this tightly: always in parentheses
 
 
 def _coalition_text(coalition: tuple[str, ...]) -> str:
@@ -514,7 +515,13 @@ _TEMPLATES = {
     CoalU: lambda f: (
         (_coalition_text(f.coalition) + " F ", (1, _PREC_UNARY))
         if type(f.hold) is TrueF
-        else (_coalition_text(f.coalition) + " (", (0, _PREC_OR), " U ", (1, _PREC_OR), ")")
+        else (
+            _coalition_text(f.coalition) + " (",
+            (0, _PREC_WRAP if _ends_in_atom_g(f.hold) else _PREC_OR),
+            " U ",
+            (1, _PREC_OR),
+            ")",
+        )
     ),
     CoalFG: lambda f: (
         (_coalition_text(f.coalition) + " F (G ", (1, _PREC_UNARY), ")")
@@ -526,6 +533,25 @@ _TEMPLATES = {
     Hartley: _hartley_template,
     _PathG: lambda f: ("G ", (0, _PREC_UNARY)),
 }
+
+
+def _ends_in_atom_g(f: Formula) -> bool:
+    """Whether the last token printed for `f` is the atom `G`: the end of its
+    chain of rightmost children, unless one of them is parenthesized.
+
+    An until's hold that ends so is printed in parentheses, since the parser
+    reads `G U` as a bare G over the atom `U`.
+    """
+    while type(f) is not Atom:
+        if type(f) is CoalU and type(f.hold) is not TrueF:
+            return False  # ends in ')', and its template would walk its own hold
+        last = _TEMPLATES[type(f)](f)[-1]
+        if type(last) is str:
+            return False
+        f, least = children(f)[last[0]], last[1]
+        if _PREC.get(type(f), _PREC_UNARY) < least:
+            return False
+    return f.name == "G"
 
 
 def pretty_print(f: Formula) -> str:

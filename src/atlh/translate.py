@@ -197,6 +197,10 @@ def check_translation_equivalence(
     Each sample draws a model (at most 6 states and 3 agents) and a formula
     (uncertainty sets of at most 2 members) from its own derived seed,
     translates the formula both ways, and verifies state-by-state agreement.
+    The formula is checked once per state, and each translation's verdicts
+    are compared with that list; a translation that is the formula itself
+    (`h_to_k` of a formula with no `H`, `k_to_h` of one with no `K`) is not
+    checked. A mismatch names the first differing state, `h_to_k` first.
     """
     opts = opts or CheckOptions()
     root = Random(seed)
@@ -208,9 +212,11 @@ def check_translation_equivalence(
         model = random_cegm(rng, max_states=6, max_agents=3)
         f = random_formula(rng, model.props, model.agents, depth=3, strategic_budget=1, beta_max=2)
         verdict = "ok"
-        for translated in (h_to_k(f, beta_cap=2), k_to_h(f)):
-            for q in model.states:
-                if check(model, q, f, opts) != check(model, q, translated, opts):
+        translations = [t for t in (h_to_k(f, beta_cap=2), k_to_h(f)) if t is not f]
+        direct = [check(model, q, f, opts) for q in model.states]
+        for translated in translations:
+            for q, holds in zip(model.states, direct):
+                if holds != check(model, q, translated, opts):
                     verdict = f"mismatch@{q}"
                     break
             if verdict != "ok":

@@ -477,7 +477,25 @@ def test_round_trip_structural():
         assert parse_formula(pretty_print(f)) == f
 
 
-_names = st.sampled_from(["p", "q", "r", "V_A"])
+def test_until_hold_ending_in_atom_g_round_trips():
+    # unwrapped, `G U` would parse as a bare G over the atom `U`
+    g = Atom("G")
+    cases = [
+        (g, "<a> ((G) U q)"),
+        (And(Atom("p"), g), "<a> ((p & G) U q)"),
+        (Not(g), "<a> ((!G) U q)"),
+    ]
+    for hold, text in cases:
+        f = CoalU(("a",), hold, Atom("q"))
+        assert pretty_print(f) == text
+        assert parse_formula(text) == f
+        assert row_texts(subformula_rows(f))[-1] == text
+    # G elsewhere in the hold, or closed off, needs no parentheses
+    for text in ("<a> (G & p U q)", "<a> (!(p & G) U q)", "<a> (p U G)"):
+        assert pretty_print(parse_formula(text)) == text
+
+
+_names = st.sampled_from(["p", "q", "r", "V_A", "G"])
 _agents = st.sampled_from(["a", "b", "c"])
 
 

@@ -347,6 +347,34 @@ def test_mismatches_are_counted_and_reported(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == report.lines + ["mismatches: 3"]
 
 
+def test_skipping_one_direction_still_checks_the_other(monkeypatch):
+    # h_to_k's output is f itself, so only k_to_h's is checked, and it
+    # negates f: every sample disagrees at its first state
+    monkeypatch.setattr(translate, "h_to_k", lambda f, **kwargs: f)
+    monkeypatch.setattr(translate, "k_to_h", Not)
+    report = check_translation_equivalence(samples=3, seed=5)
+    assert report.mismatches == 3
+    assert all(line.endswith(" verdict=mismatch@s0") for line in report.lines)
+
+
+def test_harness_checks_each_state_and_formula_once(monkeypatch):
+    # f's verdicts are computed once per state, and a translation that is f
+    # itself is not checked again
+    calls = []
+    real = translate.check
+
+    def counted(model, q, f, opts):
+        calls.append((model, q, f))  # holds the objects, so no id is reused
+        return real(model, q, f, opts)
+
+    monkeypatch.setattr(translate, "check", counted)
+    report = check_translation_equivalence(samples=100, seed=20260815)
+    assert report.mismatches == 0
+    assert len(calls) == 967
+    keys = {(id(model), q, id(f)) for model, q, f in calls}
+    assert len(keys) == len(calls)
+
+
 def test_criterion_7_report_bytes_are_pinned():
     # every sample line of the acceptance run: seeds, model sizes, printed
     # formulas and verdicts
