@@ -242,7 +242,7 @@ class Hartley(_Node):
             raise FormulaError(f"unknown comparison {self.cmp!r}")
         if not self.beta:
             raise FormulaError("empty formula set in uncertainty operator")
-        if len(self.beta) > 1:  # one member cannot repeat
+        if len(self.beta) > 1 and _tops_repeat(self.beta):  # else no two are equal
             seen = set()
             for b, row in zip(self.beta, member_rows(self.beta)):
                 if row in seen:
@@ -383,6 +383,21 @@ class _Members(tuple):
 
 _CHILDREN[_Members] = lambda g: g
 _KEYS[_Members] = lambda g: ()
+
+
+def _tops_repeat(members) -> bool:
+    """Whether two of `members` share a class and own fields, as equal
+    formulas must; a member that is not a formula raises `TypeError`."""
+    seen = set()
+    for g in members:
+        t = type(g)
+        if t not in _KEYS:
+            children(g)  # raises
+        key = (t, _KEYS[t](g))
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
 
 
 def subformula_rows(f: Formula) -> list[tuple]:

@@ -27,10 +27,11 @@ from .formula import (
     Or,
     TrueF,
     _length,
+    _row_values,
     distinct_members,
-    fold,
     pretty_print,
     rebuild,
+    subformula_rows,
 )
 from .mcheck import CheckOptions, check, compare_log
 from .sampling import random_cegm, random_formula
@@ -38,6 +39,17 @@ from .sampling import random_cegm, random_formula
 
 class TranslateError(ValueError):
     """Raised when a translation exceeds its size caps or gets bad arguments."""
+
+
+def _rewrite(f: Formula, classes, step):
+    """`fold(f, step)`, or `f` itself if no subformula's class is in `classes`.
+
+    One `subformula_rows` walk serves both the test and the fold.
+    """
+    rows = subformula_rows(f)
+    if not any(type(g) in classes for g, _ in rows):
+        return f
+    return _row_values(rows, step)[-1]
 
 
 def k_to_h(f: Formula) -> Formula:
@@ -48,7 +60,8 @@ def k_to_h(f: Formula) -> Formula:
     doubles the printed length but adds only a few nodes to the result's
     DAG. Members of an uncertainty set are compared by one walk of that DAG
     (`member_rows`), never as printed trees, so a deep nest of `K` is
-    rewritten in time linear in its depth however long it prints.
+    rewritten in time linear in its depth however long it prints. A formula
+    with no `K` or `E` is returned as itself, not as an equal copy.
     """
 
     def step(g: Formula, kids):
@@ -58,7 +71,7 @@ def k_to_h(f: Formula) -> Formula:
             return reduce(And, [And(x, Hartley(a, "=", LogOfCount(1), (x,))) for a in agents])
         return rebuild(g, kids)
 
-    return fold(f, step)
+    return _rewrite(f, (Knows, MutualKnows), step)
 
 
 def phi_beta(beta, cap: int = 4) -> list[Formula]:
@@ -140,7 +153,8 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
     set, true for the full range, else the disjunction of count formulas.
     The construction is exponential by design, hence the caps. Equal members
     of a rewritten uncertainty set are merged by `distinct_members`, as
-    `rebuild` does, and no new uncertainty node is built.
+    `rebuild` does, and no new uncertainty node is built. A formula with no
+    `H` is returned as itself, not as an equal copy.
     """
 
     def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
@@ -171,7 +185,8 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
         literals = _literals(g.agent, alphas)
         return reduce(Or, [_count_formula(literals, m, n) for m in counts]), nodes
 
-    return fold(f, step)[0]
+    out = _rewrite(f, (Hartley,), step)
+    return f if out is f else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +214,9 @@ def check_translation_equivalence(
     translates the formula both ways, and verifies state-by-state agreement.
     The formula is checked once per state, and each translation's verdicts
     are compared with that list; a translation that is the formula itself
-    (`h_to_k` of a formula with no `H`, `k_to_h` of one with no `K`) is not
-    checked. A mismatch names the first differing state, `h_to_k` first.
+    (`h_to_k` of a formula with no `H`, `k_to_h` of one with no `K` or `E`)
+    is not checked. A mismatch names the first differing state, `h_to_k`
+    first.
     """
     opts = opts or CheckOptions()
     root = Random(seed)

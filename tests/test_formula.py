@@ -145,6 +145,33 @@ def test_hartley_duplicate_member_is_error():
         Hartley("a", "=", Real(1), (Atom("p"), Atom("p")))
 
 
+def test_hartley_walks_members_only_when_two_share_a_top(monkeypatch):
+    # equal members share class and own fields, so members whose top nodes
+    # all differ are not walked; a member that is not a formula is refused
+    from atlh import formula as fm
+
+    walks = []
+    real = fm.subformula_rows
+
+    def counted(f):
+        walks.append(f)
+        return real(f)
+
+    monkeypatch.setattr(fm, "subformula_rows", counted)
+    p, q = Atom("p"), Atom("q")
+    for beta in [(p, q), (p, Not(p), And(p, q)), (Knows("a", p), Knows("b", p))]:
+        Hartley("a", "=", Real(1), beta)
+    assert walks == []
+    Hartley("a", "=", Real(1), (And(p, q), And(q, p)))
+    assert len(walks) == 1
+    with pytest.raises(FormulaError, match="^duplicate formula in uncertainty set: !p$"):
+        Hartley("a", "=", Real(1), (q, Not(Atom("p")), p, Not(p)))
+    for beta in [(p, "q"), ("q", p), (Not(p), p, "q")]:
+        with pytest.raises(TypeError) as exc:
+            Hartley("a", "=", Real(1), beta)
+        assert str(exc.value) == "not a formula: 'q'"
+
+
 def test_hartley_bad_comparison_reports_position():
     with pytest.raises(FormulaError) as exc:
         parse_formula("H[a] ! 1 {p}")

@@ -20,6 +20,7 @@ from atlh.formula import (
     Hartley,
     Knows,
     LogOfCount,
+    MutualKnows,
     Not,
     Or,
     Real,
@@ -31,7 +32,7 @@ from atlh.formula import (
     subformula_rows,
 )
 from atlh.mcheck import check, label
-from atlh.sampling import random_cegm
+from atlh.sampling import random_cegm, random_formula
 from atlh.translate import (
     TranslateError,
     check_translation_equivalence,
@@ -52,9 +53,11 @@ def test_k_to_h_single():
 
 
 def test_k_to_h_identity_without_k():
-    for text in ("p", "p & !q", "<a> F (p & G q)", "H[a] = 1 {p}"):
-        f = parse_formula(text)
-        assert k_to_h(f) == f
+    # the formula itself, not an equal copy, also when a subformula occurs as
+    # two distinct objects that share one subformula row
+    built = (Or(Atom("p"), Atom("p")), And(Hartley("a", "=", LogOfCount(1), (Atom("p"),)), Atom("p")))
+    for f in [*map(parse_formula, ("p", "p & !q", "<a> F (p & G q)", "H[a] = 1 {p}")), *built]:
+        assert k_to_h(f) is f
 
 
 def test_k_to_h_nested_innermost_first():
@@ -284,9 +287,10 @@ def test_h_to_k_cap_is_the_exact_output_length():
 
 
 def test_h_to_k_identity_without_h():
-    for text in ("p", "K[a] (p | q)", "<a, b> G !p"):
-        f = parse_formula(text)
-        assert h_to_k(f) == f
+    # as for k_to_h, the formula itself
+    built = (Or(Atom("p"), Atom("p")), Or(Knows("a", Atom("p")), MutualKnows(("a", "b"), Atom("p"))))
+    for f in [*map(parse_formula, ("p", "K[a] (p | q)", "<a, b> G !p")), *built]:
+        assert h_to_k(f) is f
 
 
 def test_h_to_k_nested_innermost_first():
@@ -359,7 +363,7 @@ def test_skipping_one_direction_still_checks_the_other(monkeypatch):
 
 def test_harness_checks_each_state_and_formula_once(monkeypatch):
     # f's verdicts are computed once per state, and a translation that is f
-    # itself is not checked again
+    # itself, as every translation that rewrites nothing is, is not checked
     calls = []
     real = translate.check
 
@@ -370,7 +374,7 @@ def test_harness_checks_each_state_and_formula_once(monkeypatch):
     monkeypatch.setattr(translate, "check", counted)
     report = check_translation_equivalence(samples=100, seed=20260815)
     assert report.mismatches == 0
-    assert len(calls) == 967
+    assert len(calls) == 784
     keys = {(id(model), q, id(f)) for model, q, f in calls}
     assert len(keys) == len(calls)
 
@@ -381,6 +385,27 @@ def test_criterion_7_report_bytes_are_pinned():
     report = check_translation_equivalence(samples=1000, seed=20260815)
     digest = hashlib.sha256(str(report).encode("utf-8")).hexdigest()
     assert digest == "48b6b2d43fe292620a64d7a324d29ef2045e341a4580a33bc3610e8a986efee6"
+
+
+def test_translations_of_seeded_draws_are_pinned():
+    # printed k_to_h, printed h_to_k(beta_cap=3) or its error, and the
+    # formula_length of each draw and of both outputs, over 500 seeded
+    # random_formula draws; the digest was computed before translations that
+    # rewrite nothing started returning the formula itself
+    rng = Random(2)
+    digest = hashlib.sha256()
+    for i in range(500):
+        f = random_formula(
+            rng, "pqr", "abc", depth=1 + i % 5, strategic_budget=2, beta_max=3, coal_fg=i % 2 == 1
+        )
+        k = k_to_h(f)
+        try:
+            h = h_to_k(f, beta_cap=3)
+            h_text = f"{pretty_print(h)} {formula_length(h)}"
+        except TranslateError as e:
+            h_text = f"error: {e}"
+        digest.update(f"{formula_length(f)} {pretty_print(k)} {formula_length(k)} {h_text}\n".encode())
+    assert digest.hexdigest() == "7dd4f6ee374d6d16d9a21dc49bfafb7bf9bdb5d5fa8f734a85bc45b5c41e2971"
 
 
 def test_check_translation_equivalence_deterministic():
