@@ -16,7 +16,7 @@ The constructor builds, once, the tables the checker reads by state index
   constructor checks that it is total: a tuple of target bits
   (`1 << state_index[target]`), one per available joint action, in the
   order of `itertools.product(*menus[i])`. An entry's position is the one
-  record of its joint action.
+  record of its joint action; the constructor's `trans` dict is not kept.
 - `preds[i]`: the mask of the states with a joint action leading to
   `states[i]`.
 - `class_masks[agent]`: the agent's epistemic classes in class order (by
@@ -54,8 +54,8 @@ class Cegm:
 
     Immutable after construction; all queries are read-only. `menus`,
     `moves`, `preds` and `class_masks` are the tables described in the
-    module docstring; `class_masks` is the only stored partition, and the
-    queries build their views from it per call.
+    module docstring; `moves` is the only stored transition function and
+    `class_masks` the only stored partition, read by the queries per call.
     """
 
     def __init__(
@@ -147,7 +147,6 @@ class Cegm:
             if gap:
                 q, profile = gap
                 raise ModelError(f"missing transition at {q} for profile ({', '.join(profile)})")
-        self.trans = dict(trans)
         self.moves = tuple(moves)
         self.preds = tuple(preds)
 
@@ -310,7 +309,7 @@ def _names(text: str, line: int, what: str) -> list[str]:
 
 
 def load_model(text: str) -> Cegm:
-    """Parse the line-oriented model format and validate the result."""
+    """Parse and validate the model format; only LF, CRLF and CR end a line."""
     agents = None
     states = None
     initial = None
@@ -326,7 +325,9 @@ def load_model(text: str) -> Cegm:
     profiles = {}
     menus = {}  # avail line tail -> its checked action names
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    if "\r" in text:  # CRLF and lone CR end a line too, as open() reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue

@@ -701,7 +701,5 @@ def find_witness(model: Cegm, state: str, f: Formula, opts: CheckOptions | None 
 
     Returns None when `f` is not strategic at top level or no strategy works.
     """
-    if not isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
-        return None
     *_, witness = label_masks(model, f, opts or CheckOptions(), state, exact=False, witness=True)
     return witness

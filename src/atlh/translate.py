@@ -124,10 +124,10 @@ def _count_formula(literals, m: int, n: int) -> Formula:
     return reduce(Or, disjuncts)
 
 
-def h_eq_to_k(agent: str, beta, m: int, cap: int = 4) -> Formula:
-    """Knowledge formula equivalent to `H[agent] = log(m) beta`."""
+def h_eq_to_k(agent: str, beta, m: int) -> Formula:
+    """Knowledge formula equivalent to `H[agent] = log(m) beta`, for 1 to 4 members."""
     members = list(beta)
-    alphas = phi_beta(members, cap)
+    alphas = phi_beta(members)
     size = len(alphas)
     if not 1 <= m <= size:
         raise TranslateError(f"m must be between 1 and {size}, got {m}")

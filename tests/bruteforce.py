@@ -4,10 +4,13 @@ Deliberately shares no evaluation code with atlh.mcheck: strategies are
 enumerated per-state and filtered for uniformity, state sets are plain
 frozensets, and path conditions are decided by walking the restricted graph
 (memoized on state and remaining depth) instead of fixpoints on bitmasks.
+Transitions are read from `model.moves`, a model's one record of them,
+through the documented pairing with `product(*model.menus[i])`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from atlh import formula as fm
@@ -37,8 +40,21 @@ def _uniform(model, agent, table):
     return True
 
 
+@lru_cache(maxsize=8)
+def transitions(model):
+    """(state, profile) -> target state of every available joint action,
+    read from `model.moves` through the documented pairing of
+    `product(*model.menus[i])` with `model.moves[i]`."""
+    return {
+        (q, profile): model.states[bit.bit_length() - 1]
+        for q, column, row in zip(model.states, model.menus, model.moves)
+        for profile, bit in zip(product(*column), row)
+    }
+
+
 def _restricted_successors(model, strategy):
     """state -> frozenset of successors when the coalition plays `strategy`."""
+    trans = transitions(model)
     succ = {}
     for q in model.states:
         targets = set()
@@ -49,7 +65,7 @@ def _restricted_successors(model, strategy):
             else:
                 cols.append(model.avail(a, q))
         for profile in product(*cols):
-            targets.add(model.trans[q, profile])
+            targets.add(trans[q, profile])
         succ[q] = frozenset(targets)
     return succ
 

@@ -8,6 +8,7 @@ import pytest
 from atlh.cegm import Cegm, ModelError, load_model, save_model
 from atlh.mcheck import hartley_classes
 from atlh.sampling import random_cegm
+from bruteforce import transitions
 
 FIG1 = """\
 # single-issue referendum, one voter, one coercer
@@ -67,13 +68,42 @@ def test_moves_rows(fig1):
     # product order of the agents' menus: an entry's position is its profile
     assert fig1.moves == ((0b010, 0b100, 0b001), (0b010,), (0b100,))
     for q, column, row in zip(fig1.states, fig1.menus, fig1.moves):
-        targets = [fig1.trans[q, profile] for profile in product(*column)]
+        targets = [FIG1_ARGS["trans"][q, profile] for profile in product(*column)]
         assert row == tuple(1 << fig1.state_index[t] for t in targets)
     assert list(product(*fig1.menus[0])) == [
         ("voteA", "eps"),
         ("voteNA", "eps"),
         ("eps", "eps"),
     ]
+
+
+def test_moves_give_back_the_transitions_passed_in():
+    """`moves` is a model's one record of its transitions: read through the
+    pairing of `product(*menus[i])` with `moves[i]` (the oracle's
+    `transitions`), every state's row gives back the entries the constructor
+    was handed. The dicts are seeded draws over two or three agents with
+    narrowed availability (in shuffled order), actions declared in reverse
+    and entries given in reverse order."""
+    rng = Random(3030)
+    for _ in range(300):
+        states = [f"s{i}" for i in range(rng.randint(1, 5))]
+        agents = [f"a{i}" for i in range(rng.randint(2, 3))]
+        actions = {a: [f"x{i}" for i in range(rng.randint(1, 3))][::-1] for a in agents}
+        avail = {
+            (a, q): rng.sample(actions[a], rng.randint(1, len(actions[a])))
+            for a in agents
+            for q in states
+            if rng.random() < 0.5
+        }
+        trans = {
+            (q, profile): rng.choice(states)
+            for q in states
+            for profile in product(*(avail.get((a, q), actions[a]) for a in agents))
+        }
+        given = dict(reversed(trans.items()))
+        model = Cegm(agents, states, "s0", actions, avail, given)
+        assert not hasattr(model, "trans")
+        assert transitions(model) == given
 
 
 def test_queries_reject_unknown_names(fig1):
@@ -228,7 +258,7 @@ def test_save_load_round_trip(fig1):
     assert save_model(again) == text
     assert again.agents == fig1.agents
     assert again.states == fig1.states
-    assert again.trans == fig1.trans
+    assert transitions(again) == transitions(fig1) == FIG1_ARGS["trans"]
     assert again.valuation == fig1.valuation
     assert again.epistemic_classes("c") == fig1.epistemic_classes("c")
     for a in fig1.agents:
@@ -401,6 +431,34 @@ def test_load_errors_are_pinned(text, message):
     assert str(exc.value) == message
 
 
+# every separator `str.splitlines` breaks at besides LF, CRLF and CR
+_NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_NEWLINES, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_only_newlines_end_a_line(sep, fig1):
+    # inside a comment the separator is skipped with it; between names it is
+    # whitespace
+    text = FIG1.replace("agents: v c", f"agents: v c # note{sep}more")
+    text = text.replace("states: s0 s1", f"states: s0{sep}s1")
+    assert save_model(load_model(text)) == save_model(fig1)
+
+
+def test_line_numbers_count_newlines_only():
+    text = "\f\n" + FIG1 + "bogus line\n"
+    with pytest.raises(ModelError) as exc:
+        load_model(text)
+    last = text.count("\n")
+    assert str(exc.value) == f"line {last}: unrecognized line 'bogus line'"
+    last = FIG1.count("\n") + 1
+    for newline in ("\r\n", "\r"):
+        text = FIG1.replace("\n", newline)
+        assert save_model(load_model(text)) == save_model(load_model(FIG1))
+        with pytest.raises(ModelError) as exc:
+            load_model(text + "bogus" + newline)
+        assert str(exc.value) == f"line {last}: unrecognized line 'bogus'"
+
+
 def test_unicode_names_follow_str_isalnum():
     # a name starts with a letter or `_` and continues with str.isalnum()
     # characters or `_`; superscript and non-Latin digits count as alnum
@@ -413,24 +471,24 @@ def test_unicode_names_follow_str_isalnum():
     assert m.epistemic_class("c²", "s1") == {"s1", "ş2"}
 
 
-def _sorted_trans_lines(model: Cegm) -> list[str]:
-    """The `trans` lines written by sorting `model.trans` per state on each
-    agent's declaration index of its action."""
+def _sorted_trans_lines(model: Cegm, trans: dict) -> list[str]:
+    """The `trans` lines written by sorting `trans`, the model's transitions,
+    per state on each agent's declaration index of its action."""
     order = [{x: i for i, x in enumerate(model.actions[a])} for a in model.agents]
     lines = []
     for q in model.states:
         profiles = sorted(
-            (p for (s, p) in model.trans if s == q),
+            (p for (s, p) in trans if s == q),
             key=lambda p: tuple(order[i][x] for i, x in enumerate(p)),
         )
         for p in profiles:
-            lines.append(f"trans {q} ({', '.join(p)}) -> {model.trans[q, p]}")
+            lines.append(f"trans {q} ({', '.join(p)}) -> {trans[q, p]}")
     return lines
 
 
-def _redeclared(model: Cegm) -> Cegm:
+def _redeclared(model: Cegm, trans: dict) -> Cegm:
     """The same model with every agent's actions declared in reverse order
-    and the transitions given in reverse order."""
+    and `trans`, its transitions, given as they are."""
     obs = [
         (a, left, right)
         for a in model.agents
@@ -443,7 +501,7 @@ def _redeclared(model: Cegm) -> Cegm:
         model.initial,
         {a: model.actions[a][::-1] for a in model.agents},
         {(a, q): model.avail(a, q) for a in model.agents for q in model.states},
-        dict(reversed(model.trans.items())),
+        trans,
         obs,
         model.props,
         model.valuation,
@@ -454,6 +512,8 @@ def test_save_model_writes_transitions_in_declaration_order():
     rng = Random(11)
     for _ in range(150):
         drawn = random_cegm(rng, max_states=5, max_agents=3, max_actions=3)
-        for model in (drawn, _redeclared(drawn)):
+        trans = transitions(drawn)
+        backwards = dict(reversed(trans.items()))
+        for model, given in ((drawn, trans), (_redeclared(drawn, backwards), backwards)):
             lines = save_model(model).splitlines()
-            assert [l for l in lines if l.startswith("trans ")] == _sorted_trans_lines(model)
+            assert [l for l in lines if l.startswith("trans ")] == _sorted_trans_lines(model, given)

@@ -52,7 +52,7 @@ from atlh.scenarios import (
 )
 from atlh.translate import h_to_k
 
-from bruteforce import oracle_label, strategy_wins
+from bruteforce import oracle_label, strategy_wins, transitions
 from conftest import within
 
 FIG1 = """\
@@ -376,6 +376,20 @@ def test_find_witness(fig1):
     assert witness.action("v", "s0") == "voteA"
     assert find_witness(fig1, "s0", parse_formula("Voted")) is None
     assert find_witness(fig1, "s0", parse_formula("<v> F (Voted & K[c] V_A)")) is None
+
+
+def test_find_witness_reports_what_check_reports(fig1):
+    # unknown names are errors whatever the formula's top operator
+    for state, text, message in [
+        ("zz", "Voted", "unknown state zz"),
+        ("s0", "zz", "unknown atom zz"),
+        ("zz", "<v> F Voted", "unknown state zz"),
+        ("s0", "<v> F zz", "unknown atom zz"),
+    ]:
+        for query in (check, find_witness):
+            with pytest.raises(CheckError) as exc:
+                query(fig1, state, parse_formula(text))
+            assert str(exc.value) == message
 
 
 # Formulas with two or more unknown names, and the fault reported: the first
@@ -1081,10 +1095,11 @@ def test_fixpoint_work_is_linear_in_the_model(monkeypatch):
 
 
 def _reference_engine(model, coalition, mode):
-    """What `_CoalitionEngine` holds, built from `model.trans`, `model.avail`
-    and `model.mask` of each class, merging each state's joint actions one at
-    a time in product order into a dict keyed by the coalition's actions.
-    The keyed rows come third; the engine keeps only their masks."""
+    """What `_CoalitionEngine` holds, built from `transitions(model)`,
+    `model.avail` and `model.mask` of each class, merging each state's joint
+    actions one at a time in product order into a dict keyed by the
+    coalition's actions. The keyed rows come third; the engine keeps only
+    their masks."""
     index = model.state_index
     members = set(coalition)
     coal = [a for a in model.agents if a in members]
@@ -1100,11 +1115,12 @@ def _reference_engine(model, coalition, mode):
             for i, q in enumerate(model.states):
                 points.append((a, (i,), model.avail(a, q), 1 << i))
     cols = [j for j, a in enumerate(model.agents) if a in members]
+    trans = transitions(model)
     moves, preds = [], [0] * len(model.states)
     for i, q in enumerate(model.states):
         merged = {}
         for profile in product(*(model.avail(a, q) for a in model.agents)):
-            t = index[model.trans[q, profile]]
+            t = index[trans[q, profile]]
             key = tuple(profile[j] for j in cols)
             merged[key] = merged.get(key, 0) | 1 << t
             preds[t] |= 1 << i
