@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, is_
@@ -18,12 +17,11 @@ from operator import attrgetter, is_
 CMPS = ("<", "<=", ">", ">=", "=")
 
 # Deepest formula the parser accepts. The parser recurses up to four times per
-# parenthesis, and the dataclass-generated `__eq__`/`__hash__` once per level,
-# so this stays far below Python's default recursion limit of 1000. The library
-# itself neither hashes nor compares a formula as a tree: the parser keys nodes
-# by their children's identity, uncertainty-set members are compared by their
-# `member_rows`, and the walkers keep their own stacks (`subformula_rows`, which
-# `fold` runs on, and `pretty_print`), so translations may build far deeper ones.
+# parenthesis, so this stays far below Python's default recursion limit of
+# 1000. Nothing else recurses over a formula: `==` and `hash` run on
+# `subformula_rows`, and the other walkers keep their own stacks too (`fold`
+# runs on those rows, and `pretty_print`), so translations may build far
+# deeper ones.
 MAX_DEPTH = 100
 
 
@@ -41,12 +39,77 @@ class FormulaError(ValueError):
 # the longest formula, by `formula_length`, that `repr` prints in full
 _REPR_MAX_LENGTH = 10_000
 
+# Constructors store fields with this: `_Frozen` refuses plain assignment.
+_set = object.__setattr__
 
-class _Node:
-    """Shared behaviour for all formula nodes."""
 
+class _Frozen:
+    """Immutable slotted values: formula nodes and thresholds.
+
+    Each class lists its fields in `__slots__` and takes them, in that
+    order, as constructor arguments; `__reduce__` relies on it, so pickle
+    and `copy.deepcopy` rebuild a value through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _Fields:
+    """`dataclasses.fields(node)` for code that walks nodes that way, as the
+    benchmark's input counts do: each node class's fields as those of a
+    matching dataclass, made when first read. Only an instance has them, so
+    `dataclasses.is_dataclass` stays false for nodes and their classes."""
+
+    def __init__(self):
+        self.made: dict = {}  # class -> its fields
+
+    def __get__(self, node, cls):
+        if node is None:
+            raise AttributeError("__dataclass_fields__")
+        if cls not in self.made:
+            from dataclasses import make_dataclass
+
+            self.made[cls] = make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+        return self.made[cls]
+
+
+class _Node(_Frozen):
+    """Shared behaviour for all formula nodes.
+
+    Each class lists its own fields, then its child fields, in `__slots__`
+    (`__match_args__` is the same tuple). Structure is the one equality
+    rule: two nodes are equal when `member_rows` gives them one row.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
     # Child fields, the last fields of every formula class; see `children`.
     _kids: tuple[str, ...] = ()
+    __dataclass_fields__ = _Fields()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        t = type(self)
+        if type(other) is not t or _KEYS[t](self) != _KEYS[t](other):
+            return False
+        mine, theirs = member_rows((self, other))
+        return mine == theirs
+
+    def __hash__(self):
+        # the row keys of one walk: linear in the DAG, equal for equal nodes
+        return hash(tuple((type(g), _KEYS[type(g)](g), kids) for g, kids in subformula_rows(self)))
 
     def __str__(self) -> str:
         return pretty_print(self)
@@ -66,145 +129,172 @@ def _is_name(text: str) -> bool:
 
 def _coalition(agents) -> tuple[str, ...]:
     """A coalition as stored: sorted and without repeats."""
+    if isinstance(agents, str):  # would split into one-letter agents
+        raise FormulaError(f"a coalition is a collection of agent names, not the string {agents!r}")
     return tuple(sorted(set(agents)))
 
 
-class _Coalitional(_Node):
-    """A node over a coalition, which is stored sorted and without repeats."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "coalition", _coalition(self.coalition))
-
-
-@dataclass(frozen=True, repr=False)
 class Atom(_Node):
     """A named atomic proposition; its name prints back as itself."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not _is_name(self.name) or self.name in ("true", "false"):
-            raise FormulaError(f"bad atom name {self.name!r}")
+    def __init__(self, name: str):
+        if not isinstance(name, str) or not _is_name(name) or name in ("true", "false"):
+            raise FormulaError(f"bad atom name {name!r}")
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, repr=False)
 class TrueF(_Node):
     """The constant true."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class FalseF(_Node):
     """The constant false."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class Not(_Node):
-    sub: "Formula"
-    _kids = ("sub",)
+    __slots__ = __match_args__ = _kids = ("sub",)
+
+    def __init__(self, sub: Formula):
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True, repr=False)
 class And(_Node):
-    left: "Formula"
-    right: "Formula"
-    _kids = ("left", "right")
+    __slots__ = __match_args__ = _kids = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, repr=False)
 class Or(_Node):
-    left: "Formula"
-    right: "Formula"
-    _kids = ("left", "right")
+    __slots__ = __match_args__ = _kids = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, repr=False)
-class CoalX(_Coalitional):
+class CoalX(_Node):
     """Coalition can enforce `sub` in the next state."""
 
-    coalition: tuple[str, ...]
-    sub: "Formula"
-    _kids = ("sub",)
+    __slots__ = __match_args__ = ("coalition", "sub")
+    _kids = __slots__[1:]
+
+    def __init__(self, coalition: tuple[str, ...], sub: Formula):
+        _set(self, "coalition", _coalition(coalition))
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True, repr=False)
-class CoalG(_Coalitional):
+class CoalG(_Node):
     """Coalition can enforce `sub` forever."""
 
-    coalition: tuple[str, ...]
-    sub: "Formula"
-    _kids = ("sub",)
+    __slots__ = __match_args__ = ("coalition", "sub")
+    _kids = __slots__[1:]
+
+    def __init__(self, coalition: tuple[str, ...], sub: Formula):
+        _set(self, "coalition", _coalition(coalition))
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True, repr=False)
-class CoalU(_Coalitional):
+class CoalU(_Node):
     """Coalition can enforce `hold` until `goal`; F is the `hold = true` case."""
 
-    coalition: tuple[str, ...]
-    hold: "Formula"
-    goal: "Formula"
-    _kids = ("hold", "goal")
+    __slots__ = __match_args__ = ("coalition", "hold", "goal")
+    _kids = __slots__[1:]
+
+    def __init__(self, coalition: tuple[str, ...], hold: Formula, goal: Formula):
+        _set(self, "coalition", _coalition(coalition))
+        _set(self, "hold", hold)
+        _set(self, "goal", goal)
 
 
-@dataclass(frozen=True, repr=False)
-class CoalFG(_Coalitional):
+class CoalFG(_Node):
     """Coalition can reach `goal` and then maintain `invariant` forever.
 
     This is the one admitted path pattern that nests G under a coalition F;
     `goal = true` stands for a bare `<A> F (G invariant)`.
     """
 
-    coalition: tuple[str, ...]
-    goal: "Formula"
-    invariant: "Formula"
-    _kids = ("goal", "invariant")
+    __slots__ = __match_args__ = ("coalition", "goal", "invariant")
+    _kids = __slots__[1:]
+
+    def __init__(self, coalition: tuple[str, ...], goal: Formula, invariant: Formula):
+        _set(self, "coalition", _coalition(coalition))
+        _set(self, "goal", goal)
+        _set(self, "invariant", invariant)
 
 
-@dataclass(frozen=True, repr=False)
 class Knows(_Node):
     """Agent knows `sub`: it holds on the agent's whole epistemic class."""
 
-    agent: str
-    sub: "Formula"
-    _kids = ("sub",)
+    __slots__ = __match_args__ = ("agent", "sub")
+    _kids = __slots__[1:]
+
+    def __init__(self, agent: str, sub: Formula):
+        _set(self, "agent", agent)
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True, repr=False)
-class MutualKnows(_Coalitional):
+class MutualKnows(_Node):
     """Every coalition member knows `sub`."""
 
-    coalition: tuple[str, ...]
-    sub: "Formula"
-    _kids = ("sub",)
+    __slots__ = __match_args__ = ("coalition", "sub")
+    _kids = __slots__[1:]
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.coalition:
+    def __init__(self, coalition: tuple[str, ...], sub: Formula):
+        coalition = _coalition(coalition)
+        if not coalition:
             raise FormulaError("mutual knowledge needs a non-empty coalition")
+        _set(self, "coalition", coalition)
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class LogOfCount:
+class _Threshold(_Frozen):
+    """A threshold of one field, equal to another of its class and value."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Threshold):
+            return NotImplemented
+        return _threshold_key(self) == _threshold_key(other)
+
+    def __hash__(self):
+        return hash(_threshold_key(self))
+
+    def __repr__(self) -> str:
+        name = self.__slots__[0]
+        return f"{type(self).__name__}({name}={getattr(self, name)!r})"
+
+
+class LogOfCount(_Threshold):
     """Threshold written `log(k)`: compares the class count against k exactly."""
 
-    count: int
+    __slots__ = __match_args__ = ("count",)
 
-    def __post_init__(self):
+    def __init__(self, count: int):
+        _set(self, "count", count)
         _printable(self)
-        if type(self.count) is not int or self.count < 1:  # `log(True)` would not parse
-            raise FormulaError(f"log threshold needs a positive int count, got {self.count!r}")
+        if type(count) is not int or count < 1:  # `log(True)` would not parse
+            raise FormulaError(f"log threshold needs a positive int count, got {count!r}")
 
     def __str__(self) -> str:
         return f"log({self.count})"
 
 
-@dataclass(frozen=True)
-class Real:
+class Real(_Threshold):
     """Threshold given as a non-negative rational number of bits."""
 
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        _set(self, "value", Fraction(value))
         _printable(self)
         if self.value < 0:
             raise FormulaError(f"uncertainty threshold must be non-negative, got {self.value}")
@@ -226,28 +316,30 @@ def _printable(threshold) -> None:
         raise FormulaError(f"threshold has an integer of more than {limit} digits") from None
 
 
-@dataclass(frozen=True, repr=False)
 class Hartley(_Node):
     """Agent's uncertainty about the formulas in `beta` compares to `threshold`."""
 
-    agent: str
-    cmp: str
-    threshold: Threshold
-    beta: tuple["Formula", ...]
+    __slots__ = __match_args__ = ("agent", "cmp", "threshold", "beta")
     _kids = ("beta",)  # the one field holding a tuple of children
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(self.beta))
-        if self.cmp not in CMPS:
-            raise FormulaError(f"unknown comparison {self.cmp!r}")
-        if not self.beta:
+    def __init__(self, agent: str, cmp: str, threshold: Threshold, beta):
+        beta = tuple(beta)
+        if cmp not in CMPS:
+            raise FormulaError(f"unknown comparison {cmp!r}")
+        if type(threshold) not in (LogOfCount, Real):
+            raise FormulaError(f"threshold must be LogOfCount or Real, got {type(threshold).__name__}")
+        if not beta:
             raise FormulaError("empty formula set in uncertainty operator")
-        if len(self.beta) > 1 and _tops_repeat(self.beta):  # else no two are equal
+        if len(beta) > 1 and _tops_repeat(beta):  # else no two are equal
             seen = set()
-            for b, row in zip(self.beta, member_rows(self.beta)):
+            for b, row in zip(beta, member_rows(beta)):
                 if row in seen:
                     raise FormulaError(f"duplicate formula in uncertainty set: {pretty_print(b)}")
                 seen.add(row)
+        _set(self, "agent", agent)
+        _set(self, "cmp", cmp)
+        _set(self, "threshold", threshold)
+        _set(self, "beta", beta)
 
 
 Formula = (
@@ -256,14 +348,16 @@ Formula = (
 )
 
 
-@dataclass(frozen=True, repr=False)
 class _PathG(_Node):
     """Parse-time placeholder for a bare G inside `<A> F (...)`, with the G's position."""
 
-    line: int = field(compare=False)
-    col: int = field(compare=False)
-    sub: "Formula"
-    _kids = ("sub",)
+    __slots__ = __match_args__ = ("line", "col", "sub")
+    _kids = __slots__[2:]
+
+    def __init__(self, line: int, col: int, sub: Formula):
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "sub", sub)
 
 
 def _format_rational(value: Fraction) -> str:
@@ -304,8 +398,7 @@ def _getter(names):
 _CHILDREN = {cls: _getter(cls._kids) for cls in (*Formula.__args__, _PathG)}
 _CHILDREN[Hartley] = attrgetter("beta")
 _OTHER_FIELDS = {
-    cls: _getter(tuple(x.name for x in fields(cls) if x.name not in cls._kids))
-    for cls in Formula.__args__
+    cls: _getter(cls.__slots__[: len(cls.__slots__) - len(cls._kids)]) for cls in Formula.__args__
 }
 
 
@@ -603,12 +696,16 @@ _TOKEN = re.compile(
 _KINDS = (None, None, "number", "ident", "punct")
 
 
-@dataclass
 class _Token:
-    kind: str  # 'ident', 'number', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
+    """One token: its kind ('ident', 'number', 'punct', 'eof'), text and position."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, product, repeat
@@ -83,8 +83,7 @@ class CheckError(ValueError):
     """Raised when a formula does not fit the model (unknown atom or agent)."""
 
 
-@dataclass(frozen=True)
-class CheckOptions:
+class CheckOptions(namedtuple("CheckOptions", "strategy_mode success_scope")):
     """Strategy mode (`ir` uniform / `Ir` unrestricted) and success scope.
 
     Objective scope requires the path condition from the queried state only;
@@ -92,14 +91,18 @@ class CheckOptions:
     considers possible there.
     """
 
-    strategy_mode: str = "ir"
-    success_scope: str = "objective"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strategy_mode not in ("ir", "Ir"):
-            raise CheckError(f"unknown strategy mode {self.strategy_mode!r}")
-        if self.success_scope not in ("objective", "subjective"):
-            raise CheckError(f"unknown success scope {self.success_scope!r}")
+    def __new__(cls, strategy_mode: str = "ir", success_scope: str = "objective"):
+        if strategy_mode not in ("ir", "Ir"):
+            raise CheckError(f"unknown strategy mode {strategy_mode!r}")
+        if success_scope not in ("objective", "subjective"):
+            raise CheckError(f"unknown success scope {success_scope!r}")
+        return super().__new__(cls, strategy_mode, success_scope)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it
+        return cls(*iterable)
 
 
 class Strategy:

@@ -11,7 +11,7 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .cegm import Cegm
@@ -244,15 +244,11 @@ def gen_threeballot(coercer_obs: str = "board") -> Cegm:
 # Coercer information sets
 
 
-@dataclass(frozen=True)
-class InfosetRow:
+class InfosetRow(namedtuple("InfosetRow", "vote ballots receipt info_sets")):
     """One receipt row: which vote values the coercer may still consider
     possible, one set per way the other voter can act."""
 
-    vote: str
-    ballots: tuple[str, str, str]
-    receipt: str
-    info_sets: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
 
 def _info_set_key(info_set):

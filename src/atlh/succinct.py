@@ -13,7 +13,7 @@ formula.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, permutations, product
 from math import factorial, prod
@@ -78,16 +78,19 @@ def phi_n(n: int) -> Formula:
     return Hartley("a", "=", Real(Fraction(n)), beta)
 
 
-@dataclass(frozen=True)
-class PointedModel:
+class PointedModel(namedtuple("PointedModel", "model state")):
     """A model with a distinguished state."""
 
-    model: Cegm
-    state: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.state not in self.model.state_index:
-            raise SuccinctError(f"state {self.state} not in model")
+    def __new__(cls, model: Cegm, state: str):
+        if state not in model.state_index:
+            raise SuccinctError(f"state {state} not in model")
+        return super().__new__(cls, model, state)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it
+        return cls(*iterable)
 
 
 def separation_instance(n: int) -> tuple[list[PointedModel], list[PointedModel]]:

@@ -9,7 +9,7 @@ members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import product
 from math import comb
@@ -193,12 +193,10 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
 # Random equivalence harness
 
 
-@dataclass
-class TranslationReport:
+class TranslationReport(namedtuple("TranslationReport", "lines mismatches")):
     """Per-sample verdict lines plus the mismatch count."""
 
-    lines: list[str]
-    mismatches: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "\n".join(self.lines)

@@ -5,16 +5,18 @@ enumerated per-state and filtered for uniformity, state sets are plain
 frozensets, and path conditions are decided by walking the restricted graph
 (memoized on state and remaining depth) instead of fixpoints on bitmasks.
 Transitions are read from `model.moves`, a model's one record of them,
-through the documented pairing with `product(*model.menus[i])`.
+through the documented pairing with `product(*model.menus[i])`. Uncertainty
+thresholds are compared by integer powers, not by `atlh.mcheck.compare_log`:
+of `atlh`, only the formula classes are imported.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import eq, ge, gt, le, lt
 
 from atlh import formula as fm
-from atlh.mcheck import compare_log
 
 
 def oracle_strategies(model, coalition, mode="ir"):
@@ -189,7 +191,7 @@ def oracle_label(model, f, mode="ir", scope="objective"):
                     tuple(q2 in lab for lab in labels)
                     for q2 in model.epistemic_class(agent, q)
                 }
-                if compare_log(len(patterns), cmp, threshold):
+                if _log_compares(len(patterns), cmp, threshold):
                     out.add(q)
             return frozenset(out)
         case fm.CoalX(coal, sub):
@@ -205,6 +207,19 @@ def oracle_label(model, f, mode="ir", scope="objective"):
             args = [oracle_label(model, goal, mode, scope), oracle_label(model, inv, mode, scope)]
             return _strategic_set(model, coal, "FG", args, mode, scope)
     raise ValueError(f"cannot label {f!r}")
+
+
+_COMPARE = {"<": lt, "<=": le, ">": gt, ">=": ge, "=": eq}
+
+
+def _log_compares(count, cmp, threshold):
+    """log2(count) <cmp> threshold, on integers: `count` against k for
+    `log(k)`, and `count ** q` against `2 ** p` for a threshold p/q."""
+    if type(threshold) is fm.LogOfCount:
+        left, right = count, threshold.count
+    else:
+        left, right = count ** threshold.value.denominator, 2 ** threshold.value.numerator
+    return _COMPARE[cmp](left, right)
 
 
 def _strategic_set(model, coalition, kind, args, mode, scope):

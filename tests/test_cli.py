@@ -403,6 +403,18 @@ def _run_cli(*argv):
     )
 
 
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # both cost start-up time in every `atlh` process; `-I` keeps the
+    # environment and the user's site-packages out of the fresh interpreter
+    src = str(Path(atlh.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import atlh.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize(
     "text",
     ["!" * 5000 + "Voted", "<v> X " * 400 + "Voted", " & ".join(["Voted"] * 3000)],

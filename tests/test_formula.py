@@ -1,5 +1,7 @@
 """Parser, printer and length-metric tests."""
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from random import Random
@@ -16,6 +18,7 @@ from atlh.formula import (
     CoalU,
     CoalX,
     FalseF,
+    Formula,
     MAX_DEPTH,
     FormulaError,
     Hartley,
@@ -132,10 +135,38 @@ def test_hartley_constructor_rejects_bad_comparison_and_empty_set():
     for args, message in [
         (("!=", Real(1), (Atom("p"),)), "unknown comparison '!='"),
         (("=", Real(1), ()), "empty formula set in uncertainty operator"),
+        # a threshold of another type would fail only when printed or checked
+        (("=", 1, (Atom("p"),)), "threshold must be LogOfCount or Real, got int"),
+        (("=", Fraction(1), (Atom("p"),)), "threshold must be LogOfCount or Real, got Fraction"),
+        (("=", "log(2)", (Atom("p"),)), "threshold must be LogOfCount or Real, got str"),
     ]:
         with pytest.raises(FormulaError) as exc:
             Hartley("a", *args)
         assert str(exc.value) == message
+
+
+def test_constructors_reject_string_coalitions_and_non_string_atoms():
+    # a string coalition would split into one-letter agents, and an atom
+    # name that is not a string would fail in the name check
+    p = Atom("p")
+    for make in (
+        lambda c: CoalX(c, p),
+        lambda c: CoalG(c, p),
+        lambda c: CoalU(c, p, p),
+        lambda c: CoalFG(c, p, p),
+        lambda c: MutualKnows(c, p),
+    ):
+        for coalition in ("ab", "a"):
+            with pytest.raises(FormulaError) as exc:
+                make(coalition)
+            assert str(exc.value) == (
+                f"a coalition is a collection of agent names, not the string {coalition!r}"
+            )
+        assert make(["b", "a"]).coalition == ("a", "b")
+    for name in (3, None, b"p", ("p",)):
+        with pytest.raises(FormulaError) as exc:
+            Atom(name)
+        assert str(exc.value) == f"bad atom name {name!r}"
 
 
 def test_hartley_duplicate_member_is_error():
@@ -565,6 +596,13 @@ def test_round_trip_random(f):
 
 
 @given(_formulas(3))
+def test_equal_formulas_hash_equal(f):
+    g = parse_formula(pretty_print(f))
+    assert g == f and hash(g) == hash(f)
+    assert Not(f) != f and f != Not(f)
+
+
+@given(_formulas(3))
 def test_subformulas_include_self_last(f):
     subs = subformulas_by_length(f)
     assert subs[-1] == f
@@ -712,6 +750,43 @@ def test_repr_prints_the_formula_up_to_a_length_cap():
         g = Not(g)
     assert repr(g) == f"Not('{'!' * 9_999}p')"
     assert repr(Not(g)) == "Not(<10001 nodes>)"
+
+
+def test_pickle_and_deepcopy_rebuild_every_node_class():
+    f = parse_formula(
+        "<a, b> X p & <a> G !q | <> (p U false) & <b> F (p & G q)"
+        " | K[a] E[a, b] true & H[a] >= log(2) {p, q} & H[b] < 1/3 {p, <a> F (G p)}"
+    )
+    assert {type(g) for g in node_objects(f)} == set(Formula.__args__)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g is not f and g == f and hash(g) == hash(f)
+        assert pretty_print(g) == pretty_print(f)
+        assert len(node_objects(g)) == len(node_objects(f))  # shared nodes stay shared
+    for t in (LogOfCount(3), Real(Fraction(3, 2))):
+        assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+
+
+def test_dataclasses_fields_reads_node_fields():
+    # bench/workloads.py walks nodes with `dataclasses.fields`
+    import dataclasses
+
+    f = parse_formula("H[a] >= log(2) {p, <a> X q}")
+    assert [x.name for x in dataclasses.fields(f)] == ["agent", "cmp", "threshold", "beta"]
+    assert [x.name for x in dataclasses.fields(f.beta[1])] == ["coalition", "sub"]
+    assert dataclasses.fields(TrueF()) == ()
+    assert not dataclasses.is_dataclass(f) and not dataclasses.is_dataclass(Hartley)
+
+
+def test_nodes_and_thresholds_are_immutable():
+    f = parse_formula("H[a] >= log(2) {p, <a> X q}")
+    fields = [(f, "agent"), (f, "beta"), (f.beta[0], "name"), (f.beta[1], "coalition"),
+              (f.beta[1], "sub"), (f.threshold, "count"), (Real(1), "value"), (TrueF(), "sub")]
+    for node, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, Atom("r"))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert pretty_print(f) == "H[a] >= log(2) {p, <a> X q}"
 
 
 def test_walkers_reject_a_non_formula():

@@ -1,5 +1,6 @@
 """Model checker tests: labeling, knowledge, uncertainty, strategic operators."""
 
+import ast
 import decimal
 import math
 import time
@@ -52,6 +53,7 @@ from atlh.scenarios import (
 )
 from atlh.translate import h_to_k
 
+import bruteforce
 from bruteforce import oracle_label, strategy_wins, transitions
 from conftest import within
 
@@ -240,6 +242,9 @@ def test_check_options_reject_unknown_mode_and_scope():
     with pytest.raises(CheckError) as exc:
         CheckOptions(success_scope="global")
     assert str(exc.value) == "unknown success scope 'global'"
+    with pytest.raises(CheckError) as exc:
+        CheckOptions()._replace(strategy_mode="IR")
+    assert str(exc.value) == "unknown strategy mode 'IR'"
 
 
 def test_compare_log_matches_integer_comparison():
@@ -486,6 +491,39 @@ def test_oracle_smoke():
         assert got == want, f"disagreement on seed {i}: {f}"
 
 
+def test_oracle_imports_only_the_formula_classes_from_atlh():
+    # an arbiter that shared the checker's code would make its faults too
+    with open(bruteforce.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "atlh":
+            imported |= {f"atlh.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {m for m in imported if m.split(".")[0] in ("atlh", "")} == {"atlh.formula"}
+
+
+def _distinct_target_model(rng: Random) -> Cegm:
+    """A random model where the four profiles at each state have pairwise
+    distinct targets: two agents with actions x0 and x1 at every state, 4
+    to 6 states and random partitions."""
+    states = [f"s{i}" for i in range(rng.randint(4, 6))]
+    agents, actions = ("a0", "a1"), ("x0", "x1")
+    obs = []
+    for a in agents:
+        blocks: dict = {}
+        for q in states:
+            blocks.setdefault(rng.randrange(len(states)), []).append(q)
+        obs += [(a, left, right) for cls in blocks.values() for left, right in zip(cls, cls[1:])]
+    profiles = list(product(actions, actions))
+    trans = {(q, x): t for q in states for x, t in zip(profiles, rng.sample(states, 4))}
+    valuation = {p: [q for q in states if rng.random() < 0.5] for p in ("p", "r")}
+    return Cegm(agents, states, "s0", dict.fromkeys(agents, actions), None, trans, obs, ["p", "r"], valuation)
+
+
 COMBOS = [
     CheckOptions(strategy_mode=mode, success_scope=scope)
     for mode in ("ir", "Ir")
@@ -527,6 +565,39 @@ def _assert_matches_oracle(model, f, opts):
             assert (got is None) == (want is None), (f, q, opts)
             if got is not None:
                 assert got.actions == want.actions, (f, q, opts)
+
+
+def test_oracle_reads_each_profile_target():
+    # Criterion 12's random models often send several profiles of a state to
+    # one target, where an oracle that pairs profiles with the wrong targets
+    # can still agree with the checker. Here each profile has its own target.
+    # Labels alone miss some misreadings: reversing a state's profile order
+    # only renames each agent's actions there. First winners see the names.
+    rng = Random(20261020)
+    for _ in range(12):
+        model = _distinct_target_model(rng)
+        for a in model.agents:
+            for text in (f"<{a}> X p", f"<{a}> (r U p)"):
+                for opts in (CheckOptions(), CheckOptions(strategy_mode="Ir")):
+                    _assert_matches_oracle(model, parse_formula(text), opts)
+
+
+def test_uncertainty_thresholds_match_the_oracle():
+    # The oracle compares class counts by integer powers, not with
+    # `compare_log`, so a fault there shows as a disagreement. Classes of up
+    # to 6 states give counts up to 6, and the thresholds p/q fall on both
+    # sides of each count's logarithm.
+    rng = Random(20261021)
+    thresholds = [LogOfCount(k) for k in range(1, 7)]
+    thresholds += [Real(Fraction(p, q)) for q in range(1, 5) for p in range(3 * q) if math.gcd(p, q) == 1]
+    for _ in range(6):
+        model = random_cegm(rng, max_states=6, max_agents=2, max_props=3)
+        beta = [parse_formula(p) for p in model.props]
+        for agent in model.agents:
+            for threshold in thresholds:
+                for cmp in ("<", "<=", ">", ">=", "="):
+                    f = Hartley(agent, cmp, threshold, beta)
+                    assert label(model, f)[f] == oracle_label(model, f), str(f)
 
 
 def test_witness_is_first_winner_on_random_models():
@@ -1178,7 +1249,7 @@ def test_engine_matches_reference_projection(fig1, m1, m2):
 
 def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
     # label_masks reads each child's mask by its position in the subformula
-    # table; a dataclass hash would walk the whole subtree on every lookup
+    # table; a structural hash would walk the whole subtree on every lookup
     model = gen_threeballot()
     path = tmp_path / "threeballot.cegm"
     path.write_text(save_model(model), encoding="utf-8")

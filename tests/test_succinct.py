@@ -126,6 +126,8 @@ def test_pointed_model():
     assert len({pm, PointedModel(m, "q1"), PointedModel(m, "q0")}) == 2
     with pytest.raises(SuccinctError):
         PointedModel(m, "nope")
+    with pytest.raises(SuccinctError):
+        pm._replace(state="nope")
 
 
 def test_atomic_separation_is_one_node():

@@ -32,6 +32,7 @@ from atlh.formula import (
     subformula_rows,
 )
 from atlh.mcheck import check, label
+from atlh.scenarios import gen_referendum_single
 from atlh.sampling import random_cegm, random_formula
 from atlh.translate import (
     TranslateError,
@@ -104,6 +105,21 @@ def test_member_equality_is_linear_in_the_dag():
 
     assert [m is a for m in within(2, merge).beta] == [True]
     assert [m is a for m in within(2, build).beta] == [True, False]
+
+
+def test_equality_hash_and_label_are_linear_in_the_dag():
+    # two K nests 40 deep, built separately: each translation prints as
+    # 3 * 2^40 - 2 nodes, so `==`, `hash` and `label` (whose dict is keyed by
+    # subformula) must walk the DAG, not the tree. No deep formula is an
+    # asserted operand: pytest would print it.
+    nest = parse_formula("K[v] " * 40 + "Voted")
+    a, b = (k_to_h(nest) for _ in range(2))
+    assert a is not b
+    assert within(2, a.__eq__, b) is True and within(2, b.__eq__, a) is True
+    assert within(2, hash, a) == within(2, hash, b)
+    fig1 = gen_referendum_single()
+    labels = within(2, label, fig1, a)
+    assert within(2, labels.__getitem__, b) == label(fig1, nest)[nest]
 
 
 def test_repr_of_a_deep_translation_names_its_length():
@@ -415,7 +431,7 @@ def test_check_translation_equivalence_deterministic():
 
 
 def test_walkers_handle_formulas_deeper_than_the_recursion_limit():
-    # dataclass __eq__ and __hash__ still recurse, so compare printed text
+    # the printer, the length fold and both translations keep their own stacks
     base = Or(Knows("a", p), Hartley("a", "=", LogOfCount(1), (p,)))
     base_k, base_h = pretty_print(k_to_h(base)), pretty_print(h_to_k(base))
     assert base_k == "p & H[a] = log(1) {p} | H[a] = log(1) {p}"
