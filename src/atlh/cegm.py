@@ -76,10 +76,11 @@ class Cegm:
         to all of the agent's declared actions. `obs` is an iterable of
         (agent, state, state) indistinguishability links; the reflexive,
         symmetric, transitive closure is computed. `valuation` maps each
-        proposition in `props` to the states where it holds.
+        proposition in `props` to the states where it holds. A string given
+        where names are listed is a fault, not a list of its characters.
         """
-        self.agents = agents = tuple(agents)
-        self.states = states = tuple(states)
+        self.agents = agents = tuple(_not_string(agents, "agents"))
+        self.states = states = tuple(_not_string(states, "states"))
         self.initial = initial
         if not agents:
             raise ModelError("a model needs at least one agent")
@@ -95,7 +96,7 @@ class Cegm:
 
         self.actions = {}
         for a in agents:
-            acts = tuple(actions.get(a, ()))
+            acts = tuple(_not_string(actions.get(a, ()), f"actions of agent {a}"))
             if not acts:
                 raise ModelError(f"agent {a} has no actions")
             if len(set(acts)) != len(acts):
@@ -117,6 +118,8 @@ class Cegm:
                 if chosen is None:
                     row.append(declared)
                     continue
+                if isinstance(chosen, str):  # the message is built only for a fault
+                    _not_string(chosen, f"availability for agent {a} at state {q}")
                 chosen = tuple(chosen)
                 acts = normal.get(chosen)
                 if acts is None:
@@ -192,12 +195,13 @@ class Cegm:
                 masks.append((tuple(idx), sum(map(bits.__getitem__, idx))))
             self.class_masks[a] = tuple(masks)
 
-        self.props = tuple(props)
+        self.props = tuple(_not_string(props, "propositions"))
         if len(set(self.props)) != len(self.props):
             raise ModelError("duplicate proposition name")
         self.valuation = {}
         for p in self.props:
-            extension = tuple((valuation or {}).get(p, ()))
+            extension = (valuation or {}).get(p, ())
+            extension = tuple(_not_string(extension, f"extension of proposition {p}"))
             self.valuation[p] = holds = frozenset(extension)
             if not index.keys() >= holds:
                 q = next(q for q in extension if q not in index)
@@ -237,6 +241,7 @@ class Cegm:
 
     def mask(self, states) -> int:
         index = self.state_index
+        _not_string(states, "a state set")
         m = 0
         try:
             for q in states:
@@ -251,6 +256,14 @@ class Cegm:
     @property
     def full_mask(self) -> int:
         return (1 << len(self.states)) - 1
+
+
+def _not_string(names, what: str):
+    """`names`, a collection of names; a string would be read as its
+    one-character names, so it is a fault."""
+    if isinstance(names, str):
+        raise ModelError(f"{what} must be a collection of names, not the string {names!r}")
+    return names
 
 
 def _move_table(states, menus, trans, index, bits):
@@ -279,7 +292,7 @@ def _checked_trans(agents, index, menus, trans) -> dict:
     available to its agent at the source."""
     out = {}
     for (q, profile), target in trans.items():
-        profile = tuple(profile)
+        profile = tuple(_not_string(profile, f"action profile at {q}"))
         if q not in index:
             raise ModelError(f"transition from unknown state {q}")
         if target not in index:

@@ -847,8 +847,10 @@ class _Parser:
             self.expect(")")
             return f
         if tok.text == "<":
-            coalition = self.parse_coalition_tail()
-            return self.parse_temporal(coalition)
+            if self.peek().text == ">":  # the empty coalition
+                self.next()
+                return self.parse_temporal(())
+            return self.parse_temporal(self.parse_agents(">"))
         if tok.kind != "ident":
             raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
         name = tok.text
@@ -863,12 +865,7 @@ class _Parser:
             return self.make(tok, Knows, (agent,), self.parse_unary())
         if name == "E" and self.peek().text == "[":
             self.next()
-            agents = [self.expect_ident("agent name").text]
-            while self.peek().text == ",":
-                self.next()
-                agents.append(self.expect_ident("agent name").text)
-            self.expect("]")
-            return self.make(tok, MutualKnows, (_coalition(agents),), self.parse_unary())
+            return self.make(tok, MutualKnows, (self.parse_agents("]"),), self.parse_unary())
         if name == "H" and self.peek().text == "[":
             return self.parse_hartley(tok)
         if name == "G" and self._starts_unary():
@@ -878,15 +875,13 @@ class _Parser:
             return self.make(tok, _PathG, (tok.line, tok.col), sub)
         return self.make(tok, Atom, (name,))
 
-    def parse_coalition_tail(self) -> tuple[str, ...]:
-        if self.peek().text == ">":
-            self.next()
-            return ()
+    def parse_agents(self, close: str) -> tuple[str, ...]:
+        """One or more comma-separated agent names, then `close`: a coalition."""
         agents = [self.expect_ident("agent name").text]
         while self.peek().text == ",":
             self.next()
             agents.append(self.expect_ident("agent name").text)
-        self.expect(">")
+        self.expect(close)
         return _coalition(agents)
 
     def parse_temporal(self, coalition: tuple[str, ...]) -> Formula:

@@ -8,11 +8,16 @@ union, over the coalition's memoryless strategies, of the states each
 strategy validates; one search, `_search`, computes it for `label`,
 `check`, `find_witness` and `atlh check`.
 
-Its bound is the winning region of the game in which every state may use
-any of its coalition moves: a controllable-predecessor fixpoint (X one
-step, G greatest, U least; `F (x & G y)` is U towards the states of `x`
-inside the G-region of `y`). For X, G and U on a per-state engine (all of
-`Ir`, and `ir` wherever uniformity constrains nothing, as in every bundled
+A choice point is where the coalition chooses: a member's epistemic class
+(`ir`) or state (`Ir`) with two or more available actions. A strategy picks
+one action at each choice point and plays the one available action at every
+other state, so the choice points span the whole strategy space.
+
+The search's bound is the winning region of the game in which every state
+may use any of its coalition moves: a controllable-predecessor fixpoint (X
+one step, G greatest, U least; `F (x & G y)` is U towards the states of `x`
+inside the G-region of `y`). For X, G and U on a per-state engine (no
+choice point spans two states: all of `Ir`, and `ir` in every bundled
 scenario) the bound is the union. Otherwise a depth-first search over the
 choice points, pruned by the same region with the choices made so far
 fixed, looks for a winner from each wanted state the winners found so far
@@ -34,7 +39,8 @@ when the bound is not the union.
 
 Each labelling pass builds one coalition engine per coalition, from what
 the model built once: its choice points are the model's class masks
-(`Cegm.class_masks`) in `ir` mode and single states in `Ir` mode, and its
+(`Cegm.class_masks`) in `ir` mode and single states in `Ir` mode, those
+where the member's menu (`Cegm.menus`) has two or more actions, and its
 predecessor masks are the model's (`Cegm.preds`). Its one table, the
 successor masks per state, starts as the model's move table (`Cegm.moves`,
 target bits in the product order of the agents' menus). Only the rows where
@@ -215,15 +221,16 @@ def hartley_classes(model: Cegm, agent: str, state: str, beta_labels) -> int:
 class _CoalitionEngine:
     """Choice points and the successor table for one coalition on one model.
 
-    A strategy is a tuple of actions, one per choice point (an epistemic
-    class in `ir` mode, a single state in `Ir` mode, per coalition agent). A
-    choice point is `(agent, state indices ascending, actions, state mask)`;
-    in `ir` mode the indices and mask are the model's (`Cegm.class_masks`);
-    the points come in agent order. `succs[i]` holds, per coalition choice
-    at state i in the product order of the members' menus, the states
-    reachable under any opponent response: the model's row (`Cegm.moves`)
-    where the opponents have one choice, else its targets merged by
-    position, the same positions for all rows with the same menus
+    A strategy is a tuple of actions, one per choice point: a coalition
+    agent's epistemic class in `ir` mode, or single state in `Ir` mode, where
+    it has two or more actions. A choice point is `(agent, state indices
+    ascending, actions, state mask)`; in `ir` mode the indices and mask are
+    the model's (`Cegm.class_masks`); the points come in agent order, and
+    `per_state` says that none spans two states. `succs[i]` holds, per
+    coalition choice at state i in the product order of the members' menus,
+    the states reachable under any opponent response: the model's row
+    (`Cegm.moves`) where the opponents have one choice, else its targets
+    merged by position, the same positions for all rows with the same menus
     (`Cegm.menus[i]`). `preds` is the model's (`Cegm.preds`). Both are
     built once; the searches read them and never rebuild them.
     """
@@ -236,19 +243,20 @@ class _CoalitionEngine:
         menus = model.menus
         n = len(menus)
         self.choice_points = points = []
-        # strategies are free per state: no uniformity constraint binds
+        # strategies are free per state: no choice point spans two states
         self.per_state = True
         for j in cols:
             a = model.agents[j]
             if mode == "Ir":
-                single = map((1).__lshift__, range(n))
-                points += zip(repeat(a), zip(range(n)), map(itemgetter(j), menus), single)
+                column = list(map(itemgetter(j), menus))
+                every = zip(repeat(a), zip(range(n)), column, map((1).__lshift__, range(n)))
+                points += compress(every, map((1).__lt__, map(len, column)))
                 continue
             for idx, mask in model.class_masks[a]:
                 options = menus[idx[0]][j]
-                if len(idx) > 1 and len(options) > 1:
-                    self.per_state = False
-                points.append((a, idx, options, mask))
+                if len(options) > 1:
+                    self.per_state = self.per_state and len(idx) == 1
+                    points.append((a, idx, options, mask))
         rows = model.moves
         self.succs = succs = list(rows)
         # merge the rows where the opponents have several choices, one
@@ -289,8 +297,14 @@ class _CoalitionEngine:
         return self._start_masks
 
     def strategy_from(self, choices) -> Strategy:
-        states = self.model.states
-        rows = {a: [None] * len(states) for a in self.coalition}
+        """The strategy playing `choices`, one per choice point in order,
+        and each member's one available action at every other state."""
+        model = self.model
+        states = model.states
+        rows = {}
+        for a in self.coalition:
+            j = model.agents.index(a)
+            rows[a] = [column[j][0] for column in model.menus]
         for (agent, idx, _, _), chosen in zip(self.choice_points, choices):
             row = rows[agent]
             for i in idx:
@@ -413,10 +427,12 @@ def _first_winner(
     computed from scratch; it must validate `at`.
 
     A depth-first search fixes one choice point at a time, trying actions in
-    declaration order. A prefix is pruned when the region with its choices
-    fixed, and every later choice point left free per state, does not
-    validate `at`: a strategy extending the prefix keeps one of those moves
-    per state, and every kind's region only shrinks as moves are removed.
+    declaration order. Every point offers two or more: fixing a member's one
+    action would leave every row as it is. A prefix is pruned when the region
+    with its choices fixed, and every later choice point left free per
+    state, does not validate `at`: a strategy extending the prefix keeps one
+    of those moves per state, and every kind's region only shrinks as moves
+    are removed.
     With every choice fixed the region is the strategy's own, so the first
     complete prefix is the winner. Only the fixed states' move lists change,
     and `_narrow`, the routine that computed `now`, recomputes the region
@@ -470,9 +486,6 @@ def _first_winner(
         _, idx, options, fixed = points[len(stack)]
         n = len(options)
         saved = now, pending, reach
-        if n == 1 and i == 0:
-            stack.append((0, 1, (), saved, ()))
-            continue
         if i < n:
             kept = [(q, succs[q]) for q in idx]
             # each row's block for the i-th option: i * B up to (i + 1) * B

@@ -26,9 +26,9 @@ from .formula import (
     Not,
     Or,
     TrueF,
-    _length,
     _row_values,
     distinct_members,
+    formula_length,
     pretty_print,
     rebuild,
     subformula_rows,
@@ -157,10 +157,10 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
     `H` is returned as itself, not as an equal copy.
     """
 
-    def step(g: Formula, kids):  # each kid's value is (formula, formula_length)
+    def step(g: Formula, kids):
         if type(g) is not Hartley:
-            return rebuild(g, [h for h, _ in kids]), _length(g, [n for _, n in kids])
-        members = distinct_members([h for h, _ in kids])
+            return rebuild(g, kids)
+        members = distinct_members(kids)
         n = len(members)
         if n > beta_cap:
             raise TranslateError(
@@ -169,13 +169,12 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
         size = 2**n
         counts = [c for c in range(1, size + 1) if compare_log(c, g.cmp, g.threshold)]
         if not counts:
-            return FalseF(), 1
+            return FalseF()
         if len(counts) == size:
-            return TrueF(), 1
+            return TrueF()
         alphas = phi_beta(members, beta_cap)
-        length = {id(h): m for h, m in kids}
         # a signed conjunction: every member, n - 1 &s, and one ! per minus sign
-        plain = sum(length[id(h)] for h in members) + n - 1
+        plain = sum(map(formula_length, members)) + n - 1
         alpha_sizes = [plain + signs.count(0) for signs in product((1, 0), repeat=n)]
         nodes = _expansion_size(alpha_sizes, counts, n)
         if nodes > node_cap:
@@ -183,10 +182,9 @@ def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
                 f"translation would have {nodes} nodes, over the cap {node_cap}"
             )
         literals = _literals(g.agent, alphas)
-        return reduce(Or, [_count_formula(literals, m, n) for m in counts]), nodes
+        return reduce(Or, [_count_formula(literals, m, n) for m in counts])
 
-    out = _rewrite(f, (Hartley,), step)
-    return f if out is f else out[0]
+    return _rewrite(f, (Hartley,), step)
 
 
 # ---------------------------------------------------------------------------

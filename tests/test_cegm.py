@@ -336,6 +336,26 @@ CONSTRUCTOR_ERRORS = [
         {"trans": {**_WITHOUT_VOTE_NA, ("s1", ("voteA", "eps")): "s1"}},
         "transition at s1 uses action voteA unavailable to agent v",
     ),
+    # a string is a sequence of one-character names, never one name
+    ({"agents": "vc"}, "agents must be a collection of names, not the string 'vc'"),
+    ({"states": "s0"}, "states must be a collection of names, not the string 's0'"),
+    ({"props": "V"}, "propositions must be a collection of names, not the string 'V'"),
+    (
+        {"actions": {"v": ["voteA", "voteNA", "eps"], "c": "e"}},
+        "actions of agent c must be a collection of names, not the string 'e'",
+    ),
+    (
+        {"avail": {**FIG1_ARGS["avail"], ("c", "s0"): "e"}},
+        "availability for agent c at state s0 must be a collection of names, not the string 'e'",
+    ),
+    (
+        {"valuation": {"Voted": "s1", "V_A": ["s1"]}},
+        "extension of proposition Voted must be a collection of names, not the string 's1'",
+    ),
+    (
+        {"trans": {**FIG1_ARGS["trans"], ("s1", "ee"): "s1"}},
+        "action profile at s1 must be a collection of names, not the string 'ee'",
+    ),
 ]
 
 
@@ -351,6 +371,14 @@ def test_mask_helpers(fig1):
     assert m == 0b101
     assert fig1.states_of(m) == ("s0", "s2")
     assert fig1.full_mask == 0b111
+
+
+def test_mask_rejects_a_string(fig1):
+    # a string would be read as its one-character names
+    with pytest.raises(ModelError, match="^a state set must be a collection of names"):
+        fig1.mask("s0")
+    with pytest.raises(ModelError, match="^a state set must be a collection of names"):
+        hartley_classes(fig1, "c", "s1", ["s1"])
 
 
 def _edit(old: str, new: str) -> str:

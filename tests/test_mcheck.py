@@ -383,6 +383,15 @@ def test_find_witness(fig1):
     assert find_witness(fig1, "s0", parse_formula("<v> F (Voted & K[c] V_A)")) is None
 
 
+def test_coalition_without_choice_points_gets_a_full_witness(fig1):
+    # c has one action at every state, so its strategy space is one strategy
+    # with no choice point, and the witness plays that action everywhere
+    f = parse_formula("<c> X true")
+    for mode in ("ir", "Ir"):
+        witness = find_witness(fig1, "s0", f, CheckOptions(strategy_mode=mode))
+        assert str(witness) == "c: s0=eps s1=eps s2=eps"
+
+
 def test_find_witness_reports_what_check_reports(fig1):
     # unknown names are errors whatever the formula's top operator
     for state, text, message in [
@@ -1174,17 +1183,18 @@ def _reference_engine(model, coalition, mode):
     index = model.state_index
     members = set(coalition)
     coal = [a for a in model.agents if a in members]
-    points, per_state = [], True
+    points = []
     for a in coal:
         if mode == "ir":
             for cls in model.epistemic_classes(a):
                 idx = tuple(sorted(map(index.__getitem__, cls)))
-                options = model.avail(a, model.states[idx[0]])
-                per_state = per_state and not (len(idx) > 1 and len(options) > 1)
-                points.append((a, idx, options, model.mask(cls)))
+                points.append((a, idx, model.avail(a, model.states[idx[0]]), model.mask(cls)))
         else:
             for i, q in enumerate(model.states):
                 points.append((a, (i,), model.avail(a, q), 1 << i))
+    # a choice point is where a member has two or more actions
+    points = [p for p in points if len(p[2]) > 1]
+    per_state = all(len(p[1]) == 1 for p in points)
     cols = [j for j, a in enumerate(model.agents) if a in members]
     trans = transitions(model)
     moves, preds = [], [0] * len(model.states)
@@ -1245,6 +1255,43 @@ def test_engine_matches_reference_projection(fig1, m1, m2):
                     for q, row in zip(model.states, keyed):
                         menus = [model.avail(a, q) for a in members]
                         assert [key for key, _ in row] == list(product(*menus))
+
+
+def test_choice_points_are_real_choices(fig1, m1, m2):
+    """Every choice point offers two or more actions, and the choice points
+    span the whole strategy space: the classes (`ir`) or states (`Ir`) with
+    one action add a factor of 1. On ThreeBallot, 9 of `<v, c>`'s 306
+    classes and 378 states are choices, and 20 of w's 189."""
+    rng = Random(3306)
+    models = [random_cegm(rng, max_states=6, max_agents=3, max_actions=3) for _ in range(100)]
+    models += [fig1, m1, m2, gen_threeballot()]
+    for model in models:
+        for k in range(len(model.agents) + 1):
+            for coalition in combinations(model.agents, k):
+                for mode in ("ir", "Ir"):
+                    points = _CoalitionEngine(model, coalition, mode).choice_points
+                    assert all(len(options) > 1 for _, _, options, _ in points)
+                    space = 1
+                    for a in coalition:
+                        if mode == "ir":
+                            firsts = [next(iter(cls)) for cls in model.epistemic_classes(a)]
+                        else:
+                            firsts = model.states
+                        space *= math.prod(len(model.avail(a, q)) for q in firsts)
+                    assert math.prod(len(p[2]) for p in points) == space
+    tb = gen_threeballot()
+    counts = {
+        (coalition, mode): len(_CoalitionEngine(tb, coalition, mode).choice_points)
+        for coalition in (("v", "c"), ("w",))
+        for mode in ("ir", "Ir")
+    }
+    assert counts == {
+        (("v", "c"), "ir"): 9,
+        (("v", "c"), "Ir"): 9,
+        (("w",), "ir"): 20,
+        (("w",), "Ir"): 20,
+    }
+    assert sum(1 for _ in enumerate_strategies(tb, ("v", "c"))) == 10368
 
 
 def test_labelling_hashes_no_formula(monkeypatch, tmp_path, capsys):
