@@ -24,6 +24,8 @@ The constructor builds, once, the tables the checker reads by state index
   stored form of the epistemic relation: `class_entry`, and the frozenset
   views `epistemic_class` and `epistemic_classes`, are read from it on each
   call, so equal calls return equal, not identical, values.
+- `singletons`: the partition into single states, `((i,), 1 << i)` for
+  state i; the `class_masks` entry of every agent without links.
 
 Each `trans` entry is checked on its own (known states, one available
 action per agent) only when the table cannot be built from the entries
@@ -52,10 +54,10 @@ class ModelError(ValueError):
 class Cegm:
     """An explicit-state concurrent game model with epistemic relations.
 
-    Immutable after construction; all queries are read-only. `menus`,
-    `moves`, `preds` and `class_masks` are the tables described in the
-    module docstring; `moves` is the only stored transition function and
-    `class_masks` the only stored partition, read by the queries per call.
+    Immutable after construction; all queries are read-only. Its tables are
+    described in the module docstring; `moves` is the only stored transition
+    function and `class_masks` the only stored epistemic relation, read by
+    the queries per call.
     """
 
     def __init__(
@@ -161,7 +163,11 @@ class Cegm:
                 parent[x] = x = parent[parent[x]]
             return x
 
-        for a, q, q2 in obs:
+        for link in obs:
+            link = tuple(_not_string(link, "observation link"))
+            if len(link) != 3:
+                raise ModelError(f"observation link {link} must name an agent and two states")
+            a, q, q2 = link
             if a not in parents:
                 raise ModelError(f"observation link for unknown agent {a}")
             if q not in index or q2 not in index:
@@ -171,12 +177,12 @@ class Cegm:
 
         # every state's own class: each agent without links has only these,
         # and the others share them at their unlinked states
-        single_masks = tuple(zip(zip(range(len(states))), bits))
+        self.singletons = singletons = tuple(zip(zip(range(len(states))), bits))
         self.class_masks = {}
         for a, row in zip(agents, rows):
             parent = parents[a]
             if not parent:
-                self.class_masks[a] = single_masks
+                self.class_masks[a] = singletons
                 continue
             groups = {}  # each class's state indices, in order of its first state
             for i, q in enumerate(states):
@@ -184,7 +190,7 @@ class Cegm:
             masks = []
             for idx in groups.values():
                 if len(idx) == 1:
-                    masks.append(single_masks[idx[0]])
+                    masks.append(singletons[idx[0]])
                     continue
                 if len(set(map(row.__getitem__, idx))) > 1:
                     raise ModelError(

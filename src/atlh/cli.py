@@ -307,8 +307,6 @@ def main(argv=None) -> int:
         return args.run(args)
     except _ERRORS as exc:
         return _fail(str(exc))
-    except RecursionError:
-        return _fail("formula or its translation nested too deeply to process")
 
 
 if __name__ == "__main__":

@@ -16,12 +16,12 @@ from operator import attrgetter, is_
 
 CMPS = ("<", "<=", ">", ">=", "=")
 
-# Deepest formula the parser accepts. The parser recurses up to four times per
-# parenthesis, so this stays far below Python's default recursion limit of
-# 1000. Nothing else recurses over a formula: `==` and `hash` run on
-# `subformula_rows`, and the other walkers keep their own stacks too (`fold`
-# runs on those rows, and `pretty_print`), so translations may build far
-# deeper ones.
+# Deepest formula the parser accepts. The parser recurses up to five times per
+# level (`H[a] = 1 {…}`, `<a> (… U p)`), about 505 frames at the deepest
+# accepted nesting: half of Python's default recursion limit of 1000. Nothing
+# else recurses over a formula: `==` and `hash` run on `subformula_rows`, and
+# the other walkers keep their own stacks too (`fold` runs on those rows, and
+# `pretty_print`), so translations may build far deeper ones.
 MAX_DEPTH = 100
 
 

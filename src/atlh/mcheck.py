@@ -8,10 +8,13 @@ union, over the coalition's memoryless strategies, of the states each
 strategy validates; one search, `_search`, computes it for `label`,
 `check`, `find_witness` and `atlh check`.
 
-A choice point is where the coalition chooses: a member's epistemic class
-(`ir`) or state (`Ir`) with two or more available actions. A strategy picks
-one action at each choice point and plays the one available action at every
-other state, so the choice points span the whole strategy space.
+A strategy mode is the partition a member's memoryless strategy is uniform
+over: its epistemic classes (`ir`) or single states (`Ir`). A choice point
+is a block of it where a member has two or more actions; a strategy picks
+one action at each and plays the one available action elsewhere, so the
+choice points span the strategy space. A success scope gives each state the
+start set a strategy must win from: the state itself (objective), or the
+states some member considers possible there (subjective).
 
 The search's bound is the winning region of the game in which every state
 may use any of its coalition moves: a controllable-predecessor fixpoint (X
@@ -37,17 +40,18 @@ that validates the queried state: the first one that search reaches. It
 is searched for only when asked for (`find_witness`, `atlh check`), or
 when the bound is not the union.
 
-Each labelling pass builds one coalition engine per coalition, from what
-the model built once: its choice points are the model's class masks
-(`Cegm.class_masks`) in `ir` mode and single states in `Ir` mode, those
-where the member's menu (`Cegm.menus`) has two or more actions, and its
-predecessor masks are the model's (`Cegm.preds`). Its one table, the
-successor masks per state, starts as the model's move table (`Cegm.moves`,
-target bits in the product order of the agents' menus). Only the rows where
-the opponents have several choices are merged, one group of rows with the
-same menus (`Cegm.menus`) at a time. No row records an action: its position
-in product order is the action. Every search reads that table by state
-index. Engines point at their model and are never kept on it.
+Each labelling pass builds one coalition engine per coalition from its
+`CheckOptions`, the one place either option is read, and from what the
+model built once. Its choice points are the blocks of the mode's partition
+(`Cegm.class_masks` in `ir`, `Cegm.singletons` in `Ir`) where the member's
+menu (`Cegm.menus`) has two or more actions; in subjective scope it carries
+the start sets. Its predecessor masks are the model's (`Cegm.preds`). Its
+one table, the successor masks per state, starts as the model's move table
+(`Cegm.moves`, target bits in the product order of the agents' menus).
+Only the rows where the opponents have several choices are merged, one
+group of rows with the same menus (`Cegm.menus`) at a time. No row records
+an action: its position in product order is the action. Engines point at
+their model and are never kept on it.
 """
 
 from __future__ import annotations
@@ -219,44 +223,41 @@ def hartley_classes(model: Cegm, agent: str, state: str, beta_labels) -> int:
 
 
 class _CoalitionEngine:
-    """Choice points and the successor table for one coalition on one model.
+    """Choice points, start sets and the successor table for one coalition
+    on one model under one `CheckOptions`.
 
-    A strategy is a tuple of actions, one per choice point: a coalition
-    agent's epistemic class in `ir` mode, or single state in `Ir` mode, where
-    it has two or more actions. A choice point is `(agent, state indices
-    ascending, actions, state mask)`; in `ir` mode the indices and mask are
-    the model's (`Cegm.class_masks`); the points come in agent order, and
-    `per_state` says that none spans two states. `succs[i]` holds, per
-    coalition choice at state i in the product order of the members' menus,
-    the states reachable under any opponent response: the model's row
-    (`Cegm.moves`) where the opponents have one choice, else its targets
-    merged by position, the same positions for all rows with the same menus
-    (`Cegm.menus[i]`). `preds` is the model's (`Cegm.preds`). Both are
-    built once; the searches read them and never rebuild them.
+    A strategy is a tuple of actions, one per choice point: a block of the
+    mode's partition where a coalition agent has two or more actions. A
+    choice point is `(agent, state indices ascending, actions, state mask)`,
+    the model's entry for the block; the points come in agent order, and
+    `per_state` says that none spans two states. `starts[i]`, in subjective
+    scope, is the union of the members' classes at state i; `starts` is None
+    in objective scope. `succs[i]` holds, per coalition choice at state i in
+    the product order of the members' menus, the states reachable under any
+    opponent response: the model's row (`Cegm.moves`) where the opponents
+    have one choice, else its targets merged by position, the same positions
+    for all rows with the same menus (`Cegm.menus[i]`). `preds` is the
+    model's (`Cegm.preds`). All are built once and never rebuilt.
     """
 
-    def __init__(self, model: Cegm, coalition, mode: str):
+    def __init__(self, model: Cegm, coalition, opts: CheckOptions):
         self.model = model
         members = set(coalition)
         self.coalition = tuple(a for a in model.agents if a in members)
         cols = [j for j, a in enumerate(model.agents) if a in members]
         menus = model.menus
         n = len(menus)
+        ir = opts.strategy_mode == "ir"
         self.choice_points = points = []
-        # strategies are free per state: no choice point spans two states
-        self.per_state = True
+        wide = False  # some choice point spans two states
         for j in cols:
             a = model.agents[j]
-            if mode == "Ir":
-                column = list(map(itemgetter(j), menus))
-                every = zip(repeat(a), zip(range(n)), column, map((1).__lshift__, range(n)))
-                points += compress(every, map((1).__lt__, map(len, column)))
-                continue
-            for idx, mask in model.class_masks[a]:
+            for idx, mask in model.class_masks[a] if ir else model.singletons:
                 options = menus[idx[0]][j]
                 if len(options) > 1:
-                    self.per_state = self.per_state and len(idx) == 1
                     points.append((a, idx, options, mask))
+                    wide = wide or len(idx) > 1
+        self.per_state = not wide  # strategies are free per state
         rows = model.moves
         self.succs = succs = list(rows)
         # merge the rows where the opponents have several choices, one
@@ -283,18 +284,13 @@ class _CoalitionEngine:
             for i, masks in zip(idxs, merged):
                 succs[i] = masks
         self.preds = model.preds
-        self._start_masks = None
-
-    def start_masks(self) -> list[int]:
-        """Subjective start set per state: union of members' classes."""
-        if self._start_masks is None:
-            masks = [0] * len(self.model.states)
+        self.starts = None
+        if opts.success_scope == "subjective":
+            self.starts = starts = [0] * n
             for a in self.coalition:
-                for idx, mask in self.model.class_masks[a]:
+                for idx, mask in model.class_masks[a]:
                     for i in idx:
-                        masks[i] |= mask
-            self._start_masks = masks
-        return self._start_masks
+                        starts[i] |= mask
 
     def strategy_from(self, choices) -> Strategy:
         """The strategy playing `choices`, one per choice point in order,
@@ -371,13 +367,14 @@ def _grow(succs, pred, hold: int, goal: int, z: int, seeds: int) -> int:
     return z
 
 
-def _narrow(engine: _CoalitionEngine, succs, kind: str, args, scope: str, now, fixed: int):
+def _narrow(engine: _CoalitionEngine, succs, kind: str, args, now, fixed: int):
     """`now` is `(region, gpart, valid)`: the winning region, for FG the
     G-region of the invariant whose goal states it reaches (0 for the other
-    kinds), and the states whose start set lies inside the region, all for
-    the moves before the states in `fixed` lost some of theirs. Returns the
-    same triple for `succs`, recomputed only on the states whose membership
-    the lost moves can change.
+    kinds), and the states whose start set (`engine.starts`, or the state
+    alone in objective scope) lies inside the region, all for the moves
+    before the states in `fixed` lost some of theirs. Returns the same
+    triple for `succs`, recomputed only on the states whose membership the
+    lost moves can change.
 
     This is the one routine that computes a region: from the all-states
     triple `(full, full, full)` with every state fixed it computes the
@@ -396,12 +393,12 @@ def _narrow(engine: _CoalitionEngine, succs, kind: str, args, scope: str, now, f
         g = _shrink(succs, pred, gpart & inv, fixed)
         seeds = fixed | goal & gpart & ~g
         w = _grow(succs, pred, (1 << len(succs)) - 1, goal & g, region, seeds)
-    if scope == "objective":
+    if engine.starts is None:
         return w, g, w
     # start sets are unions of the members' classes, so i's holds j exactly
     # when j's holds i: the states whose start set lost a state are those
     # in the start sets of the states lost
-    return w, g, valid & ~_gather(engine.start_masks(), region & ~w)
+    return w, g, valid & ~_gather(engine.starts, region & ~w)
 
 
 def _reachable(succs, start: int) -> int:
@@ -417,9 +414,7 @@ def _reachable(succs, start: int) -> int:
     return seen
 
 
-def _first_winner(
-    engine: _CoalitionEngine, kind: str, args, scope: str, at: int, now, exact: bool
-):
+def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now, exact: bool):
     """First choice tuple, in `enumerate_strategies` order, whose validated
     states include state index `at`, with those states, or None if there is
     none.
@@ -461,9 +456,9 @@ def _first_winner(
     goal state needs.) The states returned are then a superset of the
     winner's; without `exact` they are the winner's own.
 
-    Without `exact` a choice point none of whose states the start set (`at`,
-    or in subjective scope the states of its start set) reaches under the
-    moves left keeps its first action, untested, and is never revisited:
+    Without `exact` a choice point none of whose states `at`'s start set
+    (`at` itself, or `engine.starts[at]` in subjective scope) reaches under
+    the moves left keeps its first action, untested, and is never revisited:
     whether a strategy extending the prefix validates `at` does not depend
     on it, so the first winner, if any, plays its first action there.
     """
@@ -474,7 +469,7 @@ def _first_winner(
     pending = 0  # states fixed, untested, since `now` was computed
     reach = None
     if not exact:
-        start = 1 << at if scope == "objective" else engine.start_masks()[at]
+        start = 1 << at if engine.starts is None else engine.starts[at]
         reach = _reachable(succs, start)
     # per fixed choice point: action index, index to resume from on
     # backtrack, the rows it replaced, the search state before it, and the
@@ -501,7 +496,7 @@ def _first_winner(
             if unreached or exact and (last or not now[0] & fixed):
                 pending |= fixed
                 continue
-            nxt = _narrow(engine, succs, kind, args, scope, now, pending | fixed)
+            nxt = _narrow(engine, succs, kind, args, now, pending | fixed)
             if nxt[2] >> at & 1:
                 now, pending = nxt, 0
                 if reach is not None and fixed & reach:
@@ -515,11 +510,11 @@ def _first_winner(
         for q, row in kept:
             succs[q] = row
     if pending and not exact:
-        now = _narrow(engine, succs, kind, args, scope, now, pending)
+        now = _narrow(engine, succs, kind, args, now, pending)
     return tuple(points[k][2][frame[0]] for k, frame in enumerate(stack)), now[2]
 
 
-def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at):
+def _search(engine: _CoalitionEngine, kind: str, args, want: int, at):
     """Union of the states each strategy validates, exact on `want`, and the
     first strategy (a choice tuple, in `enumerate_strategies` order) whose
     validated states include state index `at`; `at=None` asks for no
@@ -535,14 +530,14 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     that of the winners found.
     """
     full = engine.model.full_mask
-    now = _narrow(engine, engine.succs, kind, args, scope, (full, full, full), full)
+    now = _narrow(engine, engine.succs, kind, args, (full, full, full), full)
     bound = now[2]
     exact = engine.per_state and kind != "FG"
     first = None
     union = 0
     todo = want & bound
     if at is not None and bound >> at & 1:
-        found = _first_winner(engine, kind, args, scope, at, now, exact)
+        found = _first_winner(engine, kind, args, at, now, exact)
         if found is not None:
             first, union = found
         todo &= ~(1 << at)
@@ -551,7 +546,7 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
     todo &= ~union
     while todo:
         q = (todo & -todo).bit_length() - 1
-        found = _first_winner(engine, kind, args, scope, q, now, False)
+        found = _first_winner(engine, kind, args, q, now, False)
         if found is not None:
             union |= found[1]
         todo &= ~union & ~(1 << q)
@@ -559,10 +554,10 @@ def _search(engine: _CoalitionEngine, kind: str, args, scope: str, want: int, at
 
 
 def enumerate_strategies(model: Cegm, coalition, opts: CheckOptions | None = None):
-    """Yield each collective strategy exactly once, in deterministic order."""
+    """Yield each collective strategy of the mode exactly once, in deterministic order."""
     opts = opts or CheckOptions()
     _require_agents(model, coalition)
-    engine = _CoalitionEngine(model, coalition, opts.strategy_mode)
+    engine = _CoalitionEngine(model, coalition, CheckOptions(opts.strategy_mode))
     for choices in product(*(options for (_, _, options, _) in engine.choice_points)):
         yield engine.strategy_from(choices)
 
@@ -686,10 +681,10 @@ def label_masks(
             coal = g.coalition
             engine = engines.get(coal)
             if engine is None:
-                engine = engines[coal] = _CoalitionEngine(model, coal, opts.strategy_mode)
+                engine = engines[coal] = _CoalitionEngine(model, coal, opts)
             root = g is f
             mask, choices = _search(
-                engine, _KINDS[t], [masks[k] for k in kids], opts.success_scope,
+                engine, _KINDS[t], [masks[k] for k in kids],
                 want if root else full, witness_at if root else None,
             )
             if choices is not None:

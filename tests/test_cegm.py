@@ -63,6 +63,14 @@ def test_classes_partition_states(fig1):
             assert q in fig1.epistemic_class(a, q)
 
 
+def test_singletons_are_each_states_own_class(fig1):
+    # entry i is state i's own class; v has no observation links, so they
+    # are its classes, and c's unlinked state s0 keeps its own
+    assert fig1.singletons == (((0,), 0b001), ((1,), 0b010), ((2,), 0b100))
+    assert fig1.class_masks["v"] == fig1.singletons
+    assert fig1.class_masks["c"] == (fig1.singletons[0], ((1, 2), 0b110))
+
+
 def test_moves_rows(fig1):
     # per state, the bit of each available joint action's target, in the
     # product order of the agents' menus: an entry's position is its profile
@@ -355,6 +363,13 @@ CONSTRUCTOR_ERRORS = [
     (
         {"trans": {**FIG1_ARGS["trans"], ("s1", "ee"): "s1"}},
         "action profile at s1 must be a collection of names, not the string 'ee'",
+    ),
+    # an observation link is one agent and two states
+    ({"obs": ["cs1"]}, "observation link must be a collection of names, not the string 'cs1'"),
+    ({"obs": [("c", "s1")]}, "observation link ('c', 's1') must name an agent and two states"),
+    (
+        {"obs": [("c", "s1", "s2", "s0")]},
+        "observation link ('c', 's1', 's2', 's0') must name an agent and two states",
     ),
 ]
 

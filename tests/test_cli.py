@@ -431,6 +431,16 @@ def test_deeply_nested_formula_is_a_clean_error(fig1_path, tmp_path, text):
     assert run.stdout == ""
 
 
+def test_deepest_accepted_nesting_runs_cleanly(fig1_path, tmp_path):
+    # 99 nested H operators, the deepest the parser accepts and the construct
+    # it recurses on most, are parsed, labelled and printed
+    formula = tmp_path / "deep.atlh"
+    formula.write_text("H[c] = 1 {" * 99 + "Voted" + "}" * 99, encoding="utf-8")
+    run = _run_cli("check", "--model", fig1_path, "--formula-file", str(formula))
+    assert run.returncode in (0, 1)
+    assert run.stderr == ""
+
+
 def test_deep_translation_within_the_cap_prints():
     # a 1,820-term disjunction, far deeper than the recursion limit
     run = _run_cli("translate", "--dir", "h2k", "--formula", "H[a] = log(4) {p1, p2, p3, p4}")

@@ -218,6 +218,14 @@ def test_nesting_up_to_the_bound_parses():
     assert parse_formula(pretty_print(g)) == g
     h = parse_formula(" | ".join(["p"] * MAX_DEPTH))
     assert parse_formula(pretty_print(h)) == h
+    # the constructs the parser recurses deepest on, five frames per level
+    # for H and U and four for parentheses: 99 levels stay within the limit
+    k = MAX_DEPTH - 1
+    assert parse_formula("(" * k + "p" + ")" * k) == parse_formula("p")
+    for text in ("H[a] = 1 {" * k + "p" + "}" * k, "<a> (" * k + "p" + " U q)" * k):
+        deep = parse_formula(text)
+        assert formula_length(deep) > k
+        assert parse_formula(pretty_print(deep)) == deep
 
 
 @pytest.mark.parametrize(

@@ -957,7 +957,7 @@ def test_fg_with_invariant_true_labels_as_reachability():
         fg, reach = CoalFG(coal, x, TrueF()), CoalU(coal, TrueF(), x)
         for opts in COMBOS:
             assert label(model, fg, opts)[fg] == label(model, reach, opts)[reach], (fg, opts)
-        binding += not _CoalitionEngine(model, coal, "ir").per_state
+        binding += not _CoalitionEngine(model, coal, CheckOptions()).per_state
     assert binding >= 30, binding
 
 
@@ -1010,7 +1010,7 @@ def test_uniformity_binding_models_match_oracle():
     for i in range(2000):
         model = _binding_model(rng)
         coal = ("a0",) if len(model.agents) == 1 or i % 2 else ("a0", "a1")
-        assert not _CoalitionEngine(model, coal, "ir").per_state
+        assert not _CoalitionEngine(model, coal, CheckOptions()).per_state
         kind = STRATEGIC[i % 4]
         f = kind(coal, *(rng.choice(literals) for _ in range(1 if kind in (CoalX, CoalG) else 2)))
         binds = _uniformity_binds(model, f)
@@ -1108,11 +1108,11 @@ def test_local_recompute_matches_from_scratch():
         # the `Ir` reference's rows serve both modes: rows do not depend on it
         keyed = _reference_engine(model, coal, "Ir")[2]
         for mode, scope in product(("ir", "Ir"), ("objective", "subjective")):
-            engine = _CoalitionEngine(model, coal, mode)
+            engine = _CoalitionEngine(model, coal, CheckOptions(mode, scope))
             fixes = []
             now = _from_scratch(engine, _restricted_succs(engine, keyed, []), kind, args, scope)
             full = model.full_mask
-            assert _narrow(engine, engine.succs, kind, args, scope, (full,) * 3, full) == now
+            assert _narrow(engine, engine.succs, kind, args, (full,) * 3, full) == now
             pending = []  # fixes made since `now` was computed
             for point in engine.choice_points:
                 for picked in point[2]:
@@ -1120,7 +1120,7 @@ def test_local_recompute_matches_from_scratch():
                     fixed = point[3]
                     for p, _ in pending:
                         fixed |= p[3]
-                    got = _narrow(engine, succs, kind, args, scope, now, fixed)
+                    got = _narrow(engine, succs, kind, args, now, fixed)
                     assert got == _from_scratch(engine, succs, kind, args, scope), (kind, mode, scope)
                     tried += 1
                 fix = (point, rng.choice(point[2]))
@@ -1157,7 +1157,7 @@ def test_fixpoint_work_is_linear_in_the_model(monkeypatch):
     until nothing changes need about 33 n for F on this model."""
     n = 2000
     model = _layered(n)
-    edges = sum(p.bit_count() for p in _CoalitionEngine(model, ("a0",), "Ir").preds)
+    edges = sum(p.bit_count() for p in _CoalitionEngine(model, ("a0",), CheckOptions("Ir")).preds)
     real = mcheck._cpre
     tested = 0
 
@@ -1220,15 +1220,20 @@ def test_engine_matches_reference_projection(fig1, m1, m2):
     successor and predecessor masks and start sets equal those of the
     one-joint-action-at-a-time reference. The reference's rows hold the
     coalition's choices in the product order of the members' menus, which
-    `_first_winner`'s slicing relies on. Each agent's class masks partition
-    the states in `epistemic_classes` order."""
+    `_first_winner`'s slicing relies on. Start sets are built in subjective
+    scope only. Each agent's class masks partition the states in
+    `epistemic_classes` order, and `Cegm.singletons` holds each state's own
+    class, the class masks of every agent without observation links."""
     rng = Random(9151)
     models = [random_cegm(rng, max_states=6, max_agents=3, max_actions=3) for _ in range(300)]
     models += [fig1, m1, m2, gen_threeballot(), _layered(40)]
     for model in models:
+        assert model.singletons == tuple(((i,), 1 << i) for i in range(len(model.states)))
         for a in model.agents:
             classes = model.epistemic_classes(a)
             entries = model.class_masks[a]
+            if all(len(cls) == 1 for cls in classes):
+                assert entries == model.singletons
             assert [m for _, m in entries] == [model.mask(cls) for cls in classes]
             assert [idx for idx, _ in entries] == [
                 tuple(sorted(map(model.state_index.__getitem__, cls))) for cls in classes
@@ -1241,16 +1246,21 @@ def test_engine_matches_reference_projection(fig1, m1, m2):
         for k in range(len(model.agents) + 1):
             for coalition in combinations(model.agents, k):
                 for mode in ("ir", "Ir"):
-                    engine = _CoalitionEngine(model, coalition, mode)
+                    engine = _CoalitionEngine(model, coalition, CheckOptions(mode, "subjective"))
                     got = (
                         engine.choice_points,
                         engine.per_state,
                         engine.succs,
                         list(engine.preds),
-                        engine.start_masks(),
+                        engine.starts,
                     )
                     points, per_state, keyed, *want = _reference_engine(model, coalition, mode)
                     assert got == (points, per_state, *want), (coalition, mode)
+                    # objective scope: the same engine without start sets
+                    objective = _CoalitionEngine(model, coalition, CheckOptions(mode))
+                    assert objective.starts is None
+                    assert objective.choice_points == points
+                    assert objective.succs == engine.succs
                     members = [a for a in model.agents if a in coalition]
                     for q, row in zip(model.states, keyed):
                         menus = [model.avail(a, q) for a in members]
@@ -1269,7 +1279,7 @@ def test_choice_points_are_real_choices(fig1, m1, m2):
         for k in range(len(model.agents) + 1):
             for coalition in combinations(model.agents, k):
                 for mode in ("ir", "Ir"):
-                    points = _CoalitionEngine(model, coalition, mode).choice_points
+                    points = _CoalitionEngine(model, coalition, CheckOptions(mode)).choice_points
                     assert all(len(options) > 1 for _, _, options, _ in points)
                     space = 1
                     for a in coalition:
@@ -1281,7 +1291,7 @@ def test_choice_points_are_real_choices(fig1, m1, m2):
                     assert math.prod(len(p[2]) for p in points) == space
     tb = gen_threeballot()
     counts = {
-        (coalition, mode): len(_CoalitionEngine(tb, coalition, mode).choice_points)
+        (coalition, mode): len(_CoalitionEngine(tb, coalition, CheckOptions(mode)).choice_points)
         for coalition in (("v", "c"), ("w",))
         for mode in ("ir", "Ir")
     }
