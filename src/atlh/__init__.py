@@ -2,6 +2,7 @@
 
 from atlh.cegm import Cegm, ModelError, load_model, save_model
 from atlh.formula import (
+    AtlhError,
     Formula,
     FormulaError,
     LogOfCount,
@@ -25,6 +26,7 @@ from atlh.succinct import SuccinctError, fsg_min_win, gen_Mn, gen_Nnj, min_mel_f
 from atlh.translate import TranslateError, check_translation_equivalence, h_to_k, k_to_h
 
 __all__ = [
+    "AtlhError",
     "Cegm",
     "CheckError",
     "CheckOptions",

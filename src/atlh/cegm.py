@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .formula import _is_name
+from .formula import AtlhError, _is_name
 
 
-class ModelError(ValueError):
+class ModelError(AtlhError):
     """Raised for malformed model text or inconsistent model data."""
 
     def __init__(self, message: str, line: int | None = None):

@@ -2,9 +2,10 @@
 the bundled experiments.
 
 Exit codes: 0 for a true verdict (or plain success), 1 for a false verdict
-(or a harness that found mismatches), 2 for any usage, parse, validation or
-cap error. Output is deterministic for a fixed command line and seed, except
-for wallclock columns.
+(or a harness that found mismatches), 2 for an `AtlhError` (any usage, parse,
+validation or cap error) or an `OSError` (a file that is missing, unreadable
+or not UTF-8 text). Output is deterministic for a fixed command line and
+seed, except for wallclock columns.
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ import functools
 import json
 import sys
 
-from .cegm import ModelError, load_model, save_model
+from .cegm import load_model, save_model
 from .formula import (
-    FormulaError,
+    AtlhError,
     formula_length,
     parse_formula,
     pretty_print,
     printed_order,
     row_texts,
 )
-from .mcheck import CheckError, CheckOptions, label_masks
+from .mcheck import CheckOptions, label_masks
 from .scenarios import (
-    ScenarioError,
     gen_referendum_double,
     gen_referendum_single,
     gen_threeballot,
@@ -33,28 +33,8 @@ from .scenarios import (
     render_infoset_table,
     threeballot_infosets,
 )
-from .succinct import SuccinctError, gen_Mn, gen_Nnj, succinctness_rows
-from .translate import (
-    TranslateError,
-    check_translation_equivalence,
-    h_to_k,
-    k_to_h,
-)
-
-_ERRORS = (
-    FormulaError,
-    ModelError,
-    CheckError,
-    TranslateError,
-    SuccinctError,
-    ScenarioError,
-    OSError,
-)
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+from .succinct import gen_Mn, gen_Nnj, succinctness_rows
+from .translate import check_translation_equivalence, h_to_k, k_to_h
 
 
 def _options(args) -> CheckOptions:
@@ -63,12 +43,12 @@ def _options(args) -> CheckOptions:
 
 def _formula_text(args) -> str:
     if args.formula is not None and args.formula_file is not None:
-        raise FormulaError("both --formula and --formula-file given; pick one")
+        raise AtlhError("both --formula and --formula-file given; pick one")
     if args.formula is not None:
         return args.formula
     if args.formula_file is not None:
         return _read(args.formula_file)
-    raise FormulaError("no formula given; use --formula or --formula-file")
+    raise AtlhError("no formula given; use --formula or --formula-file")
 
 
 def _csv_quote(cell: str) -> str:
@@ -131,7 +111,7 @@ def cmd_translate(args) -> int:
     result = h_to_k(f, node_cap=args.cap_nodes) if args.dir == "h2k" else k_to_h(f)
     sizes = (formula_length(f), formula_length(result))
     if sizes[1] > args.cap_nodes:
-        raise TranslateError(f"translation has {sizes[1]} nodes, over the cap {args.cap_nodes}")
+        raise AtlhError(f"translation has {sizes[1]} nodes, over the cap {args.cap_nodes}")
     text = pretty_print(result)
     if args.output == "json-lines":
         print(
@@ -173,13 +153,13 @@ def _gen(build):
 
 def _gen_Mn(args):
     if args.n is None:
-        raise SuccinctError("gen Mn needs --n")
+        raise AtlhError("gen Mn needs --n")
     return gen_Mn(args.n)
 
 
 def _gen_Nnj(args):
     if args.n is None or args.j is None:
-        raise SuccinctError("gen Nnj needs --n and --j")
+        raise AtlhError("gen Nnj needs --n and --j")
     return gen_Nnj(args.n, args.j)
 
 
@@ -300,13 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    for name in _POSITIVE:
-        if getattr(args, name, 1) < 1:
-            return _fail(f"--{name.replace('_', '-')} must be positive")
     try:
+        for name in _POSITIVE:
+            if getattr(args, name, 1) < 1:
+                raise AtlhError(f"--{name.replace('_', '-')} must be positive")
         return args.run(args)
-    except _ERRORS as exc:
-        return _fail(str(exc))
+    except (AtlhError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,13 @@ CMPS = ("<", "<=", ">", ">=", "=")
 MAX_DEPTH = 100
 
 
-class FormulaError(ValueError):
+class AtlhError(ValueError):
+    """The base of every fault atlh reports: bad input text, an ill-formed
+    model or formula, an argument out of range, or a blown cap. The command
+    line reports each one as an `error:` line with exit code 2."""
+
+
+class FormulaError(AtlhError):
     """Raised for malformed formula text or ill-formed AST nodes."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -828,10 +834,8 @@ class _Parser:
         self.open += 1
         if self.open > MAX_DEPTH:
             raise self.too_deep(self.peek())
-        try:
-            f = self.parse_atom()
-        finally:
-            self.open -= 1
+        f = self.parse_atom()
+        self.open -= 1
         for tok in reversed(nots):
             f = self.make(tok, Not, (), f)
         return f

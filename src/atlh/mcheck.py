@@ -67,6 +67,7 @@ from operator import itemgetter, or_
 from .cegm import Cegm
 from .formula import (
     And,
+    AtlhError,
     Atom,
     CoalFG,
     CoalG,
@@ -80,16 +81,16 @@ from .formula import (
     MutualKnows,
     Not,
     Or,
-    Real,
     Threshold,
     TrueF,
-    printed_order,
-    row_texts,
+    _length,
+    _row_values,
+    pretty_print,
     subformula_rows,
 )
 
 
-class CheckError(ValueError):
+class CheckError(AtlhError):
     """Raised when a formula does not fit the model (unknown atom or agent)."""
 
 
@@ -636,7 +637,8 @@ def label_masks(
 
     Every row is checked against the model (`_fault`) before any is
     labelled. A formula with several unknown names is reported by the first
-    faulty subformula in printed order; the rows are printed only then.
+    faulty subformula in printed order; only then are the faulty rows of
+    least length printed, to break ties.
     Each row is labelled after one test of its node's class, the most
     frequent classes first, and reads its children's masks by row number.
     """
@@ -647,8 +649,11 @@ def label_masks(
         at = model.state_index[state]
     rows = subformula_rows(f)
     if _fault(model, map(itemgetter(0), rows)):
-        order = printed_order(rows, row_texts(rows))
-        raise CheckError(_fault(model, [rows[i][0] for i in order]))
+        lengths = _row_values(rows, _length)
+        faulty = [i for i, (g, _) in enumerate(rows) if _fault(model, (g,))]
+        least = min(lengths[i] for i in faulty)
+        g = min((rows[i][0] for i in faulty if lengths[i] == least), key=pretty_print)
+        raise CheckError(_fault(model, (g,)))
     full = model.full_mask
     want = full if exact or at is None else 1 << at
     witness_at = at if witness else None

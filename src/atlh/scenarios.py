@@ -12,14 +12,14 @@ computed.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import combinations
 
 from .cegm import Cegm
-from .formula import Formula, parse_formula, pretty_print
+from .formula import AtlhError, Formula, parse_formula
 from .mcheck import check
 
 
-class ScenarioError(ValueError):
+class ScenarioError(AtlhError):
     """Raised for unknown variant or option names."""
 
 
@@ -174,7 +174,7 @@ def gen_threeballot(coercer_obs: str = "board") -> Cegm:
     worlds = _worlds()
 
     states = ["q0"]
-    avail = {("w", "q0"): ["eps"], ("c", "q0"): ["eps"]}
+    avail = {("w", "q0"): ["eps"]}
     trans = {}
     avail[("v", "q0")] = fill_actions
     for vote1, bs1 in fills:
@@ -184,21 +184,19 @@ def gen_threeballot(coercer_obs: str = "board") -> Cegm:
         receipts = list(dict.fromkeys(bs1))
         avail[("v", bstate)] = receipts
         avail[("w", bstate)] = ["eps"]
-        avail[("c", bstate)] = ["eps"]
         for receipt in receipts:
             rstate = f"r_{_vote_fill_action(vote1, bs1)}_{receipt}"
             states.append(rstate)
             trans[bstate, (receipt, "eps", "eps")] = rstate
             avail[("v", rstate)] = ["eps"]
             avail[("w", rstate)] = fill_actions
-            avail[("c", rstate)] = ["eps"]
 
     for vote1, bs1, receipt, vote2, bs2, terminal in worlds:
         states.append(terminal)
         rstate = f"r_{_vote_fill_action(vote1, bs1)}_{receipt}"
         trans[rstate, ("eps", _vote_fill_action(vote2, bs2), "eps")] = terminal
         trans[terminal, ("eps", "eps", "eps")] = terminal
-        for agent in ("v", "w", "c"):
+        for agent in ("v", "w"):
             avail[agent, terminal] = ["eps"]
 
     obs = []

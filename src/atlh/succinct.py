@@ -20,6 +20,7 @@ from math import factorial, prod
 
 from .cegm import Cegm
 from .formula import (
+    AtlhError,
     Atom,
     Formula,
     Hartley,
@@ -32,7 +33,7 @@ from .formula import (
 from .translate import TranslateError, h_to_k
 
 
-class SuccinctError(ValueError):
+class SuccinctError(AtlhError):
     """Raised for out-of-range family parameters or blown engine caps."""
 
 
@@ -326,8 +327,6 @@ class _FsgSearch:
 
     def solve(self, C: int, D: int, budget: int):
         """Exact minimal win size if it is <= budget, else None."""
-        if budget < 1:
-            return None
         key = (C, D)
         cached = self.exact.get(key)
         if cached is not None:
@@ -623,8 +622,9 @@ EXACT_NMAX = 2
 def succinctness_rows(nmax: int, node_cap: int = 10**6):
     """One experiment row per n: formula lengths plus (for n <= EXACT_NMAX)
     the two engines' minimal knowledge-only sizes, the enumerator searching up
-    to size 40 and the game up to its answer. Values that blow a cap are None.
-    n runs up to 12, as in `gen_Mn`."""
+    to size 40 and the game up to its answer. `len_translated` is None when
+    the translation blows `node_cap`; `fsg_min` and `mel_min` are None above
+    EXACT_NMAX. n runs up to 12, as in `gen_Mn`."""
     if not 1 <= nmax <= 12:
         raise SuccinctError(f"nmax must be between 1 and 12, got {nmax}")
     rows = []
@@ -639,10 +639,8 @@ def succinctness_rows(nmax: int, node_cap: int = 10**6):
         fsg = mel = None
         if n <= EXACT_NMAX:
             A, B = separation_instance(n)
-            found = min_mel_formula(A, B, 40)
-            if found is not None:
-                mel = found[1]
-            fsg = fsg_min_win(A, B, mel if mel is not None else 2**n + 4)
+            mel = min_mel_formula(A, B, 40)[1]
+            fsg = fsg_min_win(A, B, mel)
         rows.append(
             {
                 "n": n,

@@ -17,6 +17,7 @@ from random import Random
 
 from .formula import (
     And,
+    AtlhError,
     FalseF,
     Formula,
     Hartley,
@@ -37,7 +38,7 @@ from .mcheck import CheckOptions, check, compare_log
 from .sampling import random_cegm, random_formula
 
 
-class TranslateError(ValueError):
+class TranslateError(AtlhError):
     """Raised when a translation exceeds its size caps or gets bad arguments."""
 
 
@@ -127,11 +128,7 @@ def _count_formula(literals, m: int, n: int) -> Formula:
 def h_eq_to_k(agent: str, beta, m: int) -> Formula:
     """Knowledge formula equivalent to `H[agent] = log(m) beta`, for 1 to 4 members."""
     members = list(beta)
-    alphas = phi_beta(members)
-    size = len(alphas)
-    if not 1 <= m <= size:
-        raise TranslateError(f"m must be between 1 and {size}, got {m}")
-    return _count_formula(_literals(agent, alphas), m, len(members))
+    return _count_formula(_literals(agent, phi_beta(members)), m, len(members))
 
 
 def _expansion_size(alpha_sizes, counts, n: int) -> int:

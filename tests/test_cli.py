@@ -613,6 +613,19 @@ def test_translate_cap_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_any_atlh_error_exits_2(monkeypatch, capsys):
+    # exit 2 follows the class hierarchy, not a list of the classes known today
+    class NewError(atlh.AtlhError):
+        pass
+
+    def fail(f, node_cap):
+        raise NewError("a fault from a new module")
+
+    monkeypatch.setattr(cli, "h_to_k", fail)
+    assert main(["translate", "--dir", "h2k", "--formula", "p"]) == 2
+    assert capsys.readouterr() == ("", "error: a fault from a new module\n")
+
+
 def test_translate_json_output(capsys):
     assert (
         main(

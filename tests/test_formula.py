@@ -610,6 +610,11 @@ def test_equal_formulas_hash_equal(f):
     assert Not(f) != f and f != Not(f)
 
 
+def test_formulas_and_thresholds_differ_from_other_types():
+    assert (Atom("p") == 3, Atom("p") != 3) == (False, True)
+    assert (Real(1) == 1, LogOfCount(2) == "log(2)") == (False, False)
+
+
 @given(_formulas(3))
 def test_subformulas_include_self_last(f):
     subs = subformulas_by_length(f)

@@ -4,6 +4,7 @@ import ast
 import decimal
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -427,6 +428,20 @@ def test_first_fault_in_printed_order(fig1, text, message):
         with pytest.raises(CheckError) as exc:
             run()
         assert str(exc.value) == message
+
+
+def test_first_fault_of_a_large_formula_prints_little(fig1):
+    # a 356,719-node translation: printing every row would take about 900 MB
+    f = h_to_k(parse_formula("H[c] = log(4) {V_A, Voted, zz, p2}"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckError) as exc:
+            check(fig1, "s0", f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "unknown atom p2"
+    assert peak < 50 * 2**20
 
 
 def test_unknown_atom_and_agent(fig1):

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from atlh.cegm import save_model
+from atlh.cegm import Cegm, save_model
 from atlh.formula import (
     Atom,
     Knows,
@@ -212,6 +212,16 @@ def test_mel_on_handmade_split():
     b = [PointedModel(m, "q0")]
     assert min_mel_formula(a, b, 6) == (Or(Atom("p_1"), Atom("p_2")), 3)
     assert fsg_min_win(a, b, 3) == 3
+
+
+def test_engines_agree_on_models_that_share_no_agent():
+    # with no common agent there are no classes, so no atom symmetries
+    a = Cegm(["a"], ["x", "y"], "x", {"a": ["e"]}, None,
+             {("x", ("e",)): "x", ("y", ("e",)): "y"}, (), ["p"], {"p": ["x"]})
+    b = Cegm(["b"], ["u"], "u", {"b": ["e"]}, None, {("u", ("e",)): "u"}, (), ["p"], {"p": []})
+    x, u = [PointedModel(a, "x")], [PointedModel(b, "u")]
+    assert (fsg_min_win(x, u, 5), min_mel_formula(x, u, 5)) == (1, (Atom("p"), 1))
+    assert (fsg_min_win(u, x, 5), min_mel_formula(u, x, 5)) == (2, (Not(Atom("p")), 2))
 
 
 def _random_sides(rng):
