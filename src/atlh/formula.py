@@ -12,13 +12,14 @@ import re
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import attrgetter, is_
 
 CMPS = ("<", "<=", ">", ">=", "=")
 
-# Deepest formula the parser accepts. The parser recurses up to five times per
-# level (`H[a] = 1 {…}`, `<a> (… U p)`), about 505 frames at the deepest
-# accepted nesting: half of Python's default recursion limit of 1000. Nothing
+# Deepest formula the parser accepts. The parser recurses up to four times per
+# level (`H[a] = 1 {…}`, `<a> (… U p)`), about 405 frames at the deepest
+# accepted nesting: well within Python's default recursion limit of 1000. Nothing
 # else recurses over a formula: `==` and `hash` run on `subformula_rows`, and
 # the other walkers keep their own stacks too (`fold` runs on those rows, and
 # `pretty_print`), so translations may build far deeper ones.
@@ -355,14 +356,17 @@ Formula = (
 
 
 class _PathG(_Node):
-    """Parse-time placeholder for a bare G inside `<A> F (...)`, with the G's position."""
+    """Parse-time placeholder for a bare G inside `<A> F (...)`.
 
-    __slots__ = __match_args__ = ("line", "col", "sub")
-    _kids = __slots__[2:]
+    `at` is the G's index among the parsed text's tokens; the bare-G error
+    turns it into a line and column (`_position`).
+    """
 
-    def __init__(self, line: int, col: int, sub: Formula):
-        _set(self, "line", line)
-        _set(self, "col", col)
+    __slots__ = __match_args__ = ("at", "sub")
+    _kids = __slots__[1:]
+
+    def __init__(self, at: int, sub: Formula):
+        _set(self, "at", at)
         _set(self, "sub", sub)
 
 
@@ -692,279 +696,316 @@ def pretty_print(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-# One token per match, after any blanks: a newline, a comment, a number, an
-# identifier, punctuation, any other character (an error), or the end. Every
-# position matches, so `finditer` skips no text, and the end branch takes
-# trailing blanks in one match instead of a search from each of them.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:(\n)|#[^\n]*|(\d+(?:\.\d+)?)|(\w+)|(<=|>=|[!&|()\[\]{}<>=,/])|(.)|\Z)"
-)
-_KINDS = (None, None, "number", "ident", "punct")
+# One token per match, after any blanks and comments: a number, an
+# identifier, `<=` or `>=`, any other single character (punctuation, or an
+# error that `_tokenize` reports), or "" at the end. Every position matches,
+# so `findall` skips no text.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(\d+(?:\.\d+)?|\w+|[<>]=|.|)")
+_PUNCT = frozenset(("", "<=", ">=", *"!&|()[]{}<>=,/"))  # and the end
+_CONNECTIVES = {"|": Or, "&": And}  # grouped by the printer's `_PREC`
 
 
-class _Token:
-    """One token: its kind ('ident', 'number', 'punct', 'eof'), text and position."""
-
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+def _is_ident(tok: str) -> bool:
+    """Whether token `tok` is an identifier: it starts with a letter or `_`."""
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Split formula text into tokens, each with its line and column.
+def _is_number(tok: str) -> bool:
+    return tok[:1].isdecimal()
 
-    Only space, tab and CR are blanks, one column each; a newline starts the
-    next line at column 1. `#` starts a comment up to the end of the line,
-    which advances no column: the end of input after a trailing comment is
-    reported at the `#`. A number is decimal digits (`str.isdecimal`),
-    optionally with a fraction part. An identifier starts with a letter
-    (`str.isalpha`) or `_` and goes on with `str.isalnum` characters or `_`.
-    Any other character is an error at its own position.
+
+def _is_word(tok: str) -> bool:
+    return _is_ident(tok) or _is_number(tok)
+
+
+def _tokenize(text: str) -> list[str]:
+    """Split formula text into tokens. A token is its text, and the end of
+    input is "" (twice if the text ends in blanks or a comment).
+
+    A token carries no position: `_position` finds its line and column
+    from its index, and only for an error. Only space, tab, CR and newline
+    are blanks, and `#` starts a comment up to the end of the line. A
+    number is decimal digits (`str.isdecimal`), optionally with a fraction
+    part. An identifier starts with a letter (`str.isalpha`) or `_` and
+    goes on with `str.isalnum` characters or `_`. Any other character is an
+    error at its own position, and the first one in the text is reported
+    before any token is parsed.
     """
-    tokens: list[_Token] = []
-    line, start = 1, 0  # start: index of the current line's first character
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind is None:  # a comment, or blanks up to the end
-            continue
-        i = m.start(kind)
-        if kind == 1:
-            line, start = line + 1, i + 1
-            continue
-        word = m.group(kind)
-        if kind == 5 or (kind == 3 and not (word[0].isalpha() or word[0] == "_")):
-            raise FormulaError(f"unexpected character {word[0]!r}", line, i - start + 1)
-        tokens.append(_Token(_KINDS[kind], word, line, i - start + 1))
-    end = text.find("#", start)
-    tokens.append(_Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
+    tokens = _TOKEN.findall(text)
+    if not all(map(_is_word, set(tokens) - _PUNCT)):  # each distinct token tested once
+        at = next(i for i, tok in enumerate(tokens) if tok not in _PUNCT and not _is_word(tok))
+        raise FormulaError(f"unexpected character {tokens[at][0]!r}", *_position(text, at))
     return tokens
 
 
+def _position(text: str, at: int) -> tuple[int, int]:
+    """The line and column of token `at` of `_tokenize(text)`, found again
+    by the same pattern.
+
+    A newline starts the next line at column 1, and every other character
+    is one column. The end of input after a trailing comment is reported at
+    the comment's `#`.
+    """
+    m = next(islice(_TOKEN.finditer(text), at, None))
+    i = m.start(1)
+    start = text.rfind("\n", 0, i) + 1  # the first character of i's line
+    if not m.group(1):  # the end
+        comment = text.find("#", start)
+        if comment >= 0:
+            i = comment
+    return text.count("\n", 0, start) + 1, i - start + 1
+
+
 class _Parser:
+    """Recursive descent over `_tokenize(text)`. A token is its text, and
+    the parser knows it by its index (`pos` is the next token's); a line
+    and column are computed from an index only when an error is raised
+    there (`error`).
+    """
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0  # parse_unary calls in progress: the parser's own recursion
-        self.nodes: dict = {}  # key -> node, see `make`; keeps every node alive
+        self.nodes: dict = {}  # key -> node (`make`) or member ids -> members; keeps each alive
         self.depths: dict = {}  # id(node) -> tree depth, as parsed
         self.bare = 0  # `_PathG` nodes made and not absorbed by an F
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int | None = None) -> FormulaError:
+        """`message` at token `at`, by default the next one."""
+        return FormulaError(message, *_position(self.text, self.pos if at is None else at))
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def too_deep(self, at: int) -> FormulaError:
+        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", at)
 
-    def error(self, message: str, tok: _Token | None = None) -> FormulaError:
-        tok = tok or self.peek()
-        return FormulaError(message, tok.line, tok.col)
-
-    def too_deep(self, tok: _Token) -> FormulaError:
-        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", tok)
-
-    def make(self, tok: _Token, cls, own: tuple, *kids: Formula, depth: int = 0) -> Formula:
-        """The node `cls(*own, *kids)` read at token `tok`, built once per parse
-        (`Hartley` takes its members as one tuple).
+    def make(self, at: int, cls, own: tuple, a=None, b=None, depth: int = 0) -> Formula:
+        """The node `cls(*own, a, b)`, without the children that are None,
+        read at token `at` and built once per parse (`Hartley` takes its
+        members as one tuple from `members`).
 
         The key is the class, the own fields (coalitions come normalised),
         `depth` and the children's ids. Children come from `make` too, so
         equal subformulas are one object and ids compare them in constant
-        time. The tree depth is one above the deepest child unless `depth`
-        gives it: a reach-then-maintain F counts one level above its body
-        as written, which `x` and `y` of `<A> F (x & G y)` do not determine.
-        A new node is built before its depth is checked, so an uncertainty
-        set's duplicate member is reported first.
+        time. A new node's tree depth is one above its deepest child unless
+        `depth` gives it: a reach-then-maintain F counts one level above its
+        body as written, which `x` and `y` of `<A> F (x & G y)` do not
+        determine. A new node is built before its depth is checked, so an
+        uncertainty set's duplicate member is reported first.
         """
-        key = (cls, own, depth, *map(id, kids))
+        key = (cls, own, depth, id(a), id(b))
         f = self.nodes.get(key)
         if f is None:
             try:
-                f = cls(*own, kids) if cls is Hartley else cls(*own, *kids)
+                f = cls(*own) if a is None else cls(*own, a) if b is None else cls(*own, a, b)
             except FormulaError as exc:
-                raise self.error(str(exc), tok) from None
+                raise self.error(str(exc), at) from None
+            depths = self.depths
             if not depth:  # one level above the deepest child
-                depth = 1
-                for i in key[3:]:
-                    depth = max(depth, 1 + self.depths[i])
+                depth = 1 if a is None else 1 + depths[id(a)]
+                if b is not None:
+                    depth = max(depth, 1 + depths[id(b)])
             if depth > MAX_DEPTH:
-                raise self.too_deep(tok)
+                raise self.too_deep(at)
             self.nodes[key] = f
-            self.depths[id(f)] = depth
+            depths[id(f)] = depth
         return f
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
+    def members(self, beta: list) -> tuple:
+        """An uncertainty set's members as one tuple per parse for each
+        sequence of member objects, so that `make` keys the set by its id;
+        its depth is its deepest member's."""
+        ids = tuple(map(id, beta))
+        members = self.nodes.get(ids)
+        if members is None:
+            members = self.nodes[ids] = tuple(beta)
+            self.depths[id(members)] = max(self.depths[i] for i in ids)
+        return members
+
+    def expect(self, text: str) -> None:
+        at = self.pos
+        self.pos += 1
+        if self.tokens[at] != text:
+            raise self.error(f"expected {text!r}, found {self.tokens[at] or 'end of input'!r}", at)
+
+    def expect_ident(self, what: str) -> str:
+        at = self.pos
+        self.pos += 1
+        tok = self.tokens[at]
+        if not _is_ident(tok):
+            raise self.error(f"expected {what}, found {tok or 'end of input'!r}", at)
         return tok
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok)
-        return tok
+    # grammar: expr := unary (('&' | '|') unary)*
+    def parse_expr(self) -> Formula:
+        """Operands joined by `&` and `|`, grouped by the printer's `_PREC`:
+        `&` binds tighter than `|`, and each groups to the left.
 
-    # grammar: disj := conj ('|' conj)*
-    def parse_disj(self) -> Formula:
-        f = self.parse_conj()
-        while self.peek().text == "|":
-            tok = self.next()
-            right = self.parse_conj()
-            f = self.make(tok, Or, (), f, right)
-        return f
-
-    def parse_conj(self) -> Formula:
+        One loop climbs the precedences: a connective waits, with its left
+        operand, until a connective that binds no tighter, or none, follows
+        its right operand.
+        """
+        tokens = self.tokens
         f = self.parse_unary()
-        while self.peek().text == "&":
-            tok = self.next()
-            right = self.parse_unary()
-            f = self.make(tok, And, (), f, right)
-        return f
+        waiting = []  # (left operand, class, token index) of each connective not yet made
+        while True:
+            cls = _CONNECTIVES.get(tokens[self.pos])
+            prec = _PREC.get(cls, 0)
+            while waiting and _PREC[waiting[-1][1]] >= prec:
+                left, op, at = waiting.pop()
+                f = self.make(at, op, (), left, f)
+            if cls is None:
+                return f
+            waiting.append((f, cls, self.pos))
+            self.pos += 1
+            f = self.parse_unary()
 
     def parse_unary(self) -> Formula:
-        nots = []
-        while self.peek().text == "!":
-            nots.append(self.next())
+        tokens = self.tokens
+        first = self.pos
+        while tokens[self.pos] == "!":
+            self.pos += 1
+        nots = self.pos
         self.open += 1
         if self.open > MAX_DEPTH:
-            raise self.too_deep(self.peek())
+            raise self.too_deep(nots)
         f = self.parse_atom()
         self.open -= 1
-        for tok in reversed(nots):
-            f = self.make(tok, Not, (), f)
+        for at in range(nots - 1, first - 1, -1):
+            f = self.make(at, Not, (), f)
         return f
 
-    def _starts_unary(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" or tok.text in ("!", "(", "<")
-
     def parse_atom(self) -> Formula:
-        tok = self.next()
-        if tok.text == "(":
-            f = self.parse_disj()
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        self.pos += 1
+        if tok == "(":
+            f = self.parse_expr()
             self.expect(")")
             return f
-        if tok.text == "<":
-            if self.peek().text == ">":  # the empty coalition
-                self.next()
+        if tok == "<":
+            if tokens[self.pos] == ">":  # the empty coalition
+                self.pos += 1
                 return self.parse_temporal(())
             return self.parse_temporal(self.parse_agents(">"))
-        if tok.kind != "ident":
-            raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
-        name = tok.text
-        if name == "true":
-            return self.make(tok, TrueF, ())
-        if name == "false":
-            return self.make(tok, FalseF, ())
-        if name == "K" and self.peek().text == "[":
-            self.next()
-            agent = self.expect_ident("agent name").text
+        if not _is_ident(tok):
+            raise self.error(f"expected a formula, found {tok or 'end of input'!r}", at)
+        after = tokens[self.pos]
+        if tok == "true":
+            return self.make(at, TrueF, ())
+        if tok == "false":
+            return self.make(at, FalseF, ())
+        if tok == "K" and after == "[":
+            self.pos += 1
+            agent = self.expect_ident("agent name")
             self.expect("]")
-            return self.make(tok, Knows, (agent,), self.parse_unary())
-        if name == "E" and self.peek().text == "[":
-            self.next()
-            return self.make(tok, MutualKnows, (self.parse_agents("]"),), self.parse_unary())
-        if name == "H" and self.peek().text == "[":
-            return self.parse_hartley(tok)
-        if name == "G" and self._starts_unary():
+            return self.make(at, Knows, (agent,), self.parse_unary())
+        if tok == "E" and after == "[":
+            self.pos += 1
+            return self.make(at, MutualKnows, (self.parse_agents("]"),), self.parse_unary())
+        if tok == "H" and after == "[":
+            return self.parse_hartley(at)
+        if tok == "G" and (after in ("!", "(", "<") or _is_ident(after)):
             sub = self.parse_unary()
             self.bare += 1
-            # its position is an own field, so no two bare Gs are one node
-            return self.make(tok, _PathG, (tok.line, tok.col), sub)
-        return self.make(tok, Atom, (name,))
+            # its token index is an own field, so no two bare Gs are one node
+            return self.make(at, _PathG, (at,), sub)
+        return self.make(at, Atom, (tok,))
 
     def parse_agents(self, close: str) -> tuple[str, ...]:
         """One or more comma-separated agent names, then `close`: a coalition."""
-        agents = [self.expect_ident("agent name").text]
-        while self.peek().text == ",":
-            self.next()
-            agents.append(self.expect_ident("agent name").text)
+        agents = [self.expect_ident("agent name")]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            agents.append(self.expect_ident("agent name"))
         self.expect(close)
         return _coalition(agents)
 
     def parse_temporal(self, coalition: tuple[str, ...]) -> Formula:
-        tok = self.next()
-        if tok.text == "X":
-            return self.make(tok, CoalX, (coalition,), self.parse_unary())
-        if tok.text == "G":
-            return self.make(tok, CoalG, (coalition,), self.parse_unary())
-        if tok.text == "F":
-            return self.finish_finally(coalition, self.parse_unary(), tok)
-        if tok.text == "(":
-            hold = self.parse_disj()
+        at = self.pos
+        tok = self.tokens[at]
+        self.pos += 1
+        if tok == "X":
+            return self.make(at, CoalX, (coalition,), self.parse_unary())
+        if tok == "G":
+            return self.make(at, CoalG, (coalition,), self.parse_unary())
+        if tok == "F":
+            return self.finish_finally(coalition, self.parse_unary(), at)
+        if tok == "(":
+            hold = self.parse_expr()
             self.expect("U")
-            goal = self.parse_disj()
+            goal = self.parse_expr()
             self.expect(")")
-            return self.make(tok, CoalU, (coalition,), hold, goal)
-        raise self.error(f"expected X, G, F or '(', found {tok.text or 'end of input'!r}", tok)
+            return self.make(at, CoalU, (coalition,), hold, goal)
+        raise self.error(f"expected X, G, F or '(', found {tok or 'end of input'!r}", at)
 
-    def finish_finally(self, coalition, body, tok: _Token) -> Formula:
+    def finish_finally(self, coalition, body, at: int) -> Formula:
         """Turn `<A> F body` into an until, or the reach-then-maintain pattern."""
         conjuncts = _flatten_and(body)
         path_parts = [c for c in conjuncts if isinstance(c, _PathG)]
         if not path_parts:
-            return self.make(tok, CoalU, (coalition,), self.make(tok, TrueF, ()), body)
+            return self.make(at, CoalU, (coalition,), self.make(at, TrueF, ()), body)
         if len(path_parts) > 1:
-            raise self.error("at most one G conjunct is supported under F", tok)
+            raise self.error("at most one G conjunct is supported under F", at)
         self.bare -= 1
         rest = [c for c in conjuncts if not isinstance(c, _PathG)]
         goal = (
-            reduce(lambda x, y: self.make(tok, And, (), x, y), rest)
-            if rest else self.make(tok, TrueF, ())
+            reduce(lambda x, y: self.make(at, And, (), x, y), rest)
+            if rest else self.make(at, TrueF, ())
         )
         depth = 1 + self.depths[id(body)]
-        return self.make(tok, CoalFG, (coalition,), goal, path_parts[0].sub, depth=depth)
+        return self.make(at, CoalFG, (coalition,), goal, path_parts[0].sub, depth=depth)
 
-    def parse_hartley(self, tok: _Token) -> Formula:
+    def parse_hartley(self, at: int) -> Formula:
         self.expect("[")
-        agent = self.expect_ident("agent name").text
+        agent = self.expect_ident("agent name")
         self.expect("]")
-        cmp_tok = self.next()
-        if cmp_tok.text not in CMPS:
-            raise self.error(f"unknown comparison token {cmp_tok.text!r}", cmp_tok)
+        cmp = self.tokens[self.pos]
+        self.pos += 1
+        if cmp not in CMPS:
+            raise self.error(f"unknown comparison token {cmp!r}", self.pos - 1)
         threshold = self.parse_threshold()
         self.expect("{")
-        if self.peek().text == "}":
+        if self.tokens[self.pos] == "}":
             raise self.error("empty formula set in uncertainty operator")
-        beta = [self.parse_disj()]
-        while self.peek().text == ",":
-            self.next()
-            beta.append(self.parse_disj())
+        beta = [self.parse_expr()]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            beta.append(self.parse_expr())
         self.expect("}")
-        return self.make(tok, Hartley, (agent, cmp_tok.text, threshold), *beta)
+        return self.make(at, Hartley, (agent, cmp, threshold), self.members(beta))
 
-    def numeral(self, tok: _Token) -> Fraction:
-        """The value of a number token."""
+    def numeral(self, at: int) -> Fraction:
+        """The value of number token `at`."""
         try:
-            return Fraction(tok.text)
+            return Fraction(self.tokens[at])
         except ValueError:  # more digits than `int` converts
-            raise self.error(f"numeral too long: {len(tok.text)} characters", tok) from None
+            raise self.error(f"numeral too long: {len(self.tokens[at])} characters", at) from None
 
     def parse_threshold(self) -> Threshold:
-        tok = self.next()
-        if tok.kind == "ident" and tok.text == "log":
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        self.pos += 1
+        if tok == "log":
             self.expect("(")
-            num = self.next()
-            if num.kind != "number" or "." in num.text or self.numeral(num) < 1:
+            num = self.pos
+            self.pos += 1
+            if not _is_number(tokens[num]) or "." in tokens[num] or self.numeral(num) < 1:
                 raise self.error("log threshold needs a positive integer", num)
             self.expect(")")
             return LogOfCount(self.numeral(num).numerator)
-        if tok.kind == "number":
-            value = self.numeral(tok)
-            if self.peek().text == "/" and "." not in tok.text:
-                self.next()
-                den = self.next()
-                if den.kind != "number" or "." in den.text or self.numeral(den) == 0:
+        if _is_number(tok):
+            value = self.numeral(at)
+            if tokens[self.pos] == "/" and "." not in tok:
+                den = self.pos + 1
+                self.pos += 2
+                if not _is_number(tokens[den]) or "." in tokens[den] or self.numeral(den) == 0:
                     raise self.error("fraction threshold needs a positive integer denominator", den)
                 return Real(value / self.numeral(den))
             return Real(value)
-        raise self.error(f"expected a threshold, found {tok.text or 'end of input'!r}", tok)
+        raise self.error(f"expected a threshold, found {tok or 'end of input'!r}", at)
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
@@ -985,13 +1026,13 @@ def _first_bare_g(g, kids):
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into an AST; raises FormulaError with position."""
     parser = _Parser(text)
-    f = parser.parse_disj()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"unexpected {tok.text!r} after formula", tok)
+    f = parser.parse_expr()
+    tok = parser.tokens[parser.pos]
+    if tok:
+        raise parser.error(f"unexpected {tok!r} after formula")
     if parser.bare:
         bare = fold(f, _first_bare_g)
         raise FormulaError(
-            "bare G is only supported as a conjunct inside <A> F (...)", bare.line, bare.col
+            "bare G is only supported as a conjunct inside <A> F (...)", *_position(text, bare.at)
         )
     return f

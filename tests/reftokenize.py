@@ -6,7 +6,13 @@ reference checker, so that `atlh.formula._tokenize` can be compared with it
 on many texts (`tests/test_formula.py`).
 """
 
-from atlh.formula import FormulaError, _Token
+from collections import namedtuple
+
+from atlh.formula import FormulaError
+
+# a token as this loop gives it: kind ('ident', 'number', 'punct', 'eof'),
+# text and position
+_Token = namedtuple("_Token", "kind text line col")
 
 _PUNCT = ("<=", ">=", "!", "&", "|", "(", ")", "[", "]", "{", "}", "<", ">", "=", ",", "/")
 

@@ -29,6 +29,7 @@ from atlh.formula import (
     Or,
     Real,
     TrueF,
+    _position,
     _tokenize,
     distinct_members,
     fold,
@@ -218,14 +219,67 @@ def test_nesting_up_to_the_bound_parses():
     assert parse_formula(pretty_print(g)) == g
     h = parse_formula(" | ".join(["p"] * MAX_DEPTH))
     assert parse_formula(pretty_print(h)) == h
-    # the constructs the parser recurses deepest on, five frames per level
-    # for H and U and four for parentheses: 99 levels stay within the limit
+    # the constructs the parser recurses deepest on, four frames per level
+    # for H and U and three for parentheses: 99 levels stay within the limit
     k = MAX_DEPTH - 1
     assert parse_formula("(" * k + "p" + ")" * k) == parse_formula("p")
     for text in ("H[a] = 1 {" * k + "p" + "}" * k, "<a> (" * k + "p" + " U q)" * k):
         deep = parse_formula(text)
         assert formula_length(deep) > k
         assert parse_formula(pretty_print(deep)) == deep
+    # every construct, nested to the bound on one line, one level per line,
+    # and with a comment between levels: the same formula each time
+    for opening, closing, per, _ in _NESTS:
+        f = parse_formula(_nest(opening, closing, per, MAX_DEPTH, ""))
+        for sep in _NEST_SEPS[1:]:
+            assert parse_formula(_nest(opening, closing, per, MAX_DEPTH, sep)) == f
+
+
+# Each construct the parser nests: its text before and after the inner
+# formula, the tree levels one repetition adds (0 for parentheses, which
+# count toward the bound only as nesting), and where a formula one level
+# past the bound is reported when written with each of `_NEST_SEPS`
+# between repetitions.
+_NESTS = [
+    ("!", "", 1, [(1, 1), (1, 1), (1, 1)]),
+    ("<a> X ", "", 1, [(1, 601), (101, 2), (101, 2)]),
+    ("<> X ", "", 1, [(1, 501), (101, 2), (101, 2)]),
+    ("<a> G ", "", 1, [(1, 601), (101, 2), (101, 2)]),
+    ("<a> F ", "", 1, [(1, 601), (101, 2), (101, 2)]),
+    ("K[a] ", "", 1, [(1, 501), (101, 2), (101, 2)]),
+    ("E[a, b] ", "", 1, [(1, 801), (101, 2), (101, 2)]),
+    ("H[a] = 1 {", "}", 1, [(1, 1001), (101, 2), (101, 2)]),
+    ("<a> (", " U q)", 1, [(1, 501), (101, 2), (101, 2)]),
+    # a G conjunct under F: the F, the `&` and the G are three levels
+    ("<a> F (x & G ", ")", 3, [(1, 5), (1, 5), (1, 5)]),
+    ("<a> F (G ", " & x)", 3, [(1, 5), (1, 5), (1, 5)]),
+    ("<a> F G ", "", 2, [(1, 401), (51, 2), (51, 2)]),
+    ("(", ")", 0, [(1, 101), (101, 2), (101, 2)]),
+    ("p & ", "", 1, [(1, 399), (100, 4), (100, 4)]),
+    ("p | ", "", 1, [(1, 399), (100, 4), (100, 4)]),
+]
+_NEST_SEPS = ["", "\n ", "  # a level\n\t"]
+
+
+def _nest(opening, closing, per, levels, sep):
+    """`opening` repeated around `p` to `levels` levels, negations making up
+    what whole repetitions cannot, with `sep` between repetitions."""
+    reps = levels - 1 if per <= 1 else (levels - 1) // per
+    pad = 0 if per <= 1 else (levels - 1) % per
+    return sep.join([opening] * reps + ["!" * pad + "p"]) + closing * reps
+
+
+@pytest.mark.parametrize("opening, closing, per, positions", _NESTS)
+def test_nesting_past_the_bound_in_each_construct_is_a_positioned_error(
+    opening, closing, per, positions
+):
+    for sep, position in zip(_NEST_SEPS, positions):
+        text = _nest(opening, closing, per, MAX_DEPTH + 1, sep)
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == "{}:{}: formula nested deeper than {} levels".format(
+            *position, MAX_DEPTH
+        ), repr(text)
 
 
 @pytest.mark.parametrize(
@@ -820,11 +874,26 @@ def test_numerals_are_decimal_digits():
             parse_formula(text)
 
 
+def _kind(tok):
+    """The kind of one of `_tokenize`'s tokens, as the reference loop names it."""
+    if not tok:
+        return "eof"
+    if tok[0].isdecimal():
+        return "number"
+    return "ident" if tok[0].isalpha() or tok[0] == "_" else "punct"
+
+
 def _tokens_or_error(tokenize, text):
+    """Each token as `(kind, text, line, col)`, up to the end of input, or
+    the error's text, line and column."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        tokens = tokenize(text)
     except FormulaError as exc:
         return str(exc), exc.line, exc.col
+    if tokenize is _tokenize:  # texts, positioned by `_position`
+        tokens = tokens[: tokens.index("") + 1]
+        return [(_kind(tok), tok, *_position(text, i)) for i, tok in enumerate(tokens)]
+    return [(t.kind, t.text, t.line, t.col) for t in tokens]
 
 
 @pytest.mark.parametrize(

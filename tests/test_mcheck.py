@@ -486,7 +486,7 @@ def test_every_formula_class_labels_as_the_oracle(fig1, m1, m2):
 def test_a_node_outside_the_formula_classes_is_not_labelled(fig1):
     # a parse-time placeholder never reaches the checker from the parser;
     # built by hand it is a fault, not a strategic operator
-    f = formula.And(formula._PathG(1, 1, formula.Atom("Voted")), formula.Atom("Voted"))
+    f = formula.And(formula._PathG(0, formula.Atom("Voted")), formula.Atom("Voted"))
     for run in (lambda: label(fig1, f), lambda: check(fig1, "s0", f)):
         with pytest.raises(CheckError) as exc:
             run()
@@ -589,6 +589,20 @@ def _assert_matches_oracle(model, f, opts):
             assert (got is None) == (want is None), (f, q, opts)
             if got is not None:
                 assert got.actions == want.actions, (f, q, opts)
+
+
+@pytest.mark.parametrize("text", ["<> X false", "<> G false", "<> F false"])
+def test_the_empty_coalition_wins_vacuously_in_subjective_scope(text):
+    # The empty coalition has no member to confuse states, so its start set
+    # is empty in subjective scope and even an unsatisfiable goal holds at
+    # every state; in objective scope it starts from the state and fails.
+    model = gen_referendum_single()
+    f = parse_formula(text)
+    for opts in COMBOS:
+        want = set(model.states) if opts.success_scope == "subjective" else set()
+        assert oracle_label(model, f, opts.strategy_mode, opts.success_scope) == want, opts
+        assert label(model, f, opts)[f] == want, opts
+        assert {q for q in model.states if check(model, q, f, opts)} == want, opts
 
 
 def test_oracle_reads_each_profile_target():

@@ -1,4 +1,5 @@
-"""Package-wide rules: one error base class, and no import left unread."""
+"""Package-wide rules: one error base class, no import left unread, and
+syntax that the oldest supported Python reads."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 import atlh
 
 SOURCES = sorted(Path(atlh.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_value_error_is_an_atlh_error():
@@ -59,3 +61,13 @@ def test_every_import_is_read_or_exported(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(_imported_names(tree) - read - _exported_names(tree)) == []
+
+
+@pytest.mark.parametrize("tree", ["src/atlh", "tests", "bench"])
+def test_every_file_parses_as_python_3_10(tree):
+    # pyproject.toml requires Python 3.10, and CI runs it: no file may use
+    # syntax newer than that, such as `except*` or a `type` statement
+    paths = sorted((ROOT / tree).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
