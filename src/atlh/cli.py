@@ -1,6 +1,10 @@
 """Command-line front end: check formulas, translate, generate models, run
 the bundled experiments.
 
+Start-up loads only what every `atlh check` runs: argparse and the
+`formula`, `cegm` and `mcheck` modules. A command imports anything else it
+runs (the other modules, `json` for json-lines output) when it runs.
+
 Exit codes: 0 for a true verdict (or plain success), 1 for a false verdict
 (or a harness that found mismatches), 2 for an `AtlhError` (any usage, parse,
 validation or cap error) or an `OSError` (a file that is missing, unreadable
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .cegm import load_model, save_model
@@ -25,16 +28,6 @@ from .formula import (
     row_texts,
 )
 from .mcheck import CheckOptions, label_masks
-from .scenarios import (
-    gen_referendum_double,
-    gen_referendum_single,
-    gen_threeballot,
-    infoset_table_csv,
-    render_infoset_table,
-    threeballot_infosets,
-)
-from .succinct import gen_Mn, gen_Nnj, succinctness_rows
-from .translate import check_translation_equivalence, h_to_k, k_to_h
 
 
 def _options(args) -> CheckOptions:
@@ -69,6 +62,8 @@ def cmd_check(args) -> int:
     labels = [(texts[i], masks[i]) for i in printed_order(rows, texts)] if dump else ()
 
     if args.output == "json-lines":
+        import json
+
         out = [
             json.dumps(
                 {"event": "verdict", "state": state, "formula": text, "result": verdict},
@@ -107,6 +102,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .translate import h_to_k, k_to_h
+
     f = parse_formula(_formula_text(args))
     result = h_to_k(f, node_cap=args.cap_nodes) if args.dir == "h2k" else k_to_h(f)
     sizes = (formula_length(f), formula_length(result))
@@ -114,6 +111,8 @@ def cmd_translate(args) -> int:
         raise AtlhError(f"translation has {sizes[1]} nodes, over the cap {args.cap_nodes}")
     text = pretty_print(result)
     if args.output == "json-lines":
+        import json
+
         print(
             json.dumps(
                 {
@@ -151,19 +150,35 @@ def _gen(build):
     return run
 
 
+def _gen_scenario(args):
+    from . import scenarios
+
+    if args.target == "fig1":
+        return scenarios.gen_referendum_single()
+    if args.target == "threeballot":
+        return scenarios.gen_threeballot()
+    return scenarios.gen_referendum_double(args.target.upper())
+
+
 def _gen_Mn(args):
+    from .succinct import gen_Mn
+
     if args.n is None:
         raise AtlhError("gen Mn needs --n")
     return gen_Mn(args.n)
 
 
 def _gen_Nnj(args):
+    from .succinct import gen_Nnj
+
     if args.n is None or args.j is None:
         raise AtlhError("gen Nnj needs --n and --j")
     return gen_Nnj(args.n, args.j)
 
 
 def cmd_succinctness(args) -> int:
+    from .succinct import succinctness_rows
+
     header = "n,len_phi_n,len_translated,fsg_min,mel_min,wallclock_ms"
     out = [header]
     for row in succinctness_rows(args.nmax, node_cap=args.cap_nodes):
@@ -173,6 +188,8 @@ def cmd_succinctness(args) -> int:
 
 
 def cmd_translation_equivalence(args) -> int:
+    from .translate import check_translation_equivalence
+
     report = check_translation_equivalence(
         samples=args.samples, seed=args.seed, opts=_options(args)
     )
@@ -182,6 +199,8 @@ def cmd_translation_equivalence(args) -> int:
 
 
 def cmd_threeballot_table(args) -> int:
+    from .scenarios import infoset_table_csv, render_infoset_table, threeballot_infosets
+
     rows = threeballot_infosets()
     if args.output == "csv":
         print(infoset_table_csv(rows))
@@ -248,10 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a bundled model")
     targets = gen.add_subparsers(dest="target", required=True)
     for name, build, sizes in (
-        ("fig1", lambda args: gen_referendum_single(), ()),
-        ("m1", lambda args: gen_referendum_double("M1"), ()),
-        ("m2", lambda args: gen_referendum_double("M2"), ()),
-        ("threeballot", lambda args: gen_threeballot(), ()),
+        ("fig1", _gen_scenario, ()),
+        ("m1", _gen_scenario, ()),
+        ("m2", _gen_scenario, ()),
+        ("threeballot", _gen_scenario, ()),
         ("Mn", _gen_Mn, ("--n",)),
         ("Nnj", _gen_Nnj, ("--n", "--j")),
     ):

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import attrgetter, is_
+
+TYPE_CHECKING = False  # `typing.TYPE_CHECKING` without importing `typing`
+if TYPE_CHECKING:
+    from fractions import Fraction  # imported where a threshold is built
 
 CMPS = ("<", "<=", ">", ">=", "=")
 
@@ -301,6 +304,8 @@ class Real(_Threshold):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: Fraction):
+        from fractions import Fraction
+
         _set(self, "value", Fraction(value))
         _printable(self)
         if self.value < 0:
@@ -978,6 +983,8 @@ class _Parser:
 
     def numeral(self, at: int) -> Fraction:
         """The value of number token `at`."""
+        from fractions import Fraction
+
         try:
             return Fraction(self.tokens[at])
         except ValueError:  # more digits than `int` converts

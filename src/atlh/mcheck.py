@@ -56,10 +56,8 @@ their model and are never kept on it.
 
 from __future__ import annotations
 
-import decimal
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import reduce
 from itertools import compress, product, repeat
 from operator import itemgetter, or_
@@ -88,6 +86,10 @@ from .formula import (
     pretty_print,
     subformula_rows,
 )
+
+TYPE_CHECKING = False  # `typing.TYPE_CHECKING` without importing `typing`
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CheckError(AtlhError):
@@ -189,6 +191,8 @@ def _log2_above(count: int, value: Fraction) -> bool:
     gap = math.log2(count) - float(value)
     if abs(gap) > 1e-9 * bl:
         return gap > 0
+    import decimal
+
     prec = 40
     while True:
         ctx = decimal.Context(prec=prec)

@@ -6,7 +6,6 @@ reproduce identical samples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -115,6 +114,8 @@ def random_formula(
     def threshold():
         if rng.random() < 0.5:
             return LogOfCount(rng.randint(1, 4))
+        from fractions import Fraction
+
         return Real(Fraction(rng.randint(0, 6), rng.choice((1, 2, 4))))
 
     def build(d: int, budget: int) -> Formula:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from fractions import Fraction
 from itertools import islice, permutations, product
 from math import factorial, prod
 
@@ -76,7 +75,7 @@ def phi_n(n: int) -> Formula:
     if n < 1:
         raise SuccinctError(f"n must be positive, got {n}")
     beta = tuple(Atom(f"p_{i}") for i in range(1, n + 1))
-    return Hartley("a", "=", Real(Fraction(n)), beta)
+    return Hartley("a", "=", Real(n), beta)
 
 
 class PointedModel(namedtuple("PointedModel", "model state")):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import atlh
-from atlh import cli
+from atlh import cli, translate
 from atlh.cegm import load_model
 from atlh.formula import parse_formula
 from atlh.cli import main
@@ -403,16 +403,54 @@ def _run_cli(*argv):
     )
 
 
-def test_cli_imports_neither_dataclasses_nor_inspect():
-    # both cost start-up time in every `atlh` process; `-I` keeps the
-    # environment and the user's site-packages out of the fresh interpreter
+# Modules that only some commands run; start-up must not load them.
+DEFERRED = (
+    "json", "fractions", "decimal",
+    "atlh.scenarios", "atlh.succinct", "atlh.translate", "atlh.sampling",
+)
+
+
+def _loaded_by(*argv, watch=DEFERRED):
+    """Which of `watch` a fresh `python -I` has loaded after `import atlh.cli`
+    and, given `argv`, one `main(argv)` with its output discarded; `-I` keeps
+    the environment and the user's site-packages out."""
     src = str(Path(atlh.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import atlh.cli;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import atlh.cli\n"
+        f"if {list(argv)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert atlh.cli.main({list(argv)!r}) in (0, 1)\n"
+        f"print(sorted(set({list(watch)!r}) & set(sys.modules)))"
     )
     run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    assert (run.returncode, run.stderr) == (0, "")
+    return run.stdout
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # all of these cost start-up time in every `atlh` process
+    assert _loaded_by(watch=("dataclasses", "inspect") + DEFERRED) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        # a check loads nothing more, so the saving is not just moved
+        (["check", "--formula", "<v> F Voted"], []),
+        (["check", "--formula", "<v> F Voted", "--output", "json-lines"], ["json"]),
+        # a numeric threshold is a `Fraction`, and `fractions` imports `decimal`
+        (["check", "--formula", "H[c] >= 2 {V_A, Voted}"], ["decimal", "fractions"]),
+    ],
+    ids=["text", "json-lines", "threshold"],
+)
+def test_check_loads_only_what_it_runs(fig1_path, argv, loaded):
+    assert _loaded_by(*argv, "--model", fig1_path) == f"{loaded}\n"
+
+
+def test_gen_loads_only_its_generator():
+    assert _loaded_by("gen", "fig1", watch=("atlh.scenarios", "atlh.succinct", "atlh.translate")) == (
+        "['atlh.scenarios']\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -621,7 +659,7 @@ def test_any_atlh_error_exits_2(monkeypatch, capsys):
     def fail(f, node_cap):
         raise NewError("a fault from a new module")
 
-    monkeypatch.setattr(cli, "h_to_k", fail)
+    monkeypatch.setattr(translate, "h_to_k", fail)  # `cli` looks it up per run
     assert main(["translate", "--dir", "h2k", "--formula", "p"]) == 2
     assert capsys.readouterr() == ("", "error: a fault from a new module\n")
 
@@ -688,7 +726,7 @@ def test_experiment_translation_equivalence_passes_check_options(monkeypatch):
         seen.append((samples, seed, opts))
         return TranslationReport(lines=[], mismatches=0)
 
-    monkeypatch.setattr(cli, "check_translation_equivalence", fake)
+    monkeypatch.setattr(translate, "check_translation_equivalence", fake)  # looked up per run
     argv = ["experiment", "translation-equivalence", "--samples", "3", "--seed", "5"]
     assert main(argv + ["--strategy-mode", "Ir", "--scope", "subjective"]) == 0
     assert main(argv) == 0

@@ -1,9 +1,13 @@
-"""Package-wide rules: one error base class, no import left unread, and
-syntax that the oldest supported Python reads."""
+"""Package-wide rules: one error base class, no import left unread, syntax
+that the oldest supported Python reads, and a package namespace that loads
+each module on first use."""
 
 import ast
 import importlib
 import inspect
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,52 @@ def test_every_file_parses_as_python_3_10(tree):
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def _typed_reexports() -> dict[str, str]:
+    """Each name that `atlh/__init__.py` imports for type checkers, and its module."""
+    tree = ast.parse((ROOT / "src/atlh/__init__.py").read_text(encoding="utf-8"))
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+    ]
+    return {alias.name: node.module for node in block.body for alias in node.names}
+
+
+def test_every_public_name_is_its_modules_object():
+    homes = _typed_reexports()
+    assert sorted(homes) == sorted(atlh.__all__)
+    for name, module in homes.items():
+        assert getattr(atlh, name) is getattr(importlib.import_module(module), name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from atlh import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(atlh.__all__)
+
+
+def test_unknown_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        atlh.nosuchname
+    assert str(info.value) == "module 'atlh' has no attribute 'nosuchname'"
+
+
+def test_bare_package_loads_modules_on_first_use():
+    # `-I`: a fresh interpreter without the environment or user site-packages;
+    # it unpickles a formula with a `Real` threshold before reading any name
+    text = "H[a] >= 3/2 {p, q} & H[a] < log(3) {p}"
+    data = pickle.dumps(atlh.parse_formula(text)).hex()
+    code = f"""
+import pickle, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+import atlh
+assert [m for m in sys.modules if m.startswith("atlh")] == ["atlh"]
+assert set(atlh.__all__) <= set(dir(atlh))  # before any name is read
+f = pickle.loads(bytes.fromhex({data!r}))
+assert pickle.loads(pickle.dumps(f)) == f
+assert atlh.mcheck.check is atlh.check
+print(atlh.pretty_print(f))
+"""
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "H[a] >= 1.5 {p, q} & H[a] < log(3) {p}\n", "")
