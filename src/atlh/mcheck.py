@@ -21,22 +21,26 @@ may use any of its coalition moves: a controllable-predecessor fixpoint (X
 one step, G greatest, U least; `F (x & G y)` is U towards the states of `x`
 inside the G-region of `y`). For X, G and U on a per-state engine (no
 choice point spans two states: all of `Ir`, and `ir` in every bundled
-scenario) the bound is the union. Otherwise a depth-first search over the
-choice points, pruned by the same region with the choices made so far
-fixed, looks for a winner from each wanted state the winners found so far
-miss. A choice point the queried state's start set cannot reach keeps its
-first action untested, and an action whose rows repeat an earlier, failed
-action's is skipped.
+scenario) the bound is the union, and the witness search fixes the choice
+points in order without backtracking: each point's actions are decided
+from at most one recomputed region, that with the point's state cut off,
+and a test of the state's moves against a target set. Otherwise a
+depth-first search over the choice points, pruned by the same region with
+the choices made so far fixed, looks for a winner from each wanted state
+the winners found so far miss. A choice point the queried state's start
+set cannot reach keeps its first action untested, and an action whose
+rows repeat an earlier, failed action's is skipped.
 
 One routine, `_narrow`, computes every region, with worklist fixpoints
 over the engine's predecessor masks (`_shrink` for G, `_grow` for U) that
 test a state again only after one of its successors changes. From scratch
 it starts from the all-states triple with every state marked fixed; after
-a choice point is fixed, from the previous triple with only that point's
-states (and any left pending) marked.
+a choice point is fixed, or its state's row emptied, from the previous
+triple with only that point's states (and, in the depth-first search, any
+left pending) marked.
 
 A witness is always the first strategy, in `enumerate_strategies` order,
-that validates the queried state: the first one that search reaches. It
+that validates the queried state: the first one either search reaches. It
 is searched for only when asked for (`find_witness`, `atlh check`), or
 when the bound is not the union.
 
@@ -291,11 +295,16 @@ class _CoalitionEngine:
         self.preds = model.preds
         self.starts = None
         if opts.success_scope == "subjective":
-            self.starts = starts = [0] * n
+            # each state's own bit, which every member's class holds, and
+            # the members' classes of two or more states; the empty
+            # coalition has no member, so its start sets stay empty
+            starts = [bit for _, bit in model.singletons] if self.coalition else [0] * n
+            self.starts = starts
             for a in self.coalition:
                 for idx, mask in model.class_masks[a]:
-                    for i in idx:
-                        starts[i] |= mask
+                    if len(idx) > 1:
+                        for i in idx:
+                            starts[i] |= mask
 
     def strategy_from(self, choices) -> Strategy:
         """The strategy playing `choices`, one per choice point in order,
@@ -419,7 +428,84 @@ def _reachable(succs, start: int) -> int:
     return seen
 
 
-def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now, exact: bool):
+def _per_state_winner(engine: _CoalitionEngine, kind: str, args, at: int, now):
+    """First choice tuple, in `enumerate_strategies` order, whose validated
+    states include state index `at`, on a per-state engine for X, G or U.
+    `now` is `_narrow`'s triple with no choice fixed; it must validate `at`.
+
+    Choice points are fixed one at a time, in order, and the region R of
+    the moves left is kept exact after each, so the search never backtracks:
+    one strategy wins on the whole region of a per-state game, so some
+    action at the next point keeps R, and `at` with it. An action is
+    accepted exactly when R with it fixed validates `at`. Fixing the point's
+    state s only removes s's moves, and two cases settle every action from
+    at most one recomputed region, W-: R with s's row emptied, the region of
+    the moves left in which s has none.
+
+    - s outside R, or (U) in the goal: no state's membership reads s's
+      moves, so R is the region whatever s plays. The first action is kept,
+      untested.
+    - Otherwise s *stays* under an action when some move of its block keeps
+      every successor inside a target, and then R is unchanged; s is lost
+      under any other action, and R becomes W-.
+      - X, target the X argument: the one-step test of s alone changes.
+      - G, target R: if s stays, every state of R keeps a move into R,
+        and removing moves only shrinks the greatest fixpoint, so R is it.
+        If not, s has no move into R, so none into the new region inside
+        it; with s out its moves do not matter, so the region is W-.
+      - U, target W-: the moves left include W-'s, so their least
+        fixpoint holds W-, and if s stays, s. It then holds the old moves'
+        U step of itself (only s lost moves), so it holds R. If s does not
+        stay, the U step of the moves left adds nothing to W- (s, in the
+        hold set as every state of R outside the goal is, has no move into
+        W-), so the region is W-. Some action stays: the move by which s
+        enters R in the attractor leads to states that entered earlier,
+        which win without s (Alur, Henzinger & Kupferman, JACM 2002).
+
+    So the first action under which s stays, or under which W- validates
+    `at`, is accepted. For X and G, W- is computed only when an action
+    drops s; for U it is the target. Some action keeps s, so the last one
+    is accepted untested when no earlier one is.
+
+    Choice points are fixed in agent order, and each row lists the choices
+    in the product order of the members' menus, so at a member's choice
+    point a row is the product of that member's menu and the menus of the
+    members after it. Fixing the member to its `i`-th of `n` options keeps
+    the contiguous block `row[i * B:(i + 1) * B]`, `B = len(row) // n`.
+    """
+    succs = list(engine.succs)
+    choices = []
+    for _, (q,), options, bit in engine.choice_points:
+        row = succs[q]
+        n = len(options)
+        size = len(row) // n
+        pick = 0
+        if now[0] & bit and not (kind == "U" and args[1] & bit):
+            lost = None  # W-, once some action needs it
+            if kind == "U":
+                succs[q] = ()
+                lost = _narrow(engine, succs, kind, args, now, bit)
+                target = lost[0]
+            else:
+                target = args[0] if kind == "X" else now[0]
+            bad = ~target
+            for pick in range(n - 1):
+                if any(not m & bad for m in row[pick * size : (pick + 1) * size]):
+                    break  # s stays: R is unchanged
+                if lost is None:
+                    succs[q] = ()
+                    lost = _narrow(engine, succs, kind, args, now, bit)
+                if lost[2] >> at & 1:
+                    now = lost
+                    break
+            else:
+                pick = n - 1
+        succs[q] = row[pick * size : (pick + 1) * size]
+        choices.append(options[pick])
+    return tuple(choices)
+
+
+def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now):
     """First choice tuple, in `enumerate_strategies` order, whose validated
     states include state index `at`, with those states, or None if there is
     none.
@@ -434,16 +520,15 @@ def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now, exact
     of those moves per state, and every kind's region only shrinks as moves
     are removed.
     With every choice fixed the region is the strategy's own, so the first
-    complete prefix is the winner. Only the fixed states' move lists change,
-    and `_narrow`, the routine that computed `now`, recomputes the region
-    only on the states whose membership that can change; every other state
-    keeps the parent prefix's value.
+    complete prefix is the winner, and the states returned are its own.
+    Only the fixed states' move lists change, and `_narrow`, the routine
+    that computed `now`, recomputes the region only on the states whose
+    membership that can change; every other state keeps the parent
+    prefix's value.
 
-    Choice points are fixed in agent order, and each row lists the choices
-    in the product order of the members' menus, so at a member's choice
-    point a row is the product of that member's menu and the menus of the
-    members after it. Fixing the member to its `i`-th of `n` options keeps
-    the contiguous block `row[i * B:(i + 1) * B]`, `B = len(row) // n`.
+    Rows are sliced per member as in `_per_state_winner`: fixing a member to
+    its `i`-th of `n` options keeps `row[i * B:(i + 1) * B]`,
+    `B = len(row) // n`.
 
     An action is skipped, untested, when at every state of the choice point
     the block it leaves equals the block some earlier action left.
@@ -451,31 +536,20 @@ def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now, exact
     winner, and this one's subtree is the same search: both blocks are
     products of the later members' menus, so they line up row for row.
 
-    With `exact` (a per-state engine, and X, G or U) the region of every
-    prefix is exact, since one strategy wins on the whole region of a
-    per-state game, so the search never backtracks. Two cases then need no
-    test. The last action: one of the actions must keep a winner. A state
-    outside the region: restricting its moves leaves the X, least-U and
-    greatest-G regions as they are, so the first action keeps them. (Not so
-    for FG: a state outside the U-region can lie inside the G-region that a
-    goal state needs.) The states returned are then a superset of the
-    winner's; without `exact` they are the winner's own.
-
-    Without `exact` a choice point none of whose states `at`'s start set
-    (`at` itself, or `engine.starts[at]` in subjective scope) reaches under
-    the moves left keeps its first action, untested, and is never revisited:
-    whether a strategy extending the prefix validates `at` does not depend
-    on it, so the first winner, if any, plays its first action there.
+    A choice point none of whose states `at`'s start set (`at` itself, or
+    `engine.starts[at]` in subjective scope) reaches under the moves left
+    keeps its first action, untested, and is never revisited: whether a
+    strategy extending the prefix validates `at` does not depend on it, so
+    the first winner, if any, plays its first action there. Its states are
+    left pending, and the next recomputation covers them.
     """
     # fixing a choice point replaces its states' rows; backtracking puts
     # the rows it replaced back
     succs = list(engine.succs)
     points = engine.choice_points
-    pending = 0  # states fixed, untested, since `now` was computed
-    reach = None
-    if not exact:
-        start = 1 << at if engine.starts is None else engine.starts[at]
-        reach = _reachable(succs, start)
+    pending = 0  # unreached states fixed, untested, since `now` was computed
+    start = 1 << at if engine.starts is None else engine.starts[at]
+    reach = _reachable(succs, start)
     # per fixed choice point: action index, index to resume from on
     # backtrack, the rows it replaced, the search state before it, and the
     # rows each action tried there left before it
@@ -493,19 +567,18 @@ def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now, exact
             if left in tried:
                 i += 1
                 continue
-            unreached = i == 0 and reach is not None and not fixed & reach
+            unreached = i == 0 and not fixed & reach
             stack.append((i, n if unreached else i + 1, kept, saved, tried))
-            last, i, tried = i == n - 1, 0, []
+            i, tried = 0, []
             for q, row in zip(idx, left):
                 succs[q] = row
-            if unreached or exact and (last or not now[0] & fixed):
+            if unreached:
                 pending |= fixed
                 continue
             nxt = _narrow(engine, succs, kind, args, now, pending | fixed)
             if nxt[2] >> at & 1:
                 now, pending = nxt, 0
-                if reach is not None and fixed & reach:
-                    reach = _reachable(succs, start)
+                reach = _reachable(succs, start)
                 continue
         # no action left here, or this one is pruned: undo the last choice
         if not stack:
@@ -514,7 +587,7 @@ def _first_winner(engine: _CoalitionEngine, kind: str, args, at: int, now, exact
         tried = [*tried, [succs[q] for q, _ in kept]]
         for q, row in kept:
             succs[q] = row
-    if pending and not exact:
+    if pending:
         now = _narrow(engine, succs, kind, args, now, pending)
     return tuple(points[k][2][frame[0]] for k, frame in enumerate(stack)), now[2]
 
@@ -528,30 +601,31 @@ def _search(engine: _CoalitionEngine, kind: str, args, want: int, at):
     The bound is the region of the game in which each state may use any of
     its coalition moves: every strategy wins inside it. `_narrow` computes
     it from the all-states triple with every state fixed, the same routine
-    that recomputes it after each fix in `_first_winner`. On a per-state
+    that recomputes it after each fix in the searches. On a per-state
     engine with X, G or U it is the union, since one strategy then wins on
-    the whole region. Otherwise `_first_winner` runs from each wanted state
-    in the bound that no winner found so far validates, and the union is
-    that of the winners found.
+    the whole region, and `_per_state_winner` finds the first winner with
+    at most one recomputed region per choice point. Otherwise
+    `_first_winner` runs from each wanted state in the bound that no winner
+    found so far validates, and the union is that of the winners found.
     """
     full = engine.model.full_mask
     now = _narrow(engine, engine.succs, kind, args, (full, full, full), full)
     bound = now[2]
-    exact = engine.per_state and kind != "FG"
+    wins = at is not None and bound >> at & 1
+    if engine.per_state and kind != "FG":
+        return bound, _per_state_winner(engine, kind, args, at, now) if wins else None
     first = None
     union = 0
     todo = want & bound
-    if at is not None and bound >> at & 1:
-        found = _first_winner(engine, kind, args, at, now, exact)
+    if wins:
+        found = _first_winner(engine, kind, args, at, now)
         if found is not None:
             first, union = found
         todo &= ~(1 << at)
-    if exact:
-        return bound, first
     todo &= ~union
     while todo:
         q = (todo & -todo).bit_length() - 1
-        found = _first_winner(engine, kind, args, q, now, False)
+        found = _first_winner(engine, kind, args, q, now)
         if found is not None:
             union |= found[1]
         todo &= ~union & ~(1 << q)
@@ -578,18 +652,29 @@ def _require_agents(model: Cegm, agents) -> None:
 
 
 def _knows_mask(model: Cegm, agent: str, sub: int) -> int:
-    out = 0
-    for _, cm in model.class_masks[agent]:
-        if cm & ~sub == 0:
-            out |= cm
+    """The states whose class lies inside `sub`: a single-state class does
+    exactly when its state is in `sub`, so only the classes of two or more
+    states outside `sub` are taken out."""
+    classes = model.class_masks[agent]
+    if classes is model.singletons:
+        return sub
+    out = sub
+    for idx, cm in classes:
+        if len(idx) > 1 and cm & ~sub:
+            out &= ~cm
     return out
 
 
 def _hartley_mask(model: Cegm, g: Hartley, beta_masks) -> int:
-    out = 0
-    for _, cm in model.class_masks[g.agent]:
-        if compare_log(_class_count(cm, beta_masks), g.cmp, g.threshold):
-            out |= cm
+    """The states whose class's pattern count passes `g`'s comparison: one
+    `compare_log(1, ...)` decides every single-state class, and only a
+    class of two or more states is counted, its bits flipped when its
+    verdict differs."""
+    single = compare_log(1, g.cmp, g.threshold)
+    out = model.full_mask if single else 0
+    for idx, cm in model.class_masks[g.agent]:
+        if len(idx) > 1 and compare_log(_class_count(cm, beta_masks), g.cmp, g.threshold) != single:
+            out ^= cm
     return out
 
 

@@ -388,6 +388,24 @@ def test_mask_helpers(fig1):
     assert fig1.full_mask == 0b111
 
 
+def test_states_of_matches_a_scan_of_every_state():
+    """`states_of` against a scan of every state's bit, on 1 to 70 states:
+    the empty and full masks, the top state alone, negative masks (read as
+    `mask & full_mask`), masks with bits above the last state, and random
+    masks of every density."""
+    rng = Random(4112)
+    for n in (1, 2, 7, 8, 9, 64, 65, 70):
+        states = [f"q{i}" for i in range(n)]
+        model = Cegm(["a"], states, "q0", {"a": ["x"]}, None, {(q, ("x",)): q for q in states})
+        full = model.full_mask
+        masks = [0, full, 1 << (n - 1), -1, -2, ~full, -(1 << (n - 1)), full << 3, 1 << n]
+        masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(20)]
+        masks += [rng.getrandbits(n + 10) - (1 << (n + 5)) for _ in range(20)]
+        for mask in masks:
+            want = tuple(q for i, q in enumerate(states) if mask >> i & 1)
+            assert model.states_of(mask) == want, (n, mask)
+
+
 def test_mask_rejects_a_string(fig1):
     # a string would be read as its one-character names
     with pytest.raises(ModelError, match="^a state set must be a collection of names"):

@@ -14,6 +14,7 @@ import pytest
 from atlh import cli, formula, mcheck
 from atlh.cegm import Cegm, load_model, save_model
 from atlh.formula import (
+    Atom,
     CoalFG,
     CoalG,
     CoalU,
@@ -32,6 +33,8 @@ from atlh.mcheck import (
     CheckOptions,
     _class_count,
     _CoalitionEngine,
+    _hartley_mask,
+    _knows_mask,
     _narrow,
     check,
     compare_log,
@@ -652,6 +655,118 @@ def test_witness_is_first_winner_on_random_models():
         f = kind(coal, *subs)
         for opts in COMBOS:
             _assert_matches_oracle(model, f, opts)
+
+
+def _per_state_sample(rng, i):
+    """A random model, a per-state mode for it and a formula `<A> X`, `G`
+    or `U` (by `i % 3`) whose operands may hold one more strategic operator,
+    where the coalition's menus offer 3 or 4 actions at some choice point
+    and its strategy space is at most 256. `Ir` keeps the model's links, so
+    subjective start sets can be wider than the state; `ir` runs on the
+    model with its links dropped, where every class is a single state."""
+    while True:
+        model = random_cegm(rng, max_states=4, max_agents=2, max_actions=4)
+        mode = ("Ir", "ir")[i % 2]
+        if mode == "ir":
+            lines = save_model(model).splitlines(True)
+            model = load_model("".join(line for line in lines if not line.startswith("obs")))
+        coal = tuple(rng.sample(model.agents, rng.randint(1, len(model.agents))))
+        points = _CoalitionEngine(model, coal, CheckOptions(mode)).choice_points
+        widths = [len(options) for _, _, options, _ in points]
+        if max(widths, default=0) >= 3 and math.prod(widths) <= 256:
+            break
+    kind = (CoalX, CoalG, CoalU)[i % 3]
+    subs = [
+        random_formula(rng, model.props, model.agents, depth=2, strategic_budget=1)
+        for _ in range(1 if kind in (CoalX, CoalG) else 2)
+    ]
+    return model, mode, kind(coal, *subs)
+
+
+def test_per_state_witness_is_first_winner_with_wide_menus():
+    """With two actions per menu the per-state search accepts the second
+    untested whenever the first fails, so these draws offer 3 or 4: an
+    action is then accepted from the one recomputed region of its choice
+    point, or because its state keeps a move into the target. Witnesses and
+    verdicts at every state, in both scopes, against the oracle."""
+    rng = Random(3815)
+    for i in range(72):
+        model, mode, f = _per_state_sample(rng, i)
+        for scope in ("objective", "subjective"):
+            opts = CheckOptions(mode, scope)
+            assert _CoalitionEngine(model, f.coalition, opts).per_state
+            _assert_matches_oracle(model, f, opts)
+
+
+def test_per_state_witness_search_recomputes_one_region_per_choice_point(monkeypatch):
+    """On ThreeBallot at q0, in all four mode/scope combinations, the
+    witness search runs `_narrow` once for the bound and at most once per
+    choice point inside the region: at each of w's 20 points for
+    `<w> F V1_eq_V2` (the region with the point's state cut off is U's
+    target there; a region per action tried made 81 calls), and at 3 of
+    `<v, c>`'s 9 for `<v, c> F V1_eq_ab`. For G and X a region is
+    recomputed only where an action drops the point's state: 5 times for
+    `<w> G !V1_eq_V2`, never for `<v, c> X !Voted`. `<w> G !V1_eq_ab` and
+    `<v, c> X Voted` are false at q0, so only the bound runs."""
+    model = gen_threeballot()
+    real = mcheck._narrow
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(mcheck, "_narrow", counting)
+    for text, holds, want in (
+        ("<w> F V1_eq_V2", True, 21),
+        ("<v, c> F V1_eq_ab", True, 4),
+        ("<w> G !V1_eq_V2", True, 6),
+        ("<v, c> X !Voted", True, 1),
+        ("<w> G !V1_eq_ab", False, 1),
+        ("<v, c> X Voted", False, 1),
+    ):
+        f = parse_formula(text)
+        for opts in COMBOS:
+            calls = 0
+            assert (find_witness(model, "q0", f, opts) is not None) == holds, (text, opts)
+            assert calls == want, (text, opts, calls)
+
+
+def test_single_state_classes_take_one_mask():
+    """`_knows_mask` and `_hartley_mask` against a loop over every class, on
+    a partition of single states (a0, no links), one of single states mixed
+    with larger classes (a1) and one of a single class (a2), with
+    thresholds on both sides of a single state's count, 1."""
+    rng = Random(5120)
+    agents = ("a0", "a1", "a2")
+    thresholds = [LogOfCount(k) for k in (1, 2, 3)] + [Real(Fraction(p, 2)) for p in range(4)]
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        states = [f"s{i}" for i in range(n)]
+        mixed: dict = {}
+        for q in states:
+            mixed.setdefault(rng.randrange(n), []).append(q)
+        obs = [("a1", x, y) for cls in mixed.values() for x, y in zip(cls, cls[1:])]
+        obs += [("a2", x, y) for x, y in zip(states, states[1:])]
+        trans = {(q, ("x",) * 3): rng.choice(states) for q in states}
+        model = Cegm(agents, states, "s0", dict.fromkeys(agents, ["x"]), None, trans, obs)
+        assert model.class_masks["a0"] is model.singletons
+        subs = [0, model.full_mask, *(rng.getrandbits(n) for _ in range(6))]
+        for a in agents:
+            classes = model.class_masks[a]
+            for sub in subs:
+                want = sum(cm for _, cm in classes if not cm & ~sub)
+                assert _knows_mask(model, a, sub) == want, (a, sub)
+            for beta in ([subs[2]], subs[2:5]):
+                for threshold in thresholds:
+                    for cmp in ("<", "<=", ">", ">=", "="):
+                        g = Hartley(a, cmp, threshold, [Atom("p")])
+                        want = sum(
+                            cm for _, cm in classes
+                            if compare_log(_class_count(cm, beta), cmp, threshold)
+                        )
+                        assert _hartley_mask(model, g, beta) == want, (a, str(g))
 
 
 @pytest.mark.parametrize(
