@@ -33,46 +33,7 @@ if TYPE_CHECKING:
     from atlh.succinct import SuccinctError, fsg_min_win, gen_Mn, gen_Nnj, min_mel_formula, phi_n
     from atlh.translate import TranslateError, check_translation_equivalence, h_to_k, k_to_h
 
-__all__ = [
-    "AtlhError",
-    "Cegm",
-    "CheckError",
-    "CheckOptions",
-    "Formula",
-    "FormulaError",
-    "LogOfCount",
-    "ModelError",
-    "Real",
-    "ScenarioError",
-    "SuccinctError",
-    "TranslateError",
-    "check",
-    "check_translation_equivalence",
-    "coercion_epistemic",
-    "coercion_hartley",
-    "find_witness",
-    "formula_length",
-    "fsg_min_win",
-    "gen_Mn",
-    "gen_Nnj",
-    "gen_referendum_double",
-    "gen_referendum_single",
-    "gen_threeballot",
-    "h_to_k",
-    "hartley_classes",
-    "k_to_h",
-    "label",
-    "load_model",
-    "min_mel_formula",
-    "parse_formula",
-    "phi_n",
-    "pretty_print",
-    "save_model",
-    "subformulas_by_length",
-    "threeballot_infosets",
-]
-
-# The module that defines each public name.
+# The module that defines each public name: the one list of them.
 _HOME = {
     name: module
     for module, names in (
@@ -101,6 +62,7 @@ _HOME = {
     )
     for name in names
 }
+__all__ = sorted(_HOME)
 _MODULES = ("cegm", "cli", "formula", "mcheck", "sampling", "scenarios", "succinct", "translate")
 
 

@@ -297,7 +297,8 @@ def _move_table(states, menus, trans, index, bits):
 def _checked_trans(agents, index, menus, trans) -> dict:
     """`trans` with each profile a tuple, after checking each entry in the
     order given: a known source and target, one action per agent, each
-    available to its agent at the source."""
+    available to its agent at the source, and no joint action given twice
+    (two keys, such as a tuple and a frozenset, can name one)."""
     out = {}
     for (q, profile), target in trans.items():
         profile = tuple(_not_string(profile, f"action profile at {q}"))
@@ -312,6 +313,8 @@ def _checked_trans(agents, index, menus, trans) -> dict:
         for a, x, acts in zip(agents, profile, menus[index[q]]):
             if x not in acts:
                 raise ModelError(f"transition at {q} uses action {x} unavailable to agent {a}")
+        if (q, profile) in out:
+            raise ModelError(f"duplicate transition at {q} for ({', '.join(profile)})")
         out[q, profile] = target
     return out
 

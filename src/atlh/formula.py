@@ -21,10 +21,10 @@ if TYPE_CHECKING:
 CMPS = ("<", "<=", ">", ">=", "=")
 
 # Deepest formula the parser accepts. The parser recurses up to four times per
-# level (`H[a] = 1 {…}`, `<a> (… U p)`), about 405 frames at the deepest
-# accepted nesting: well within Python's default recursion limit of 1000. Nothing
-# else recurses over a formula: `==` and `hash` run on `subformula_rows`, and
-# the other walkers keep their own stacks too (`fold` runs on those rows, and
+# level (`H[a] = 1 {…}`, `<a> (… U p)`, `<a> F (…)`), about 405 frames at the
+# deepest accepted nesting: well within Python's default recursion limit of 1000.
+# Nothing else recurses over a formula: `==` and `hash` run on `subformula_rows`,
+# and the other walkers keep their own stacks too (`fold` runs on those rows, and
 # `pretty_print`), so translations may build far deeper ones.
 MAX_DEPTH = 100
 
@@ -772,7 +772,9 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.open = 0  # parse_unary calls in progress: the parser's own recursion
+        # parse_unary calls in progress: the levels the descent counts toward
+        # MAX_DEPTH, each at most four frames (an F's group is no level of its own)
+        self.open = 0
         self.nodes: dict = {}  # key -> node (`make`) or member ids -> members; keeps each alive
         self.depths: dict = {}  # id(node) -> tree depth, as parsed
         self.bare = 0  # `_PathG` nodes made and not absorbed by an F
@@ -928,6 +930,11 @@ class _Parser:
         return _coalition(agents)
 
     def parse_temporal(self, coalition: tuple[str, ...]) -> Formula:
+        """The path formula after `<A>`. A parenthesized body of F is read
+        here as its group, not through `parse_unary`, so it counts no level
+        of its own: the printer writes `<A> F G x` as `<A> F (G x)`, and that
+        text nests no deeper than the formula.
+        """
         at = self.pos
         tok = self.tokens[at]
         self.pos += 1
@@ -936,7 +943,12 @@ class _Parser:
         if tok == "G":
             return self.make(at, CoalG, (coalition,), self.parse_unary())
         if tok == "F":
-            return self.finish_finally(coalition, self.parse_unary(), at)
+            if self.tokens[self.pos] != "(":
+                return self.finish_finally(coalition, self.parse_unary(), at)
+            self.pos += 1
+            body = self.parse_expr()
+            self.expect(")")
+            return self.finish_finally(coalition, body, at)
         if tok == "(":
             hold = self.parse_expr()
             self.expect("U")

@@ -64,10 +64,11 @@ import math
 from collections import namedtuple
 from functools import reduce
 from itertools import compress, product, repeat
-from operator import itemgetter, or_
+from operator import eq, ge, gt, itemgetter, le, lt, or_
 
 from .cegm import Cegm
 from .formula import (
+    CMPS,
     And,
     AtlhError,
     Atom,
@@ -146,20 +147,12 @@ class Strategy:
 # Exact threshold comparison
 
 
-def _cmp(value_cmp: str, left, right) -> bool:
-    if value_cmp == "<":
-        return left < right
-    if value_cmp == "<=":
-        return left <= right
-    if value_cmp == ">":
-        return left > right
-    if value_cmp == ">=":
-        return left >= right
-    return left == right
+_CMP = dict(zip(CMPS, (lt, le, gt, ge, eq)))  # each comparison's operator
 
 
 def compare_log(count: int, cmp: str, threshold: Threshold) -> bool:
-    """Decide log2(count) <cmp> threshold exactly.
+    """Decide log2(count) <cmp> threshold exactly, for `cmp` one of `CMPS`;
+    any other `cmp` raises CheckError.
 
     A `log(k)` threshold reduces to comparing count against k. A rational
     threshold is settled by bit lengths when it lies outside [bl - 1, bl),
@@ -170,17 +163,21 @@ def compare_log(count: int, cmp: str, threshold: Threshold) -> bool:
     """
     if count < 1:
         raise CheckError(f"class count must be positive, got {count}")
+    try:
+        op = _CMP[cmp]
+    except (KeyError, TypeError):  # TypeError: an unhashable `cmp`
+        raise CheckError(f"unknown comparison {cmp!r}") from None
     if isinstance(threshold, LogOfCount):
-        return _cmp(cmp, count, threshold.count)
+        return op(count, threshold.count)
     value = threshold.value
     bl = count.bit_length()
     if count == 1 << (bl - 1):
-        return _cmp(cmp, bl - 1, value)
+        return op(bl - 1, value)
     if value < bl - 1:
-        return _cmp(cmp, 1, 0)
+        return op(1, 0)
     if value >= bl:
-        return _cmp(cmp, 0, 1)
-    return _cmp(cmp, 1, 0) if _log2_above(count, value) else _cmp(cmp, 0, 1)
+        return op(0, 1)
+    return op(1, 0) if _log2_above(count, value) else op(0, 1)
 
 
 def _log2_above(count: int, value: Fraction) -> bool:

@@ -11,6 +11,7 @@ from random import Random
 
 from .cegm import Cegm
 from .formula import (
+    CMPS,
     And,
     Atom,
     CoalFG,
@@ -151,7 +152,7 @@ def random_formula(
                     members.append(candidate)
                 if len(members) == want:
                     break
-            cmp = rng.choice(("<", "<=", ">", ">=", "="))
+            cmp = rng.choice(CMPS)
             return Hartley(rng.choice(agents), cmp, threshold(), tuple(members))
         if pick == "coalx":
             return CoalX(coalition(), build(d - 1, budget - 1))

@@ -8,11 +8,11 @@ sample count they need.
 from fractions import Fraction
 from random import Random
 
-from atlh.formula import And, CoalU, Hartley, Knows, LogOfCount, Real
-from atlh.mcheck import CheckOptions, hartley_classes, label
+from atlh.formula import And, CoalFG, CoalG, CoalU, CoalX, Hartley, Knows, LogOfCount, Real
+from atlh.mcheck import CheckOptions, enumerate_strategies, find_witness, hartley_classes, label
 from atlh.sampling import random_cegm, random_formula
 
-from bruteforce import oracle_label, reflexive_collapse
+from bruteforce import oracle_label, reflexive_collapse, strategy_wins
 
 
 def _members(rng: Random, model, count: int) -> tuple:
@@ -151,8 +151,41 @@ _ORACLE_OPTS = (
 )
 
 
+def _path_condition(f):
+    """The oracle's name for a strategic root's path condition, and its
+    subformulas; None for any other formula."""
+    match f:
+        case CoalX(_, sub):
+            return "X", [sub]
+        case CoalG(_, sub):
+            return "G", [sub]
+        case CoalU(_, hold, goal):
+            return "U", [hold, goal]
+        case CoalFG(_, goal, inv):
+            return "FG", [goal, inv]
+    return None
+
+
+def oracle_first_winner(model, state, f, opts):
+    """First strategy in `enumerate_strategies` order that the oracle's walk
+    judges winning for the strategic root `f` from `state`, or None."""
+    kind, subs = _path_condition(f)
+    args = [oracle_label(model, s, opts.strategy_mode, opts.success_scope) for s in subs]
+    for strategy in enumerate_strategies(model, f.coalition, opts):
+        if strategy_wins(model, state, strategy.actions, kind, args, opts.success_scope):
+            return strategy
+    return None
+
+
+def _actions(strategy):
+    return None if strategy is None else strategy.actions
+
+
 def oracle_disagreements(samples: int, seed: int) -> int:
-    """Bitmask strategy enumeration versus the brute-force set oracle."""
+    """Bitmask strategy enumeration versus the brute-force set oracle: the
+    labels, and for a strategic root the first winner at the initial state,
+    which an oracle that pairs profiles with the wrong targets can miss
+    even where the labels agree."""
     rng = Random(seed)
     bad = 0
     for i in range(samples):
@@ -163,4 +196,8 @@ def oracle_disagreements(samples: int, seed: int) -> int:
             model, f, opts.strategy_mode, opts.success_scope
         ):
             bad += 1
+        elif _path_condition(f):
+            got = find_witness(model, model.initial, f, opts)
+            want = oracle_first_winner(model, model.initial, f, opts)
+            bad += _actions(got) != _actions(want)
     return bad

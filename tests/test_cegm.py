@@ -229,6 +229,21 @@ def test_duplicate_transition_rejected():
         load_model(text)
 
 
+def test_one_joint_action_given_twice_to_the_constructor_is_rejected():
+    # a one-action frozenset names the same joint action as its tuple
+    trans = {("s0", ("x",)): "s0", ("s0", frozenset({"x"})): "s1", ("s1", ("x",)): "s1"}
+    with pytest.raises(ModelError) as exc:
+        Cegm(["a"], ["s0", "s1"], "s0", {"a": ["x"]}, None, trans)
+    assert str(exc.value) == "duplicate transition at s0 for (x)"
+
+
+def test_a_profile_given_as_a_one_action_frozenset_is_accepted():
+    # the move table misses it as given, and finds it once it is a tuple
+    trans = {("s0", frozenset({"x"})): "s1", ("s1", ("x",)): "s1"}
+    model = Cegm(["a"], ["s0", "s1"], "s0", {"a": ["x"]}, None, trans)
+    assert model.moves == ((0b10,), (0b10,))
+
+
 def test_empty_availability_rejected():
     with pytest.raises(ModelError, match="empty availability"):
         load_model(FIG1.replace("avail v s1: eps", "avail v s1:"))

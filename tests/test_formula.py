@@ -219,6 +219,10 @@ def test_nesting_up_to_the_bound_parses():
     assert parse_formula(pretty_print(g)) == g
     h = parse_formula(" | ".join(["p"] * MAX_DEPTH))
     assert parse_formula(pretty_print(h)) == h
+    # the printer writes `<a> F G x` as `<a> F (G x)`, which nests no deeper
+    chain = parse_formula("<a> F G " * 49 + "!p")
+    assert pretty_print(chain) == "<a> F (G " * 49 + "!p" + ")" * 49
+    assert parse_formula(pretty_print(chain)) == chain
     # the constructs the parser recurses deepest on, four frames per level
     # for H and U and three for parentheses: 99 levels stay within the limit
     k = MAX_DEPTH - 1
@@ -254,6 +258,10 @@ _NESTS = [
     ("<a> F (x & G ", ")", 3, [(1, 5), (1, 5), (1, 5)]),
     ("<a> F (G ", " & x)", 3, [(1, 5), (1, 5), (1, 5)]),
     ("<a> F G ", "", 2, [(1, 401), (51, 2), (51, 2)]),
+    # the parenthesized body of an F is one level with the F, not two:
+    # `<a> F (G x)` is how the printer writes `<a> F G x`
+    ("<a> F (", ")", 1, [(1, 701), (101, 2), (101, 2)]),
+    ("<a> F (G ", ")", 2, [(1, 451), (51, 2), (51, 2)]),
     ("(", ")", 0, [(1, 101), (101, 2), (101, 2)]),
     ("p & ", "", 1, [(1, 399), (100, 4), (100, 4)]),
     ("p | ", "", 1, [(1, 399), (100, 4), (100, 4)]),

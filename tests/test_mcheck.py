@@ -58,8 +58,9 @@ from atlh.scenarios import (
 from atlh.translate import h_to_k
 
 import bruteforce
-from bruteforce import oracle_label, strategy_wins, transitions
+from bruteforce import oracle_label, transitions
 from conftest import within
+from propsuites import oracle_first_winner
 
 FIG1 = """\
 agents: v c
@@ -221,6 +222,28 @@ def test_compare_log_exact():
     assert compare_log(1, "=", LogOfCount(1))
     with pytest.raises(CheckError):
         compare_log(0, "=", Real(0))
+
+
+def test_compare_log_on_both_sides_of_each_logarithm():
+    # counts 1-9 against log(k) for k around the count, and rationals just
+    # below, at and above log2(count), judged by the oracle's integer powers
+    for count in range(1, 10):
+        near = Fraction(math.log2(count)).limit_denominator(1000)
+        steps = (-1, Fraction(-1, 1000), 0, Fraction(1, 1000), 1)
+        thresholds = [LogOfCount(k) for k in range(max(1, count - 1), count + 2)]
+        thresholds += [Real(near + d) for d in steps if near + d >= 0]
+        for threshold in thresholds:
+            for cmp in formula.CMPS:
+                want = bruteforce._log_compares(count, cmp, threshold)
+                assert compare_log(count, cmp, threshold) == want, (count, cmp, threshold)
+
+
+@pytest.mark.parametrize("cmp", ["<>", "gt", None, ["<"]])
+def test_compare_log_rejects_an_unknown_comparison(cmp):
+    for threshold in (Real(1), LogOfCount(2)):
+        with pytest.raises(CheckError) as exc:
+            compare_log(4, cmp, threshold)
+        assert str(exc.value) == f"unknown comparison {cmp!r}"
 
 
 def test_compare_log_doubles_precision_near_an_irrational_logarithm():
@@ -558,36 +581,13 @@ COMBOS = [
 ]
 
 
-def _path_condition(f):
-    match f:
-        case CoalX(_, sub):
-            return "X", [sub]
-        case CoalG(_, sub):
-            return "G", [sub]
-        case CoalU(_, hold, goal):
-            return "U", [hold, goal]
-        case CoalFG(_, goal, inv):
-            return "FG", [goal, inv]
-
-
-def _oracle_first_winner(model, state, f, opts):
-    """First strategy in enumeration order that the oracle's walk judges
-    winning from `state`, or None."""
-    kind, subs = _path_condition(f)
-    args = [oracle_label(model, s, opts.strategy_mode, opts.success_scope) for s in subs]
-    for strategy in enumerate_strategies(model, f.coalition, opts):
-        if strategy_wins(model, state, strategy.actions, kind, args, opts.success_scope):
-            return strategy
-    return None
-
-
 def _assert_matches_oracle(model, f, opts):
     holds = oracle_label(model, f, opts.strategy_mode, opts.success_scope)
     assert label(model, f, opts)[f] == holds, (f, opts)
     for q in model.states:
         assert check(model, q, f, opts) == (q in holds), (f, q, opts)
         if isinstance(f, (CoalX, CoalG, CoalU, CoalFG)):
-            want = _oracle_first_winner(model, q, f, opts)
+            want = oracle_first_winner(model, q, f, opts)
             got = find_witness(model, q, f, opts)
             assert (got is None) == (want is None), (f, q, opts)
             if got is not None:
