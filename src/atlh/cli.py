@@ -5,6 +5,10 @@ Start-up loads only what every `atlh check` runs: argparse and the
 `formula`, `cegm` and `mcheck` modules. A command imports anything else it
 runs (the other modules, `json` for json-lines output) when it runs.
 
+Each command maps its parsed arguments to its exit code and stdout text, and
+`main` alone writes stdout: so a fault leaves it empty, and a reader that
+closes it early (`| head`) ends the run quietly with the command's own code.
+
 Exit codes: 0 for a true verdict (or plain success), 1 for a false verdict
 (or a harness that found mismatches), 2 for an `AtlhError` (any usage, parse,
 validation or cap error) or an `OSError` (a file that is missing, unreadable
@@ -16,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .cegm import load_model, save_model
 from .formula import (
+    NODE_CAP,
     AtlhError,
     formula_length,
     parse_formula,
@@ -27,7 +33,7 @@ from .formula import (
     printed_order,
     row_texts,
 )
-from .mcheck import CheckOptions, label_masks
+from .mcheck import STRATEGY_MODES, SUCCESS_SCOPES, CheckOptions, label_masks
 
 
 def _options(args) -> CheckOptions:
@@ -44,13 +50,18 @@ def _formula_text(args) -> str:
     raise AtlhError("no formula given; use --formula or --formula-file")
 
 
+def _text(*lines) -> str:
+    """The lines as `print` writes them, one after another."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def _csv_quote(cell: str) -> str:
     if any(ch in cell for ch in ",\"\n"):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     model = load_model(_read(args.model))
     f = parse_formula(_formula_text(args))
     state = args.state if args.state is not None else model.initial
@@ -64,31 +75,15 @@ def cmd_check(args) -> int:
     if args.output == "json-lines":
         import json
 
-        out = [
-            json.dumps(
-                {"event": "verdict", "state": state, "formula": text, "result": verdict},
-                sort_keys=True,
-            )
-        ]
+        events = [{"event": "verdict", "state": state, "formula": text, "result": verdict}]
         if witness is not None:
-            out.append(
-                json.dumps(
-                    {
-                        "event": "witness",
-                        "coalition": list(witness.coalition),
-                        "actions": {
-                            a: dict(sorted(witness.actions[a].items()))
-                            for a in witness.coalition
-                        },
-                    },
-                    sort_keys=True,
-                )
-            )
+            coalition = witness.coalition
+            actions = {a: dict(sorted(witness.actions[a].items())) for a in coalition}
+            events.append({"event": "witness", "coalition": list(coalition), "actions": actions})
         for sub, mask in labels:
             states = list(model.states_of(mask))
-            out.append(
-                json.dumps({"event": "label", "formula": sub, "states": states}, sort_keys=True)
-            )
+            events.append({"event": "label", "formula": sub, "states": states})
+        out = [json.dumps(event, sort_keys=True) for event in events]
     elif args.output == "csv":
         out = ["state,formula,result", f"{state},{_csv_quote(text)},{str(verdict).lower()}"]
     else:
@@ -97,11 +92,10 @@ def cmd_check(args) -> int:
             out.append(f"witness: {witness}")
         for sub, mask in labels:
             out.append(f"label {sub}: {' '.join(model.states_of(mask))}")
-    print("\n".join(out))
-    return 0 if verdict else 1
+    return (0 if verdict else 1), _text(*out)
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> tuple[int, str]:
     from .translate import h_to_k, k_to_h
 
     f = parse_formula(_formula_text(args))
@@ -113,41 +107,31 @@ def cmd_translate(args) -> int:
     if args.output == "json-lines":
         import json
 
-        print(
-            json.dumps(
-                {
-                    "event": "translation",
-                    "direction": args.dir,
-                    "output": text,
-                    "input_length": sizes[0],
-                    "output_length": sizes[1],
-                },
-                sort_keys=True,
-            )
+        event = {
+            "event": "translation",
+            "direction": args.dir,
+            "output": text,
+            "input_length": sizes[0],
+            "output_length": sizes[1],
+        }
+        return 0, _text(json.dumps(event, sort_keys=True))
+    if args.output == "csv":
+        return 0, _text(
+            "direction,output,input_length,output_length",
+            f"{args.dir},{_csv_quote(text)},{sizes[0]},{sizes[1]}",
         )
-    elif args.output == "csv":
-        print("direction,output,input_length,output_length")
-        print(f"{args.dir},{_csv_quote(text)},{sizes[0]},{sizes[1]}")
-    else:
-        print(text)
-        print(f"input length: {sizes[0]}")
-        print(f"output length: {sizes[1]}")
-    return 0
+    return 0, _text(text, f"input length: {sizes[0]}", f"output length: {sizes[1]}")
 
 
-def _gen(build):
-    """The `run` of one `gen` target: build its model, write it out."""
-
-    def run(args) -> int:
-        text = save_model(build(args))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            print(text, end="")
-        return 0
-
-    return run
+def cmd_gen(args) -> tuple[int, str]:
+    """Build the `gen` target's model (`args.build`); write it to `--out`, or
+    return its text."""
+    text = save_model(args.build(args))
+    if not args.out:
+        return 0, text
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return 0, ""
 
 
 def _gen_scenario(args):
@@ -176,37 +160,31 @@ def _gen_Nnj(args):
     return gen_Nnj(args.n, args.j)
 
 
-def cmd_succinctness(args) -> int:
+def cmd_succinctness(args) -> tuple[int, str]:
     from .succinct import succinctness_rows
 
     header = "n,len_phi_n,len_translated,fsg_min,mel_min,wallclock_ms"
     out = [header]
     for row in succinctness_rows(args.nmax, node_cap=args.cap_nodes):
         out.append(",".join("" if row[k] is None else str(row[k]) for k in header.split(",")))
-    print("\n".join(out))
-    return 0
+    return 0, _text(*out)
 
 
-def cmd_translation_equivalence(args) -> int:
+def cmd_translation_equivalence(args) -> tuple[int, str]:
     from .translate import check_translation_equivalence
 
     report = check_translation_equivalence(
         samples=args.samples, seed=args.seed, opts=_options(args)
     )
-    print(report)
-    print(f"mismatches: {report.mismatches}")
-    return 0 if report.mismatches == 0 else 1
+    return (0 if report.mismatches == 0 else 1), _text(report, f"mismatches: {report.mismatches}")
 
 
-def cmd_threeballot_table(args) -> int:
+def cmd_threeballot_table(args) -> tuple[int, str]:
     from .scenarios import infoset_table_csv, render_infoset_table, threeballot_infosets
 
     rows = threeballot_infosets()
-    if args.output == "csv":
-        print(infoset_table_csv(rows))
-    else:
-        print(render_infoset_table(rows))
-    return 0
+    render = infoset_table_csv if args.output == "csv" else render_infoset_table
+    return 0, _text(render(rows))
 
 
 def _read(path: str) -> str:
@@ -218,8 +196,8 @@ def _read(path: str) -> str:
 
 
 def _add_check_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy-mode", choices=("ir", "Ir"), default="ir")
-    p.add_argument("--scope", choices=("objective", "subjective"), default="objective")
+    p.add_argument("--strategy-mode", choices=STRATEGY_MODES, default="ir")
+    p.add_argument("--scope", choices=SUCCESS_SCOPES, default="objective")
 
 
 def _add_formula_source(p: argparse.ArgumentParser) -> None:
@@ -228,7 +206,6 @@ def _add_formula_source(p: argparse.ArgumentParser) -> None:
 
 
 _OUTPUTS = ("text", "csv", "json-lines")
-_CAP_NODES = 10**6
 # Count flags that must be at least 1; each is checked only where declared.
 _POSITIVE = ("cap_nodes", "nmax", "samples")
 
@@ -260,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("translate", help="rewrite between the two logics")
     p_tr.add_argument("--dir", choices=("h2k", "k2h"), required=True)
     _add_formula_source(p_tr)
-    p_tr.add_argument("--cap-nodes", type=int, default=_CAP_NODES)
+    p_tr.add_argument("--cap-nodes", type=int, default=NODE_CAP)
     p_tr.add_argument("--output", choices=_OUTPUTS, default="text")
     p_tr.set_defaults(run=cmd_translate)
 
@@ -278,13 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in sizes:
             p.add_argument(flag, type=int)
         p.add_argument("--out", help="write the model here instead of stdout")
-        p.set_defaults(run=_gen(build))
+        p.set_defaults(run=cmd_gen, build=build)
 
     exp = sub.add_parser("experiment", help="run a bundled experiment")
     names = exp.add_subparsers(dest="name", required=True)
     p = names.add_parser("succinctness")
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--cap-nodes", type=int, default=_CAP_NODES)
+    p.add_argument("--cap-nodes", type=int, default=NODE_CAP)
     p.set_defaults(run=cmd_succinctness)
     p = names.add_parser("translation-equivalence")
     p.add_argument("--samples", type=int, default=100)
@@ -298,15 +275,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line, write its text to stdout, return its exit code;
+    a fault writes one `error:` line to stderr instead, and returns 2."""
     args = _build_parser().parse_args(argv)
     try:
         for name in _POSITIVE:
             if getattr(args, name, 1) < 1:
                 raise AtlhError(f"--{name.replace('_', '-')} must be positive")
-        return args.run(args)
+        code, text = args.run(args)
     except (AtlhError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        # the reader has gone: send what is left, and the flush at exit, nowhere
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    return code
 
 
 if __name__ == "__main__":

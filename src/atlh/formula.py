@@ -28,6 +28,10 @@ CMPS = ("<", "<=", ">", ">=", "=")
 # `pretty_print`), so translations may build far deeper ones.
 MAX_DEPTH = 100
 
+# Default bound on a translation's size (`formula_length`): `h_to_k`, `succinctness_rows`
+# and the `--cap-nodes` flags.
+NODE_CAP = 10**6
+
 
 class AtlhError(ValueError):
     """The base of every fault atlh reports: bad input text, an ill-formed

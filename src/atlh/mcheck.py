@@ -97,6 +97,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
+# The strategy modes and success scopes, in the order `--help` lists them.
+STRATEGY_MODES = ("ir", "Ir")
+SUCCESS_SCOPES = ("objective", "subjective")
+
+
 class CheckError(AtlhError):
     """Raised when a formula does not fit the model (unknown atom or agent)."""
 
@@ -112,9 +117,9 @@ class CheckOptions(namedtuple("CheckOptions", "strategy_mode success_scope")):
     __slots__ = ()
 
     def __new__(cls, strategy_mode: str = "ir", success_scope: str = "objective"):
-        if strategy_mode not in ("ir", "Ir"):
+        if strategy_mode not in STRATEGY_MODES:
             raise CheckError(f"unknown strategy mode {strategy_mode!r}")
-        if success_scope not in ("objective", "subjective"):
+        if success_scope not in SUCCESS_SCOPES:
             raise CheckError(f"unknown success scope {success_scope!r}")
         return super().__new__(cls, strategy_mode, success_scope)
 

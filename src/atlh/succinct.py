@@ -19,6 +19,7 @@ from math import factorial, prod
 
 from .cegm import Cegm
 from .formula import (
+    NODE_CAP,
     AtlhError,
     Atom,
     Formula,
@@ -39,20 +40,23 @@ class SuccinctError(AtlhError):
 # ---------------------------------------------------------------------------
 # Model families
 
+# the largest n of `gen_Mn`, `gen_Nnj` and `succinctness_rows`
+MAX_N = 12
+
 
 def gen_Mn(n: int) -> Cegm:
     """The 2^n-state model over p_1..p_n: state q<t> makes p_i true exactly
     when bit i-1 of t is set; one agent that cannot tell any states apart."""
-    if not 1 <= n <= 12:
-        raise SuccinctError(f"n must be between 1 and 12, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise SuccinctError(f"n must be between 1 and {MAX_N}, got {n}")
     states = [f"q{t}" for t in range(2**n)]
     return _family_model(n, states)
 
 
 def gen_Nnj(n: int, j: int) -> Cegm:
     """gen_Mn(n) with state q<j> removed; removing the initial q0 is not allowed."""
-    if not 1 <= n <= 12:
-        raise SuccinctError(f"n must be between 1 and 12, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise SuccinctError(f"n must be between 1 and {MAX_N}, got {n}")
     if not 1 <= j <= 2**n - 1:
         raise SuccinctError(f"j must be between 1 and {2**n - 1}, got {j}")
     states = [f"q{t}" for t in range(2**n) if t != j]
@@ -618,14 +622,14 @@ def min_mel_formula(A, B, size_cap: int):
 EXACT_NMAX = 2
 
 
-def succinctness_rows(nmax: int, node_cap: int = 10**6):
+def succinctness_rows(nmax: int, node_cap: int = NODE_CAP):
     """One experiment row per n: formula lengths plus (for n <= EXACT_NMAX)
     the two engines' minimal knowledge-only sizes, the enumerator searching up
     to size 40 and the game up to its answer. `len_translated` is None when
     the translation blows `node_cap`; `fsg_min` and `mel_min` are None above
-    EXACT_NMAX. n runs up to 12, as in `gen_Mn`."""
-    if not 1 <= nmax <= 12:
-        raise SuccinctError(f"nmax must be between 1 and 12, got {nmax}")
+    EXACT_NMAX. n runs up to MAX_N, as in `gen_Mn`."""
+    if not 1 <= nmax <= MAX_N:
+        raise SuccinctError(f"nmax must be between 1 and {MAX_N}, got {nmax}")
     rows = []
     for n in range(1, nmax + 1):
         started = time.perf_counter()

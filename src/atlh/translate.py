@@ -16,6 +16,7 @@ from math import comb
 from random import Random
 
 from .formula import (
+    NODE_CAP,
     And,
     AtlhError,
     FalseF,
@@ -142,7 +143,7 @@ def _expansion_size(alpha_sizes, counts, n: int) -> int:
     return total + (len(counts) - 1)
 
 
-def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = 10**6) -> Formula:
+def h_to_k(f: Formula, beta_cap: int = 4, node_cap: int = NODE_CAP) -> Formula:
     """Replace uncertainty by knowledge, innermost-first.
 
     Every threshold is first normalized to the set of class counts that

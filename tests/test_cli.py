@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -840,7 +842,7 @@ def test_each_command_reads_every_flag_it_accepts(tmp_path, capsys, fig1_path, l
     full = leaf.split() + [fill.get(a, a) for a in argv]
     args = cli._build_parser().parse_args(full)
     reads = _Reads(args)
-    assert args.run(reads) in (0, 1)
+    assert args.run(reads)[0] in (0, 1)
     assert {f[2:].replace("-", "_") for f in _flags(argv, extra)} <= reads.seen
     capsys.readouterr()
 
@@ -867,3 +869,95 @@ def test_removed_and_misplaced_flags_exit_2(argv, message, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err and "Traceback" not in err
+
+
+# `atlh check` rows of the pinned output corpus, as (model, formula, state):
+# the referendum and ThreeBallot formulas of `bench/workloads.py` and two
+# faults. Each runs in every output format, plain, with `--dump-labels` and
+# in `Ir` subjective.
+NEVER_KNOWS_AB = "G !(K[c] V_A | K[c] !V_A | K[c] V_B | K[c] !V_B)"
+DOUBLE = " & ".join(
+    f"<v> F (Voted & {sa}V_A & {sb}V_B & {NEVER_KNOWS_AB})"
+    for sa, sb in (("", ""), ("", "!"), ("!", ""), ("!", "!"))
+)
+FIG1_WITNESS = "<v> F (Voted & V_A & G !(K[c] V_A | K[c] !V_A))"
+CORPUS_CHECKS = [
+    ("fig1", FIG1_WITNESS, None),
+    ("fig1", f"{FIG1_WITNESS} & <v> F (Voted & !V_A & G !(K[c] V_A | K[c] !V_A))", None),
+    *((m, DOUBLE, None) for m in ("m1", "m2")),
+    *((m, "<v> F (Voted & H[c] >= 2 {V_A, V_B})", None) for m in ("m1", "m2")),
+    *((m, "H[c] >= 2 {V_A, V_B}", "s1") for m in ("m1", "m2")),
+    ("threeballot", "<v, c> F (V1_eq_ab & (V1_eq_V2 | K[c] V1_eq_ab))", None),
+    ("threeballot", "<v, c> F V1_eq_ab", None),
+    ("threeballot", "<> G !(V1_eq_Ab & !V1_eq_V2 & !H[c] = log(4) {V_A, V_B})", None),
+    ("threeballot", "<w> F V1_eq_V2", None),
+    *((m, text, None) for m in ("fig1", "threeballot") for text in ("zz & aa", "<zz> F Voted")),
+]
+
+
+def _corpus():
+    """The command lines of the pinned output corpus; `{tmp}` stands for the
+    directory holding the four generated models."""
+    variants = ([], ["--dump-labels"], ["--strategy-mode", "Ir", "--scope", "subjective"])
+    for model, text, state in CORPUS_CHECKS:
+        at = ["--state", state] if state else []
+        for output in ("text", "csv", "json-lines"):
+            for extra in variants:
+                yield ["check", "--model", f"{{tmp}}/{model}.cegm", "--formula", text, *at,
+                       "--output", output, *extra]
+    for direction, text in (("h2k", "H[c] >= 2 {V_A, V_B} & <v> X H[c] = log(3) {p, q, r}"),
+                            ("k2h", "K[a] p & <a> F (q & G K[b] !p)")):
+        for output in ("text", "csv", "json-lines"):
+            yield ["translate", "--dir", direction, "--formula", text, "--output", output]
+    yield ["translate", "--dir", "h2k", "--formula", "H[a] = 1 {H[b] = log(4) {p1, p2, p3, p4}, q}"]
+    yield ["translate", "--dir", "k2h", "--formula", "K[a] K[b] K[a] p", "--cap-nodes", "5"]
+    for target in (["fig1"], ["m1"], ["m2"], ["threeballot"], ["Mn", "--n", "3"],
+                   ["Nnj", "--n", "2", "--j", "1"], ["Mn"]):
+        yield ["gen", *target]
+    for output in ("text", "csv"):
+        yield ["experiment", "threeballot-table", "--output", output]
+    yield ["experiment", "translation-equivalence", "--samples", "30", "--seed", "7"]
+
+
+def test_output_is_pinned_over_a_command_corpus(tmp_path):
+    # argv (with the `{tmp}` token), exit code, stdout and stderr of every
+    # corpus line, hashed together
+    for name in ("fig1", "m1", "m2", "threeballot"):
+        assert main(["gen", name, "--out", str(tmp_path / f"{name}.cegm")]) == 0
+    records = []
+    for argv in _corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        records.append(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+    assert len(records) == 162
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "c1379f75dec82291b3d2b01f4103db3a434aef14eeb81069062fb3055721b2b4"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["translate", "--dir", "k2h", "--formula", "K[a] p"], 0),
+        (["check", "--model", "{model}", "--formula", "Voted"], 1),
+        (["check", "--model", "{model}", "--formula", "<v> F Voted"], 0),
+        # 880,916 bytes, more than a pipe holds, so the write itself fails
+        (["translate", "--dir", "h2k", "--formula", "H[a] = log(4) {p1, p2, p3, p4}"], 0),
+    ],
+    ids=["k2h", "check-false", "check-true", "h2k-large"],
+)
+def test_a_closed_stdout_ends_the_run_quietly(fig1_path, argv, code):
+    # a reader that has gone (`atlh ... | head -c 10`): the write end of a
+    # pipe whose read end is closed, so every write fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(atlh.__file__).resolve().parents[1])
+    script = f"import sys; sys.path.insert(0, {src!r}); import atlh.cli; sys.exit(atlh.cli.main())"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-I", "-c", script, *(a.replace("{model}", fig1_path) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (code, "")
